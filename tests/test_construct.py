@@ -19,6 +19,8 @@ from shiftpress import (
     density_experiment,
     ConstructConfig,
 )
+from shiftpress import construct as construct_module
+from shiftpress.construct import GluedSubshift
 from shiftpress.core import word_matrix
 from shiftpress.segments import OrbitDecomposition, empty_segments
 from shiftpress.potentials import birkhoff_batch
@@ -321,7 +323,11 @@ class TestConstructIntermediate:
         assert res.certified
         assert res.lower.value >= 0.45 - 0.1 - 1e-6
         assert res.upper.value <= 0.45 + 0.1 + 1e-6
-        assert res.lower.extras["enumeration"]["value"] >= res.lower.value - 0.2
+        # the finite-window report is a test oracle, off the construction path
+        enum = res.subsystem.finite_pressure_report(
+            5, anchored=True, blocks=(2, 3, 4), exact_limit=200_000
+        )
+        assert enum.value + res.params["normalization_shift"] >= res.lower.value - 0.2
 
     def test_normalization_shift_restored(self, full2):
         # negative potential: construction works through the nonnegative shift
@@ -331,6 +337,55 @@ class TestConstructIntermediate:
         )
         assert res.certified
         assert abs(res.params["pressure"] - (-0.6)) < 0.1
+
+    @pytest.mark.parametrize(
+        "system, values, alpha",
+        [("full2", [0.0, 0.0], 0.45), ("golden", [0.0, 0.1], 0.25)],
+    )
+    def test_one_renewal_solve_per_construction(self, request, monkeypatch, system, values, alpha):
+        sys_ = request.getfixturevalue(system)
+        solve = GluedSubshift.log_pressure
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite-window oracle reached from the construction")
+
+        monkeypatch.setattr(GluedSubshift, "log_pressure", counted)
+        for name in ("finite_pressure_report", "word_theta", "log_theta"):
+            monkeypatch.setattr(GluedSubshift, name, forbidden)
+        phi = Potential.from_symbol_values(sys_, values)
+        res = construct_intermediate(sys_, phi, trivial_decomposition(), alpha, 0.1)
+        assert len(calls) == 1
+        assert res.lower.value == res.upper.value == res.params["pressure"]
+        assert res.certified
+        assert "finite-to-one" in res.lower.extras["basis"]
+        assert "factor map" in res.upper.extras["basis"]
+
+    def test_gluing_bug_is_not_infeasibility(self, full2, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug inside check_gluing")
+
+        monkeypatch.setattr(construct_module, "check_gluing", broken)
+        phi = Potential.zero(full2)
+        with pytest.raises(RuntimeError, match="bug inside check_gluing"):
+            construct_intermediate(full2, phi, trivial_decomposition(), 0.35, 0.1)
+        with pytest.raises(RuntimeError, match="bug inside check_gluing"):
+            check_structure_conditions(full2, phi, trivial_decomposition())
+
+    def test_counting_bound_defaults_to_construction_delta(self, full2):
+        cfg = ConstructConfig(level_delta=8)
+        res = construct_intermediate(
+            full2, Potential.zero(full2), trivial_decomposition(), 0.12, 0.1, cfg
+        )
+        assert res.params["level_delta"] == 8
+        n = 2
+        used = verify_counting_bound(res.subsystem, n)
+        assert used.bound == verify_counting_bound(res.subsystem, n, Resolution(8)).bound
+        assert used.bound != verify_counting_bound(res.subsystem, n, Resolution(7)).bound
 
 
 class TestDensityExperiment:
