@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -92,36 +91,24 @@ class ShiftSystem:
 
     # -- graph structure ---------------------------------------------------
 
-    def _reachable_from(self, start: int, reverse: bool = False) -> set:
+    def _reachable_from(self, start: int, reverse: bool = False) -> np.ndarray:
+        """Boolean mask of the symbols reachable from `start` (reaching it if reverse)."""
         T = self.transitions.T if reverse else self.transitions
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(T[u])[0]:
-                    if int(v) not in seen:
-                        seen.add(int(v))
-                        nxt.append(int(v))
-            frontier = nxt
-        return seen
+        return _bfs(T, [start])[0] >= 0
 
     def strongly_connected(self) -> bool:
         if self._strongly_connected is None:
-            A = self.alphabet_size
             fwd = self._reachable_from(0)
             bwd = self._reachable_from(0, reverse=True)
-            self._strongly_connected = len(fwd) == A and len(bwd) == A
+            self._strongly_connected = bool(fwd.all() and bwd.all())
         return self._strongly_connected
 
     def require_strongly_connected(self):
         if not self.strongly_connected():
             fwd = self._reachable_from(0)
             bwd = self._reachable_from(0, reverse=True)
-            missing = next(
-                a for a in range(self.alphabet_size) if a not in fwd or a not in bwd
-            )
-            direction = "unreachable from" if missing not in fwd else "cannot reach"
+            missing = int(np.flatnonzero(~(fwd & bwd))[0])
+            direction = "unreachable from" if not fwd[missing] else "cannot reach"
             raise StructuralError(
                 f"transition digraph is not strongly connected: symbol {missing} "
                 f"{direction} symbol 0"
@@ -131,22 +118,7 @@ class ShiftSystem:
         """gcd of cycle lengths of the (strongly connected) transition digraph."""
         self.require_strongly_connected()
         if self._period is None:
-            depth = {0: 0}
-            frontier = [0]
-            g = 0
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in np.nonzero(self.transitions[u])[0]:
-                        v = int(v)
-                        if v not in depth:
-                            depth[v] = depth[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            for u in range(self.alphabet_size):
-                for v in np.nonzero(self.transitions[u])[0]:
-                    g = gcd(g, depth[u] + 1 - depth[int(v)])
-            self._period = abs(g) if g != 0 else 1
+            self._period = graph_period(self.transitions)
         return self._period
 
     @property
@@ -194,7 +166,7 @@ def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDG
             f"enumerating {total} words of length {n} exceeds the budget of {budget}",
             n=n,
         )
-    return kernels.word_matrix(sys.transitions.astype(np.uint8), n, int(total))
+    return kernels.word_matrix(sys.transitions.astype(np.uint8), n)
 
 
 def enumerate_words(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
@@ -211,6 +183,42 @@ def separated_set(sys: ShiftSystem, n: int, eps: Resolution, budget: int | None 
     return set(enumerate_words(sys, eps.word_length(n), budget))
 
 
+def _bfs(adj: np.ndarray, first):
+    """Breadth-first search of a boolean digraph from the vertex list `first`.
+
+    Returns (layer, parent) int arrays: `first` is layer 0, unreached
+    vertices have layer -1, and parent[v] is the first-found predecessor of
+    v (-1 in layer 0). Each frontier is scanned in discovery order and each
+    vertex's successors in ascending order.
+    """
+    layer = np.full(adj.shape[0], -1, dtype=np.int64)
+    parent = np.full(adj.shape[0], -1, dtype=np.int64)
+    frontier = np.asarray(first, dtype=np.int64)
+    layer[frontier] = 0
+    depth = 0
+    while frontier.size:
+        depth += 1
+        rows, succ = np.nonzero(adj[frontier])
+        new = layer[succ] < 0
+        rows, succ = rows[new], succ[new]
+        _, first_hit = np.unique(succ, return_index=True)
+        first_hit.sort()
+        parent[succ[first_hit]] = frontier[rows[first_hit]]
+        frontier = succ[first_hit]
+        layer[frontier] = depth
+    return layer, parent
+
+
+def graph_period(adj: np.ndarray) -> int:
+    """gcd of cycle lengths of a strongly connected boolean digraph, from BFS
+    depths: every edge u -> v closes a cycle offset depth[u] + 1 - depth[v]."""
+    depth, _ = _bfs(adj, [0])
+    u, v = np.nonzero(adj)
+    reached = depth[u] >= 0
+    g = int(np.gcd.reduce(depth[u[reached]] + 1 - depth[v[reached]]))
+    return g if g else 1
+
+
 def digraph_diameter(sys: ShiftSystem) -> int:
     """Max over ordered symbol pairs (a, b) of the shortest nonempty path a -> b.
 
@@ -219,29 +227,10 @@ def digraph_diameter(sys: ShiftSystem) -> int:
     """
     sys.require_strongly_connected()
     if sys._diameter is None:
-        A = sys.alphabet_size
-        worst = 0
-        for a in range(A):
-            # BFS over path length >= 1 from a
-            dist = {}
-            frontier = [int(v) for v in np.nonzero(sys.transitions[a])[0]]
-            for v in frontier:
-                dist[v] = 1
-            d = 1
-            while len(dist) < A or a not in dist:
-                d += 1
-                nxt = []
-                for u in frontier:
-                    for v in np.nonzero(sys.transitions[u])[0]:
-                        v = int(v)
-                        if v not in dist:
-                            dist[v] = d
-                            nxt.append(v)
-                frontier = nxt
-                if not nxt:
-                    break
-            worst = max(worst, max(dist.values()))
-        sys._diameter = worst
+        T = sys.transitions
+        sys._diameter = max(
+            int(_bfs(T, np.flatnonzero(T[a]))[0].max()) + 1 for a in range(sys.alphabet_size)
+        )
     return sys._diameter
 
 
@@ -250,34 +239,20 @@ def shortest_connectors(sys: ShiftSystem) -> dict:
     with a . c . b admissible (c may be empty). Requires strong connectivity.
     """
     sys.require_strongly_connected()
-    A = sys.alphabet_size
+    T = sys.transitions
     out = {}
-    for a in range(A):
-        # BFS tree by first-found (symbols scanned in increasing order)
-        parent = {}
-        order = [int(v) for v in np.nonzero(sys.transitions[a])[0]]
-        for v in order:
-            parent[v] = None
-        frontier = list(order)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(sys.transitions[u])[0]:
-                    v = int(v)
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        for b in range(A):
-            if sys.transitions[a, b]:
+    for a in range(sys.alphabet_size):
+        layer, parent = _bfs(T, np.flatnonzero(T[a]))
+        for b in range(sys.alphabet_size):
+            if T[a, b]:
                 out[(a, b)] = ()
                 continue
-            if b not in parent:
+            if layer[b] < 0:
                 raise StructuralError(f"no path from symbol {a} to symbol {b}")
             path = []
             u = b
-            while parent[u] is not None:
-                u = parent[u]
+            while parent[u] >= 0:
+                u = int(parent[u])
                 path.append(u)
             out[(a, b)] = tuple(reversed(path))
     return out

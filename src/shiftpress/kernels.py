@@ -1,35 +1,9 @@
-"""Hot numeric kernels: admissible-word enumeration, batch Birkhoff sums, Karp DP.
-
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-Selection is done once at import time: set SHIFTPRESS_NUMBA=0 to force the
-numpy path (e.g. on machines without a working numba install, or to compare
-both with bench/bench_kernels.py). Both paths produce bit-identical outputs
-for enumeration and agree to ~1e-12 on floating-point reductions.
-"""
-
-import os
+"""Hot numeric kernels: admissible-word enumeration, batch Birkhoff sums, Karp DP."""
 
 import numpy as np
 
-_FLAG = os.environ.get("SHIFTPRESS_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "no", "off")
 
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# admissible word enumeration
-# ---------------------------------------------------------------------------
-
-def words_numpy(trans, length):
+def word_matrix(trans, length):
     """All admissible words of the given length, lexicographic, shape (count, length) uint8.
 
     Grows column by column: np.nonzero walks rows in order and allowed
@@ -44,58 +18,7 @@ def words_numpy(trans, length):
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _words_fill(trans, length, out):
-        # iterative lexicographic DFS into the preallocated output
-        A = trans.shape[0]
-        word = np.zeros(length, dtype=np.uint8)
-        depth = 0
-        word[0] = 0
-        row = 0
-        sym = 0
-        # depth = index currently being chosen
-        while True:
-            if sym >= A:
-                # backtrack
-                depth -= 1
-                if depth < 0:
-                    break
-                sym = word[depth] + 1
-                continue
-            if depth > 0 and trans[word[depth - 1], sym] == 0:
-                sym += 1
-                continue
-            word[depth] = sym
-            if depth == length - 1:
-                out[row] = word
-                row += 1
-                sym += 1
-            else:
-                depth += 1
-                sym = 0
-        return row
-
-    def words_numba(trans, length, expected_count):
-        out = np.empty((expected_count, length), dtype=np.uint8)
-        filled = _words_fill(np.ascontiguousarray(trans, dtype=np.uint8), length, out)
-        assert filled == expected_count
-        return out
-
-else:
-
-    def words_numba(trans, length, expected_count):  # pragma: no cover - flag path
-        out = words_numpy(trans, length)
-        assert out.shape[0] == expected_count
-        return out
-
-
-# ---------------------------------------------------------------------------
-# batch Birkhoff sums
-# ---------------------------------------------------------------------------
-
-def birkhoff_numpy(words, n, memory, values_flat, A):
+def birkhoff_kernel(words, n, memory, values_flat, A):
     """Per-row sum of values_flat[block index] over the n shifted memory-blocks."""
     count = words.shape[0]
     idx = np.zeros((count, n), dtype=np.int64)
@@ -104,48 +27,12 @@ def birkhoff_numpy(words, n, memory, values_flat, A):
     return np.add.reduce(values_flat[idx], axis=1)
 
 
-if HAVE_NUMBA:
+def karp_kernel(n_vertices, src, dst, weight):
+    """Max mean cycle weight via Karp's DP table, numpy per-level updates.
 
-    @njit(cache=True)
-    def _birkhoff_fill(words, n, memory, values_flat, A, out):
-        count = words.shape[0]
-        for r in range(count):
-            total = 0.0
-            comp = 0.0  # Kahan compensation
-            for k in range(n):
-                idx = 0
-                for j in range(memory):
-                    idx = idx * A + words[r, k + j]
-                y = values_flat[idx] - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            out[r] = total
-
-    def birkhoff_numba(words, n, memory, values_flat, A):
-        out = np.empty(words.shape[0], dtype=np.float64)
-        _birkhoff_fill(
-            np.ascontiguousarray(words),
-            n,
-            memory,
-            np.ascontiguousarray(values_flat, dtype=np.float64),
-            A,
-            out,
-        )
-        return out
-
-else:
-
-    def birkhoff_numba(words, n, memory, values_flat, A):  # pragma: no cover
-        return birkhoff_numpy(words, n, memory, values_flat, A)
-
-
-# ---------------------------------------------------------------------------
-# Karp minimum/maximum mean cycle DP
-# ---------------------------------------------------------------------------
-
-def karp_numpy(n_vertices, src, dst, weight):
-    """Max mean cycle weight via Karp's DP table, numpy per-level updates."""
+    d[k][v] is the heaviest k-step walk from vertex 0 to v; the answer is
+    max over v of min over k of (d[n][v] - d[k][v]) / (n - k).
+    """
     n = n_vertices
     NEG = -np.inf
     d = np.full((n + 1, n), NEG)
@@ -154,67 +41,9 @@ def karp_numpy(n_vertices, src, dst, weight):
         prev = d[k - 1][src]
         cand = np.where(prev > NEG, prev + weight, NEG)
         np.maximum.at(d[k], dst, cand)
-    best = NEG
-    for v in range(n):
-        if d[n][v] == NEG:
-            continue
-        worst = np.inf
-        for k in range(n):
-            if d[k][v] > NEG:
-                worst = min(worst, (d[n][v] - d[k][v]) / (n - k))
-        best = max(best, worst)
-    return best
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _karp_nb(n, src, dst, weight):
-        NEG = -np.inf
-        d = np.full((n + 1, n), NEG)
-        d[0][0] = 0.0
-        for k in range(1, n + 1):
-            for e in range(src.shape[0]):
-                u = src[e]
-                if d[k - 1][u] > NEG:
-                    cand = d[k - 1][u] + weight[e]
-                    if cand > d[k][dst[e]]:
-                        d[k][dst[e]] = cand
-        best = NEG
-        for v in range(n):
-            if d[n][v] == NEG:
-                continue
-            worst = np.inf
-            for k in range(n):
-                if d[k][v] > NEG:
-                    ratio = (d[n][v] - d[k][v]) / (n - k)
-                    if ratio < worst:
-                        worst = ratio
-            if worst > best:
-                best = worst
-        return best
-
-    def karp_numba(n_vertices, src, dst, weight):
-        return _karp_nb(
-            n_vertices,
-            np.ascontiguousarray(src, dtype=np.int64),
-            np.ascontiguousarray(dst, dtype=np.int64),
-            np.ascontiguousarray(weight, dtype=np.float64),
-        )
-
-else:
-
-    def karp_numba(n_vertices, src, dst, weight):  # pragma: no cover
-        return karp_numpy(n_vertices, src, dst, weight)
-
-
-# active implementations
-birkhoff_kernel = birkhoff_numba if HAVE_NUMBA else birkhoff_numpy
-karp_kernel = karp_numba if HAVE_NUMBA else karp_numpy
-
-
-def word_matrix(trans, length, expected_count):
-    """Dispatch enumeration to the selected backend."""
-    if HAVE_NUMBA:
-        return words_numba(trans, length, expected_count)
-    return words_numpy(trans, length)
+    worst = np.full(n, np.inf)
+    for k in range(n):
+        reached = d[k] > NEG
+        worst[reached] = np.minimum(worst[reached], (d[n][reached] - d[k][reached]) / (n - k))
+    closed = d[n] > NEG
+    return float(worst[closed].max()) if closed.any() else NEG

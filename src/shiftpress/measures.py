@@ -151,12 +151,10 @@ class _LiftChain:
         return float(-(self.pi @ terms.sum(axis=1)))
 
     def integral(self) -> float:
-        total = 0.0
-        for i, w in enumerate(self.lift.states):
-            for j, b in self.lift.transitions[i]:
-                if self.Q[i, j] > 0:
-                    total += self.pi[i] * self.Q[i, j] * self.lift.window_value(w, b)
-        return total
+        src = self.lift.src
+        terms = self.pi[src] * self.Q[src, self.lift.dst] * self.lift.wgt
+        # cumsum adds left to right in edge order (np.sum would add pairwise)
+        return float(np.cumsum(terms)[-1])
 
     def pressure(self) -> float:
         return self.entropy() + self.integral()
@@ -165,14 +163,13 @@ class _LiftChain:
 def gibbs_chain(sys: ShiftSystem, phi: Potential, tol: float = 1e-13) -> _LiftChain:
     """Chain built from the weighted Perron eigenvectors; its pressure equals
     the topological pressure (exactly for the lift, to eigen-precision here)."""
-    _, lift, right, _left, _ = transfer_spectrum(sys, phi, tol=tol)
+    _, lift, right, _ = transfer_spectrum(sys, phi, tol=tol)
     L = lift.weighted_matrix(shift=phi.max_value)
     lam = float(right @ (L @ right)) / float(right @ right)
     V = len(lift.states)
+    src, dst = lift.src, lift.dst
     Q = np.zeros((V, V))
-    for i in range(V):
-        for j, _b in lift.transitions[i]:
-            Q[i, j] = L[i, j] * right[j] / (lam * right[i])
+    Q[src, dst] = L[src, dst] * right[dst] / (lam * right[src])
     Q /= Q.sum(axis=1, keepdims=True)
     return _LiftChain(lift=lift, Q=Q, pi=_stationary(Q))
 

@@ -147,6 +147,7 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
         raise ConfigError(f"{origin}: digit-string keys support alphabets up to 10 symbols")
     parsed = {}
     bad = []
+    non_finite = []
     for k, v in table.items():
         try:
             w = parse_word(k)
@@ -156,9 +157,18 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
         if len(w) != m or not isinstance(v, (int, float)) or isinstance(v, bool):
             bad.append(k)
             continue
-        parsed[w] = float(v)
+        try:
+            value = float(v)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            non_finite.append(k)
+            continue
+        parsed[w] = value
     if bad:
         raise ConfigError(f"{origin}: malformed table keys/values: {', '.join(sorted(bad))}")
+    if non_finite:
+        raise ConfigError(f"{origin}: non-finite table values for: {', '.join(sorted(non_finite))}")
     try:
         return Potential(sys, m, parsed)
     except ConfigError as exc:

@@ -65,6 +65,16 @@ def empty_segments() -> SegmentClass:
     return SegmentClass(lambda w, n: False, "empty", kind="empty")
 
 
+def zero_length_segments() -> SegmentClass:
+    """The empty orbit segments (n == 0): the affix class of a decomposition
+    whose split leaves no prefix or suffix."""
+    return SegmentClass(
+        lambda w, n: n == 0,
+        "zero-length segments",
+        membership_batch=lambda words, n: np.full(len(words), n == 0),
+    )
+
+
 def union(a: SegmentClass, b: SegmentClass) -> SegmentClass:
     if a.kind == "all" or b.kind == "all":
         return all_segments()
@@ -138,12 +148,11 @@ class OrbitDecomposition:
 
 def trivial_decomposition() -> OrbitDecomposition:
     """Everything is core: base = all segments, empty prefix and suffix."""
-    zero_ok = SegmentClass(lambda w, n: n == 0, "zero-length segments")
     return OrbitDecomposition(
         base=all_segments(),
-        prefix_class=zero_ok,
+        prefix_class=zero_length_segments(),
         core_class=all_segments(),
-        suffix_class=zero_ok,
+        suffix_class=zero_length_segments(),
         split=lambda w, n: (0, n, 0),
         name="trivial",
     )
@@ -165,12 +174,11 @@ def prefix_run_decomposition(symbol: int, cap: int) -> OrbitDecomposition:
 
     # any segment may appear as a core piece; the split just strips the run
     core = SegmentClass(lambda w, n: True, "post-run cores", kind="all")
-    zero_ok = SegmentClass(lambda w, n: n == 0, "zero-length segments")
     return OrbitDecomposition(
         base=all_segments(),
         prefix_class=prefix,
         core_class=core,
-        suffix_class=zero_ok,
+        suffix_class=zero_length_segments(),
         split=lambda w, n: (run(w, n), n - run(w, n), 0),
         name=f"prefix-run({symbol},{cap})",
     )
@@ -239,6 +247,12 @@ def decomposition_from_dict(data, origin="<dict>") -> OrbitDecomposition:
 def _table_decomposition(data, origin) -> OrbitDecomposition:
     """Explicit small-segment table: lists of [word, n] per class plus split triples."""
 
+    def as_int(value, key):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{origin}: '{key}' lengths must be integers, got {value!r}") from None
+
     def read_class(key):
         entries = data.get(key, [])
         if not isinstance(entries, list):
@@ -247,18 +261,22 @@ def _table_decomposition(data, origin) -> OrbitDecomposition:
         for e in entries:
             if not (isinstance(e, list) and len(e) == 2):
                 raise ConfigError(f"{origin}: bad entry {e!r} in '{key}'")
-            members.add((parse_word(str(e[0])), int(e[1])))
+            members.add((parse_word(str(e[0])), as_int(e[1], key)))
         return members
 
     base_m = read_class("base")
     prefix_m = read_class("prefix")
     core_m = read_class("core")
     suffix_m = read_class("suffix")
+    split_entries = data.get("split", [])
+    if not isinstance(split_entries, list):
+        raise ConfigError(f"{origin}: 'split' must be a list of [word, n, p, g, s] entries")
     splits = {}
-    for e in data.get("split", []):
+    for e in split_entries:
         if not (isinstance(e, list) and len(e) == 5):
             raise ConfigError(f"{origin}: split entries must be [word, n, p, g, s]")
-        splits[(parse_word(str(e[0])), int(e[1]))] = (int(e[2]), int(e[3]), int(e[4]))
+        n, p, g, s = (as_int(v, "split") for v in e[1:])
+        splits[(parse_word(str(e[0])), n)] = (p, g, s)
 
     def in_set(members):
         def f(w, n):
@@ -275,7 +293,7 @@ def _table_decomposition(data, origin) -> OrbitDecomposition:
             return splits[key]
         raise ConfigError(f"{origin}: no split entry for segment ({w}, {n})")
 
-    zero_ok = SegmentClass(lambda w, n: n == 0, "zero-length segments")
+    zero_ok = zero_length_segments()
     return OrbitDecomposition(
         base=SegmentClass(in_set(base_m), "table base"),
         prefix_class=union(SegmentClass(in_set(prefix_m), "table prefix"), zero_ok),

@@ -17,11 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
-from .core import ShiftSystem, Resolution, count_words, word_matrix, DEFAULT_WORD_BUDGET
+from .core import (
+    ShiftSystem,
+    Resolution,
+    count_words,
+    graph_period,
+    word_matrix,
+    DEFAULT_WORD_BUDGET,
+)
 from .potentials import Potential, birkhoff_batch, variation
 from .segments import SegmentClass
 from .errors import ConfigError, PreconditionError, ResourceBudgetError
@@ -77,86 +83,35 @@ def _row_group_ids(mat: np.ndarray):
 
 class _Lift:
     """States are admissible words of length max(memory-1, 1); appending a
-    symbol steps the state and, when a full memory window closes, applies phi."""
+    symbol steps the state and, when a full memory window closes, applies phi.
+
+    The steps are parallel edge arrays ordered by source state, then symbol:
+    src -> dst, with wgt the phi value of the window the step closes.
+    """
 
     def __init__(self, sys: ShiftSystem, phi: Potential):
-        self.sys = sys
-        self.phi = phi
         self.context = max(phi.memory - 1, 1)
-        self.states = [tuple(int(s) for s in row) for row in word_matrix(sys, self.context)]
+        words = word_matrix(sys, self.context)
+        self.states = [tuple(int(s) for s in row) for row in words]
         self.index = {w: i for i, w in enumerate(self.states)}
-        # transitions[i] = list of (j, new_symbol)
-        self.transitions = []
-        for w in self.states:
-            row = []
-            for b in range(sys.alphabet_size):
-                if sys.transitions[w[-1], b]:
-                    nxt = (w + (b,))[-self.context:]
-                    row.append((self.index[nxt], b))
-            self.transitions.append(row)
+        A = sys.alphabet_size
 
-    def window_value(self, state_word, b) -> float:
-        """phi of the memory window ending at the appended symbol b."""
-        m = self.phi.memory
-        if m == 1:
-            return self.phi.table[(b,)]
-        return self.phi.table[state_word[-(m - 1):] + (b,)]
+        def code(cols):
+            # base-A value of each row; increasing in lexicographic order
+            return cols.astype(np.int64) @ A ** np.arange(cols.shape[1] - 1, -1, -1)
 
-    def initial_window_values(self, n: int):
-        """Per-state sum of the windows fully inside the first `context` symbols
-        (only nonempty for memory 1, where the leading symbol carries a window)."""
-        m = self.phi.memory
-        out = np.zeros(len(self.states))
-        for i, w in enumerate(self.states):
-            total = 0.0
-            for k in range(min(n, self.context - m + 1)):
-                total += self.phi.table[w[k : k + m]]
-            out[i] = total
-        return out
+        rows, syms = np.nonzero(sys.transitions[words[:, -1].astype(np.intp)])
+        steps = np.column_stack([words[rows], syms])
+        self.src = rows
+        self.dst = np.searchsorted(code(words), code(steps[:, 1:]))
+        self.wgt = phi.values_flat[code(steps[:, -phi.memory:])]
 
     def weighted_matrix(self, shift: float = 0.0) -> np.ndarray:
         """Transfer matrix L[i][j] = exp(phi(window) - shift) on allowed steps."""
         V = len(self.states)
         L = np.zeros((V, V))
-        for i, w in enumerate(self.states):
-            for j, b in self.transitions[i]:
-                L[i, j] = math.exp(self.window_value(w, b) - shift)
+        L[self.src, self.dst] = np.exp(self.wgt - shift)
         return L
-
-    def edge_list(self):
-        """(src, dst, phi-weight) arrays for cycle-mean computations."""
-        src, dst, wgt = [], [], []
-        for i, w in enumerate(self.states):
-            for j, b in self.transitions[i]:
-                src.append(i)
-                dst.append(j)
-                wgt.append(self.window_value(w, b))
-        return (
-            np.array(src, dtype=np.int64),
-            np.array(dst, dtype=np.int64),
-            np.array(wgt, dtype=np.float64),
-        )
-
-
-def _graph_period(adj: np.ndarray) -> int:
-    """gcd of cycle lengths of a strongly connected boolean digraph."""
-    V = adj.shape[0]
-    depth = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in range(V):
-        for v in np.nonzero(adj[u])[0]:
-            g = gcd(g, depth[u] + 1 - depth[int(v)])
-    return abs(g) if g else 1
 
 
 def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
@@ -168,7 +123,7 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
     (log_lambda, right_vector, info dict).
     """
     V = L.shape[0]
-    period = _graph_period(L > 0)
+    period = graph_period(L > 0)
     x = np.ones(V) / math.sqrt(V)
     prev = None
     spread = math.inf
@@ -213,14 +168,12 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
 
 
 def transfer_spectrum(sys: ShiftSystem, phi: Potential, tol: float = 1e-12):
-    """(log lambda, lift, right eigvec, left eigvec, info) of the weighted lift."""
+    """(log lambda, lift, right eigvec, info) of the weighted lift."""
     sys.require_strongly_connected()
     lift = _Lift(sys, phi)
     shift = phi.max_value
-    L = lift.weighted_matrix(shift=shift)
-    log_lam, right, info = perron_log(L, tol=tol)
-    _, left, _ = perron_log(L.T, tol=tol)
-    return log_lam + shift, lift, right, left, info
+    log_lam, right, info = perron_log(lift.weighted_matrix(shift=shift), tol=tol)
+    return log_lam + shift, lift, right, info
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +255,31 @@ def _partition_all_dp(sys: ShiftSystem, phi: Potential, n: int, L_sep: int) -> f
     m = phi.memory
     c = lift.context
     shift = phi.max_value
+    V = len(lift.states)
     if m == 1:
-        vec = np.exp(lift.initial_window_values(n) - shift)
+        # each leading symbol closes a memory-1 window
+        vec = np.exp(phi.values_flat - shift)
         applied = 1
     else:
-        vec = np.ones(len(lift.states))
+        vec = np.ones(V)
         applied = 0
+    step = np.exp(lift.wgt - shift)
     for j in range(c, L_sep):
         k = j - m + 1
         use_phi = 0 <= k < n
-        new = np.zeros_like(vec)
-        for i, row in enumerate(lift.transitions):
-            if vec[i] == 0.0:
-                continue
-            w = lift.states[i]
-            for jdx, b in row:
-                wgt = math.exp(lift.window_value(w, b) - shift) if use_phi else 1.0
-                new[jdx] += vec[i] * wgt
-        vec = new
+        # bincount adds into each destination in edge order
+        weights = vec[lift.src] * step if use_phi else vec[lift.src]
+        vec = np.bincount(lift.dst, weights=weights, minlength=V)
         if use_phi:
             applied += 1
     extra = n - applied
     if extra > 0:
         # best shifted window-sum over length-`extra` extensions starting at
         # each boundary state (all remaining windows close during them)
-        tail = np.zeros(len(lift.states))
+        tail = np.zeros(V)
         for _ in range(extra):
-            new_tail = np.full(len(lift.states), NEG_INF)
-            for i, row in enumerate(lift.transitions):
-                w = lift.states[i]
-                for jdx, b in row:
-                    if tail[jdx] == NEG_INF:
-                        continue
-                    cand = (lift.window_value(w, b) - shift) + tail[jdx]
-                    if cand > new_tail[i]:
-                        new_tail[i] = cand
+            new_tail = np.full(V, NEG_INF)
+            np.maximum.at(new_tail, lift.src, (lift.wgt - shift) + tail[lift.dst])
             tail = new_tail
         total = float(vec @ np.exp(tail))
     else:
@@ -397,7 +340,7 @@ def pressure_enumerate(
 
 def pressure_oracle(sys: ShiftSystem, phi: Potential, tol: float = 1e-12) -> PressureReport:
     """Topological pressure as ln of the dominant transfer eigenvalue."""
-    log_lam, lift, _, _, info = transfer_spectrum(sys, phi, tol=tol)
+    log_lam, lift, _, info = transfer_spectrum(sys, phi, tol=tol)
     return PressureReport(
         value=log_lam,
         method="oracle",
@@ -418,8 +361,7 @@ def pressure_floor(sys: ShiftSystem, phi: Potential) -> float:
     Karp's dynamic program."""
     sys.require_strongly_connected()
     lift = _Lift(sys, phi)
-    src, dst, wgt = lift.edge_list()
-    return float(kernels.karp_kernel(len(lift.states), src, dst, wgt))
+    return float(kernels.karp_kernel(len(lift.states), lift.src, lift.dst, lift.wgt))
 
 
 def birkhoff_sup(sys: ShiftSystem, phi: Potential, n: int) -> float:
@@ -429,21 +371,14 @@ def birkhoff_sup(sys: ShiftSystem, phi: Potential, n: int) -> float:
     lift = _Lift(sys, phi)
     m = phi.memory
     c = lift.context
-    best = lift.initial_window_values(n) if m == 1 else np.zeros(len(lift.states))
+    best = phi.values_flat if m == 1 else np.zeros(len(lift.states))
     applied = min(n, c) if m == 1 else 0
     j = c
     while applied < n:
-        new = np.full(len(lift.states), NEG_INF)
         k = j - m + 1
         use_phi = 0 <= k < n
-        for i, row in enumerate(lift.transitions):
-            if best[i] == NEG_INF:
-                continue
-            w = lift.states[i]
-            for jdx, b in row:
-                cand = best[i] + (lift.window_value(w, b) if use_phi else 0.0)
-                if cand > new[jdx]:
-                    new[jdx] = cand
+        new = np.full(len(lift.states), NEG_INF)
+        np.maximum.at(new, lift.dst, best[lift.src] + (lift.wgt if use_phi else 0.0))
         best = new
         if use_phi:
             applied += 1

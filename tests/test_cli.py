@@ -74,6 +74,20 @@ class TestPressure:
         code, _ = run(files, "pressure", "--system", str(files["golden"]), "--potential", str(phi2))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+    )
+    def test_non_finite_potential_exit2(self, files, capsys, value):
+        phi = files["tmp"] / "nonfinite.json"
+        phi.write_text('{"memory": 1, "table": {"0": %s, "1": 0.0}}' % value)
+        for command in ("pressure", "pstar"):
+            code, _ = run(files, command, "--system", str(files["full2"]), "--potential", str(phi))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "non-finite" in err
+
 
 class TestPstarAndSpectrum:
     def test_pstar(self, files):
@@ -174,6 +188,20 @@ class TestConstructAndDensity:
         payload = json.loads(text)
         assert payload["all_pass"] is True
         assert len(payload["conditions"]) == 5
+
+    @pytest.mark.parametrize(
+        "table", [{"kind": "table", "split": 5}, {"kind": "table", "base": [["01", "x"]]}]
+    )
+    def test_malformed_table_decomposition_exit2(self, files, capsys, table):
+        dec = files["tmp"] / "table.json"
+        dec.write_text(json.dumps(table))
+        code, _ = run(
+            files, "check", "--system", str(files["golden"]), "--potential", str(files["weighted"]),
+            "--decomposition", str(dec),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_verify_bounds(self, files):
         code, text = run(

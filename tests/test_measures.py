@@ -118,6 +118,17 @@ class TestSpectrum:
         assert max(e.pressure for e in res.entries) <= ceiling + 1e-9
         assert max(e.pressure for e in res.entries) >= ceiling - 0.02
 
+    def test_memory3_lift_attainment(self, golden, full2):
+        """Multi-symbol lift states: the Gibbs chain on the memory-3 lift
+        attains the oracle pressure."""
+        rng = np.random.default_rng(23)
+        for sys in (golden, full2):
+            phi = random_potential(rng, sys, 3)
+            ceiling = pressure_oracle(sys, phi).value
+            assert gibbs_chain(sys, phi).pressure() == pytest.approx(ceiling, abs=1e-9)
+            res = spectrum_sample(sys, phi, cycle_cap=4, grid=4)
+            assert max(e.pressure for e in res.entries) == pytest.approx(ceiling, abs=1e-9)
+
     def test_cycle_floor_sandwich(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
         res = spectrum_sample(full2, phi, cycle_cap=6, grid=4)

@@ -13,6 +13,7 @@ from shiftpress.segments import (
     union,
     complement,
     decomposition_from_dict,
+    zero_length_segments,
 )
 from shiftpress.core import word_matrix
 from shiftpress.errors import ConfigError
@@ -43,6 +44,24 @@ class TestSegmentClass:
         got = starts_zero.batch(words, 4)
         for row, flag in zip(words, got):
             assert flag == starts_zero.membership(tuple(int(s) for s in row), 4)
+
+
+    def test_zero_length_batch_matches_scalar(self, golden):
+        zero = zero_length_segments()
+        words = word_matrix(golden, 4)
+        for n in range(4):
+            expected = [zero.membership(tuple(int(s) for s in row), n) for row in words]
+            assert zero.batch(words, n).tolist() == expected
+
+    def test_trivial_affixes_are_batched(self, golden):
+        dec = trivial_decomposition()
+        affixes = union(dec.prefix_class, dec.suffix_class)
+        assert dec.prefix_class.membership_batch is not None
+        assert dec.suffix_class.membership_batch is not None
+        words = word_matrix(golden, 3)
+        for n in range(4):
+            expected = [affixes.membership(tuple(int(s) for s in row), n) for row in words]
+            assert affixes.batch(words, n).tolist() == expected
 
 
 class TestDecompositions:
