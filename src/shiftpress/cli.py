@@ -27,6 +27,7 @@ from .thermo import (
 )
 from .measures import spectrum_sample
 from .construct import (
+    COUNTING_N,
     ConstructConfig,
     check_structure_conditions,
     construct_intermediate,
@@ -218,8 +219,14 @@ def cmd_verify_bounds(args) -> int:
     dec = _load_decomposition(args)
     if args.alpha is None or args.eta0 is None:
         raise ConfigError("verify-bounds requires --alpha and --eta0")
+    try:
+        ns = [int(s) for s in args.n_list.split(",") if s]
+    except ValueError:
+        ns = []
+    if not ns or any(n not in COUNTING_N for n in ns):
+        span = f"{COUNTING_N.start}..{COUNTING_N.stop - 1}"
+        raise ConfigError(f"--n-list must be comma-separated integers in {span}, got {args.n_list!r}")
     result = construct_intermediate(sys_, phi, dec, args.alpha, args.eta0, _construct_config(args))
-    ns = [int(s) for s in args.n_list.split(",") if s]
     checks = {}
     all_ok = True
     for n in ns:

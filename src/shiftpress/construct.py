@@ -239,6 +239,7 @@ def select_words(
 # ---------------------------------------------------------------------------
 
 RENEWAL_TOL = 1e-13
+COUNTING_N = range(2, 9)  # block counts the exhaustive counting-bound check accepts
 
 
 class GluedSubshift:
@@ -1067,7 +1068,7 @@ def verify_counting_bound(
     at most s(X, tau, delta)^(n-1). Also evaluates the window partition sum
     against the truncated-block upper bound.
     """
-    if n < 2 or n > 8:
+    if n not in COUNTING_N:
         raise PreconditionError("counting-bound verification is exhaustive; use 2 <= n <= 8")
     if glued.K**n > class_budget:
         raise ResourceBudgetError(

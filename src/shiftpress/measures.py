@@ -3,9 +3,11 @@ orbits, plus a sampler sweeping the ergodic pressure spectrum.
 
 The sampler combines three constructive families: all primitive cycles up
 to a length cap (entropy zero, pressure = mean potential along the cycle),
-the Gibbs-type chain built from the weighted Perron eigenvectors (attains
-the topological pressure), and row-renormalized interpolations between the
-two, whose stationary data is recomputed per grid point.
+the Gibbs-type chain built from the weighted Perron right eigenvector
+(attains the topological pressure), and row-renormalized interpolations
+between the two. A chain on the transfer lift is its edge probabilities,
+aligned with the lift's edge arrays. Every stationary vector, of a lift
+chain or of a `MarkovMeasure`, comes from one exact linear solve.
 """
 
 from __future__ import annotations
@@ -15,38 +17,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ShiftSystem, count_words, word_matrix
+from .core import ShiftSystem, _bfs, count_words, word_matrix
 from .potentials import Potential
 from .thermo import transfer_spectrum, pressure_floor, pressure_oracle, _Lift
 from .errors import ConfigError, StructuralError
 
-STOCHASTIC_TOL = 1e-12
 MERGE_TOL = 1e-12
+NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
 
 
-def _stationary(Q: np.ndarray, tol: float = 1e-12, maxiter: int = 200_000) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix restricted to its
-    recurrent support. The lazy half-step kills periodicity without moving
-    the fixed point."""
+def _stationary(Q: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix, by one linear solve.
+
+    pi (Q - I) = 0 has one redundant equation (each is minus the sum of the
+    others); the last is replaced by sum(pi) = 1. In exact arithmetic the
+    system is singular exactly when the chain has more than one recurrent
+    class.
+    """
     V = Q.shape[0]
-    M = 0.5 * (Q.T + np.eye(V))
-    pi = np.ones(V) / V
-    for _ in range(maxiter):
-        new = M @ pi
-        s = new.sum()
-        if s <= 0:
-            raise StructuralError("stochastic matrix has no recurrent mass")
-        new /= s
-        if np.abs(new - pi).max() < tol:
-            return new
-        pi = new
-    return pi
+    M = Q.T - np.eye(V)
+    M[-1] = 1.0
+    rhs = np.zeros(V)
+    rhs[-1] = 1.0
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise StructuralError(NOT_UNIQUE) from None
+
+
+def _entropy_rate(pi_src: np.ndarray, q: np.ndarray) -> float:
+    """-sum pi(source) q ln q over the transitions q (0 ln 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0, q * np.log(q), 0.0)
+    return float(-np.sum(pi_src * terms))
 
 
 class MarkovMeasure:
     """Row-stochastic chain supported inside the transition structure."""
 
-    def __init__(self, sys: ShiftSystem, stochastic, stationary=None):
+    def __init__(self, sys: ShiftSystem, stochastic):
         Q = np.asarray(stochastic, dtype=float)
         A = sys.alphabet_size
         if Q.shape != (A, A):
@@ -60,15 +69,12 @@ class MarkovMeasure:
             raise ConfigError("chain puts mass on a forbidden transition")
         self.sys = sys
         self.stochastic = Q / rowsum[:, None]
-        if stationary is None:
-            self.stationary = _stationary(self.stochastic)
-        else:
-            pi = np.asarray(stationary, dtype=float)
-            if pi.shape != (A,) or (pi < -STOCHASTIC_TOL).any() or abs(pi.sum() - 1) > 1e-9:
-                raise ConfigError("stationary vector must be a probability vector")
-            if np.abs(pi @ self.stochastic - pi).max() > 1e-8:
-                raise ConfigError("stationary vector is not invariant for the chain")
-            self.stationary = np.clip(pi, 0, None) / np.clip(pi, 0, None).sum()
+        self.stationary = _stationary(self.stochastic)
+        # rounding can hide a singular system; one recurrent class holds
+        # exactly when every state reaches the state of largest mass
+        first = [int(np.argmax(self.stationary))]
+        if (_bfs(self.stochastic.T > 0, first)[0] < 0).any():
+            raise StructuralError(NOT_UNIQUE)
 
     @classmethod
     def bernoulli(cls, sys: ShiftSystem, probs) -> "MarkovMeasure":
@@ -101,11 +107,7 @@ class PeriodicOrbitMeasure:
 
 def markov_entropy(mu: MarkovMeasure) -> float:
     """Entropy rate -sum_a pi_a sum_b Q[ab] ln Q[ab] (0 ln 0 = 0)."""
-    Q = mu.stochastic
-    pi = mu.stationary
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(Q > 0, Q * np.log(Q), 0.0)
-    return float(-(pi @ terms.sum(axis=1)))
+    return _entropy_rate(mu.stationary[:, None], mu.stochastic)
 
 
 def _markov_integral(sys: ShiftSystem, phi: Potential, mu: MarkovMeasure) -> float:
@@ -134,25 +136,27 @@ def measure_pressure(sys: ShiftSystem, phi: Potential, mu) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chains on the memory lift (used for memory >= 2 potentials)
+# chains on the transfer lift, as probabilities of its edges
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _LiftChain:
-    """Markov chain on the transfer-lift states with its pressure data."""
+    """Markov chain on the transfer-lift states: the edge weights (aligned
+    with lift.src and lift.dst) divided by their source state's total give
+    the edge probabilities q; pi is the stationary vector."""
 
-    lift: _Lift
-    Q: np.ndarray
-    pi: np.ndarray
+    def __init__(self, lift: _Lift, weights: np.ndarray):
+        self.lift = lift
+        self.q = _normalized(lift, weights)
+        V = len(lift.states)
+        Q = np.zeros((V, V))
+        Q[lift.src, lift.dst] = self.q
+        self.pi = _stationary(Q)
 
     def entropy(self) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(self.Q > 0, self.Q * np.log(self.Q), 0.0)
-        return float(-(self.pi @ terms.sum(axis=1)))
+        return _entropy_rate(self.pi[self.lift.src], self.q)
 
     def integral(self) -> float:
-        src = self.lift.src
-        terms = self.pi[src] * self.Q[src, self.lift.dst] * self.lift.wgt
+        terms = self.pi[self.lift.src] * self.q * self.lift.wgt
         # cumsum adds left to right in edge order (np.sum would add pairwise)
         return float(np.cumsum(terms)[-1])
 
@@ -160,35 +164,35 @@ class _LiftChain:
         return self.entropy() + self.integral()
 
 
+def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:
+    """Edge weights divided by the total of their source state (rows with
+    no weight stay zero)."""
+    rows = np.bincount(lift.src, weights=weights, minlength=len(lift.states))
+    return weights / np.where(rows > 0, rows, 1.0)[lift.src]
+
+
 def gibbs_chain(sys: ShiftSystem, phi: Potential, tol: float = 1e-13) -> _LiftChain:
-    """Chain built from the weighted Perron eigenvectors; its pressure equals
-    the topological pressure (exactly for the lift, to eigen-precision here)."""
+    """Chain with q(i -> j) proportional to exp(phi) right[j] / right[i] for
+    the weighted Perron right eigenvector; the row normalization divides by
+    the eigenvalue. Its pressure equals the topological pressure (exactly
+    for the lift, to eigen-precision here)."""
     _, lift, right, _ = transfer_spectrum(sys, phi, tol=tol)
-    L = lift.weighted_matrix(shift=phi.max_value)
-    lam = float(right @ (L @ right)) / float(right @ right)
-    V = len(lift.states)
     src, dst = lift.src, lift.dst
-    Q = np.zeros((V, V))
-    Q[src, dst] = L[src, dst] * right[dst] / (lam * right[src])
-    Q /= Q.sum(axis=1, keepdims=True)
-    return _LiftChain(lift=lift, Q=Q, pi=_stationary(Q))
+    return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[dst] / right[src])
 
 
 def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
-    """Empirical transition frequencies of the cycle read on lift states."""
+    """Counts per lift edge of the steps the cycle takes on lift states."""
     c = lift.context
     p = len(cycle)
     ext = cycle * (2 + c // p)
     V = len(lift.states)
-    counts = np.zeros((V, V))
-    for k in range(p):
-        u = lift.index[tuple(ext[k : k + c])]
-        v = lift.index[tuple(ext[k + 1 : k + 1 + c])]
-        counts[u, v] += 1.0
-    rows = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        Q = np.where(rows > 0, counts / np.where(rows > 0, rows, 1.0), 0.0)
-    return Q
+    states = np.array([lift.index[tuple(ext[k : k + c])] for k in range(p)])
+    # edges are ordered by source, then by symbol, which is the last letter
+    # of the destination, so the (src, dst) keys increase along the arrays
+    keys = lift.src * V + lift.dst
+    edges = np.searchsorted(keys, states * V + np.roll(states, -1))
+    return np.bincount(edges, minlength=len(keys)).astype(float)
 
 
 def primitive_cycles(sys: ShiftSystem, max_len: int, budget: int = 2_000_000):
@@ -234,6 +238,12 @@ class SpectrumResult:
     notes: list = field(default_factory=list)
 
 
+def _chain_entry(kind: str, parameter: str, chain: _LiftChain) -> SpectrumEntry:
+    """Spectrum entry of a chain; its entropy and integral are computed once."""
+    entropy, integral = chain.entropy(), chain.integral()
+    return SpectrumEntry(kind, parameter, entropy, integral, entropy + integral)
+
+
 def spectrum_sample(
     sys: ShiftSystem,
     phi: Potential,
@@ -259,17 +269,8 @@ def spectrum_sample(
     floor = pressure_floor(sys, phi)
     ceiling = pressure_oracle(sys, phi).value
 
-    entries = []
     chain = gibbs_chain(sys, phi)
-    entries.append(
-        SpectrumEntry(
-            kind="gibbs",
-            parameter="",
-            entropy=chain.entropy(),
-            integral=chain.integral(),
-            pressure=chain.pressure(),
-        )
-    )
+    entries = [_chain_entry("gibbs", "", chain)]
 
     cycles, truncated_at = primitive_cycles(sys, cycle_cap, budget)
     if truncated_at is not None:
@@ -293,25 +294,13 @@ def spectrum_sample(
             partial = True
             notes.append("measure count budget reached during cycle sweep")
             break
-        Qc = _cycle_lift_chain(lift, w)
+        q_cycle = _normalized(lift, _cycle_lift_chain(lift, w))
         # uniform steps toward the deterministic end produce pressure jumps
         # ~ H(eps) there; the squared ramp equalizes the jump sizes
         ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
         for t in ts:
-            Q = (1.0 - t) * chain.Q + t * Qc
-            rows = Q.sum(axis=1, keepdims=True)
-            Q = Q / rows
-            pi = _stationary(Q)
-            mixed = _LiftChain(lift=lift, Q=Q, pi=pi)
-            entries.append(
-                SpectrumEntry(
-                    kind="interp",
-                    parameter=f"{''.join(map(str, w))}:{t:.6f}",
-                    entropy=mixed.entropy(),
-                    integral=mixed.integral(),
-                    pressure=mixed.pressure(),
-                )
-            )
+            mixed = _LiftChain(lift, (1.0 - t) * chain.q + t * q_cycle)
+            entries.append(_chain_entry("interp", f"{''.join(map(str, w))}:{t:.6f}", mixed))
             if len(entries) >= max_measures:
                 partial = True
                 notes.append("measure count budget reached during interpolation")

@@ -212,6 +212,18 @@ class TestConstructAndDensity:
         payload = json.loads(text)
         assert payload["counting_bounds"]["3"]["ok"] and payload["counting_bounds"]["4"]["ok"]
 
+    @pytest.mark.parametrize("n_list", ["3,x", "12", ""], ids=["not-integer", "out-of-range", "empty"])
+    def test_verify_bounds_bad_n_list_exit2(self, files, capsys, monkeypatch, n_list):
+        # the list is checked before the construction runs
+        monkeypatch.setattr("shiftpress.cli.construct_intermediate", lambda *a: pytest.fail("construction ran"))
+        code, _ = run(
+            files, "verify-bounds", "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            "--alpha", "0.12", "--eta0", "0.1", "--n-list", n_list,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and "--n-list" in err
+
     def test_header_fields_present(self, files):
         code, text = run(
             files, "construct", "--system", str(files["full2"]), "--potential", str(files["zero"]),

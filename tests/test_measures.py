@@ -13,8 +13,9 @@ from shiftpress import (
     pressure_oracle,
     pressure_floor,
 )
+from shiftpress import measures
 from shiftpress.measures import gibbs_chain, primitive_cycles
-from shiftpress.errors import ConfigError
+from shiftpress.errors import ConfigError, StructuralError
 
 from conftest import random_sft, random_potential
 
@@ -38,6 +39,50 @@ class TestMarkovEntropy:
     def test_rejects_off_support(self, golden):
         with pytest.raises(ConfigError):
             MarkovMeasure(golden, [[0.5, 0.5], [0.5, 0.5]])
+
+
+def _refined_stationary(Q):
+    """Stationary vector of Q from the bordered system pi (Q - I) = 0,
+    sum(pi) = 1, refined with residuals taken in longdouble."""
+    V = len(Q)
+    M = Q.T.astype(np.longdouble) - np.eye(V, dtype=np.longdouble)
+    M[-1] = 1
+    rhs = np.zeros(V, dtype=np.longdouble)
+    rhs[-1] = 1
+    x = np.linalg.solve(M.astype(float), rhs.astype(float)).astype(np.longdouble)
+    for _ in range(3):
+        x += np.linalg.solve(M.astype(float), (rhs - M @ x).astype(float))
+    return x
+
+
+class TestStationary:
+    def test_rejects_two_recurrent_classes(self, full2, full3):
+        with pytest.raises(StructuralError, match="not unique"):
+            MarkovMeasure(full2, np.eye(2))
+        # rounding leaves this singular system solvable: (0, 0, 1) comes back
+        with pytest.raises(StructuralError, match="not unique"):
+            MarkovMeasure(full3, [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_lift_chains_solved_to_rounding(self, full2, monkeypatch):
+        """The Gibbs and interpolated chains of a memory-4 potential (8 lift
+        states) are invariant to 1e-14 and within 1e-13 of a refined solve."""
+        solve = measures._stationary
+        solved = []
+
+        def record(Q):
+            pi = solve(Q)
+            solved.append((Q, pi))
+            return pi
+
+        monkeypatch.setattr(measures, "_stationary", record)
+        phi = random_potential(np.random.default_rng(5), full2, 4)
+        spectrum_sample(full2, phi, cycle_cap=4, grid=6)
+        # the Gibbs chain and 5 grid points toward each of the 8 cycles
+        assert len(solved) == 1 + 8 * 5
+        for Q, pi in solved:
+            assert Q.shape == (8, 8)
+            assert np.abs(pi @ Q - pi).max() <= 1e-14
+            assert np.abs(pi - _refined_stationary(Q)).max() <= 1e-13
 
 
 class TestMeasurePressure:

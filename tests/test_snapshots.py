@@ -1,0 +1,74 @@
+"""Spectrum artifacts on canonical inputs, rerun and compared with the
+snapshots stored in tests/data.
+
+A snapshot is the CLI output for its inputs; regenerate one from the root
+of the repository with, for example,
+
+    PYTHONPATH=src python -m shiftpress.cli spectrum \
+        --system tests/data/full2.json --potential tests/data/zero.json \
+        --cycle-cap 6 --grid 6 --out tests/data/spectrum_full2_zero.csv
+
+The header lines (version, configuration hash, seed, wall clock) are not
+compared. The stats lines and the rows, keyed by (kind, parameter), must
+agree; numbers within 1e-12, compared as the printed decimals.
+"""
+
+from decimal import Decimal, InvalidOperation
+from pathlib import Path
+
+import pytest
+
+from shiftpress.cli import main
+
+DATA = Path(__file__).parent / "data"
+HEADER = ("version", "config_hash", "seed", "wallclock")
+
+
+def _parse(text):
+    """(stats, rows): the '# key: value' lines after the header, and the
+    value lists of the CSV rows keyed by (kind, parameter)."""
+    stats, rows = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            stats[key] = value
+        elif not line.startswith("kind,"):
+            kind, parameter, *values = line.split(",")
+            rows[(kind, parameter)] = values
+    for key in HEADER:
+        del stats[key]
+    return stats, rows
+
+
+def _close(a: str, b: str) -> bool:
+    if a == b:
+        return True
+    try:
+        return abs(Decimal(a) - Decimal(b)) <= Decimal("1e-12")
+    except InvalidOperation:
+        return False
+
+
+@pytest.mark.parametrize(
+    "system,potential,snapshot",
+    [
+        ("full2", "zero", "spectrum_full2_zero.csv"),
+        ("golden", "golden_mem2", "spectrum_golden_mem2.csv"),
+    ],
+)
+def test_spectrum_snapshot(tmp_path, system, potential, snapshot):
+    out = tmp_path / snapshot
+    code = main([
+        "spectrum", "--system", str(DATA / f"{system}.json"),
+        "--potential", str(DATA / f"{potential}.json"),
+        "--cycle-cap", "6", "--grid", "6", "--out", str(out),
+    ])
+    assert code == 0
+    stats, rows = _parse(out.read_text())
+    want_stats, want_rows = _parse((DATA / snapshot).read_text())
+    assert stats.keys() == want_stats.keys()
+    for key, want in want_stats.items():
+        assert _close(stats[key], want), (key, stats[key], want)
+    assert rows.keys() == want_rows.keys()
+    for key, want in want_rows.items():
+        assert all(map(_close, rows[key], want)), (key, rows[key], want)
