@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .core import Resolution, load_system
@@ -42,7 +43,11 @@ EXIT_COMPUTE = 3
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
+    """Hash of the options, with each input file named by its contents."""
     payload = {k: v for k, v in sorted(vars(ns).items()) if k not in ("out", "func")}
+    for key in ("system", "potential", "decomposition"):
+        if payload.get(key):
+            payload[key] = hashlib.sha256(Path(payload[key]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -268,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-words", type=int, default=20_000_000, dest="budget_words")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for interface compatibility; results are worker-count independent")
 
     def construct_flags(p):
         p.add_argument("--decomposition", default=None, help="decomposition JSON (default: trivial)")

@@ -1034,22 +1034,14 @@ class CountingBoundResult:
 
 
 def _continuation_prefixes(glued: GluedSubshift, last_symbol: int, h: int) -> set:
-    """Distinct length-h continuations of a class past its determined span."""
-    if h == 0:
-        return {()}
-    out = set()
-
-    def extend(prefix, a):
-        for j in range(glued.K):
-            b = int(glued.first[j])
-            chunk = glued.conn[(a, b)] + tuple(int(s) for s in glued.words[j])
-            cand = prefix + chunk
-            if len(cand) >= h:
-                out.add(cand[:h])
-            else:
-                extend(cand, int(glued.last[j]))
-
-    extend((), last_symbol)
+    """Distinct length-h continuations of a class past its determined span,
+    grown one connector-glued word at a time from its last symbol."""
+    steps = [(int(b), tuple(w), int(a)) for b, w, a in zip(glued.first, glued.words.tolist(), glued.last)]
+    out, growing = set(), {((), last_symbol)}
+    while growing:
+        grown = {(p + glued.conn[(a, b)] + w, a2) for p, a in growing for b, w, a2 in steps}
+        out |= {p[:h] for p, _ in grown if len(p) >= h}
+        growing = {(p, a) for p, a in grown if len(p) < h}
     return out
 
 
@@ -1066,14 +1058,15 @@ def verify_counting_bound(
     only the matching gap tuple is nonempty); the separated points of the
     class at scale delta are its distinct window prefixes, which must number
     at most s(X, tau, delta)^(n-1). Also evaluates the window partition sum
-    against the truncated-block upper bound.
+    against the truncated-block upper bound. A class's count depends only on
+    its last symbol and on how far the window reaches past its determined
+    span, so continuations are enumerated once per such key, not per class.
     """
     if n not in COUNTING_N:
         raise PreconditionError("counting-bound verification is exhaustive; use 2 <= n <= 8")
-    if glued.K**n > class_budget:
-        raise ResourceBudgetError(
-            f"{glued.K}^{n} classes exceed the class budget {class_budget}", n=n
-        )
+    K, N = glued.K, glued.N
+    if K**n > class_budget:
+        raise ResourceBudgetError(f"{K}^{n} classes exceed the class budget {class_budget}", n=n)
     delta = delta or Resolution(glued.params.get("level_delta", 7))
     eta = eta if eta is not None else float(glued.params.get("eta", 0.0))
     tau = glued.tau
@@ -1082,43 +1075,51 @@ def verify_counting_bound(
     bound = s_tau ** (n - 1) if tau >= 1 else max(
         float(count_words(glued.sys, delta.level - 1)) ** (n - 1), 1.0
     )
-    window = n * glued.N + delta.level - 1
-    theta_n = math.floor((n - 4) * glued.N / (glued.N + tau)) if n > 4 else 0
-    phi_max = glued.phi.max_value
+    window = n * N + delta.level - 1
+    theta_n = math.floor((n - 4) * N / (N + tau)) if n > 4 else 0
+
+    # seq[k] is the k-th word index of every class; class c is the c-th tuple
+    # of itertools.product(range(K), repeat=n)
+    seq = np.indices((K,) * n, dtype=np.min_scalar_type(K - 1)).reshape(n, -1)
+    gap = np.array([[len(glued.conn[(a, b)]) for b in glued.first.tolist()] for a in glued.last.tolist()])
+    det = n * N + sum(gap[seq[k], seq[k + 1]] for k in range(n - 1))
+    class_key = glued.last[seq[-1]] * delta.level + np.maximum(window - det, 0)  # (last symbol, h)
+    keys, inverse = np.unique(class_key, return_inverse=True)
+    counts = np.array([
+        len(_continuation_prefixes(glued, *map(int, divmod(key, delta.level)))) for key in keys
+    ])[inverse]
+    count_fail = counts > bound
+
+    theta_fail = np.zeros_like(count_fail)
+    if theta_n >= 3:  # theta_n is 0 for n <= 4
+        # the width-(n-3)N prefix of a glued word lies inside its first n-3 blocks
+        width = (n - 3) * N
+        heads = [glue_words(glued.cert, [glued.words[i] for i in head])[0][:width]
+                 for head in itertools.product(range(K), repeat=n - 3)]
+        theta = np.repeat(birkhoff_batch(glued.phi, np.array(heads, dtype=np.uint8), width), K**3)
+        log_bound = np.array([
+            (n - 1) * math.log(max(s_tau, 1.0))
+            + math.fsum(glued.phis[i] for i in mid)
+            + 2 * n * N * eta
+            + 5 * N * glued.phi.max_value
+            for mid in itertools.product(range(K), repeat=theta_n - 2)
+        ])
+        log_bound = np.tile(np.repeat(log_bound, K ** (n - theta_n)), K**2)
+        theta_fail = theta > log_bound + 1e-9
+
     failures = []
-    worst = 0
-    theta_checked = False
-    for seq in itertools.product(range(glued.K), repeat=n):
-        glued_word, times, _gaps = glue_words(glued.cert, [glued.words[i] for i in seq])
-        det = len(glued_word)
-        h = max(0, window - det)
-        prefixes = _continuation_prefixes(glued, int(glued.last[seq[-1]]), h)
-        count = len(prefixes)
-        worst = max(worst, count)
-        if count > bound:
-            failures.append({"class": [int(i) for i in seq], "count": count, "bound": bound})
-        if n > 4 and theta_n >= 3:
-            theta_checked = True
-            width = (n - 3) * glued.N
-            log_theta_enum = birkhoff_batch(
-                glued.phi, np.array([glued_word[:width]], dtype=np.uint8), width
-            )[0]
-            log_bound = (
-                (n - 1) * math.log(max(s_tau, 1.0))
-                + math.fsum(glued.phis[i] for i in seq[2:theta_n])
-                + 2 * n * glued.N * eta
-                + 5 * glued.N * phi_max
-            )
-            if log_theta_enum > log_bound + 1e-9:
-                failures.append(
-                    {"class": [int(i) for i in seq], "theta": log_theta_enum, "theta_bound": log_bound}
-                )
+    for c in np.flatnonzero(count_fail | theta_fail)[:10]:
+        cls = seq[:, c].tolist()
+        if count_fail[c]:
+            failures.append({"class": cls, "count": int(counts[c]), "bound": bound})
+        if theta_fail[c]:
+            failures.append({"class": cls, "theta": theta[c], "theta_bound": float(log_bound[c])})
     return CountingBoundResult(
-        ok=not failures,
-        classes_checked=glued.K**n,
-        worst_count=worst,
+        ok=not (count_fail.any() or theta_fail.any()),
+        classes_checked=K**n,
+        worst_count=int(counts.max()),
         bound=bound,
-        theta_checked=theta_checked,
+        theta_checked=theta_n >= 3,
         failures=failures[:10],
     )
 

@@ -46,9 +46,6 @@ class GluingCertificate:
     def connector(self, a: int, b: int) -> tuple:
         return self.connectors[(a, b)]
 
-    def gap_lengths(self) -> set:
-        return {len(c) for c in self.connectors.values()}
-
 
 def trace_times(lengths, gaps):
     """Starting times t_k of the glued blocks: t_1 = 0 and

@@ -364,32 +364,31 @@ def pressure_floor(sys: ShiftSystem, phi: Potential) -> float:
     return float(kernels.karp_kernel(len(lift.states), lift.src, lift.dst, lift.wgt))
 
 
+def _birkhoff_sups(sys: ShiftSystem, phi: Potential, n_max: int) -> list:
+    """sup over admissible words of the n-step Birkhoff sum for n = 1..n_max,
+    from one max-plus pass that records the best sum each time a window closes."""
+    lift = _Lift(sys, phi)
+    best = phi.values_flat if phi.memory == 1 else np.zeros(len(lift.states))
+    sups = [float(best.max())] if phi.memory == 1 else []
+    while len(sups) < n_max:
+        new = np.full(len(lift.states), NEG_INF)
+        np.maximum.at(new, lift.dst, best[lift.src] + lift.wgt)
+        best = new
+        sups.append(float(best.max()))
+    return sups
+
+
 def birkhoff_sup(sys: ShiftSystem, phi: Potential, n: int) -> float:
     """sup over admissible words of the n-step Birkhoff sum (max-plus recursion)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    lift = _Lift(sys, phi)
-    m = phi.memory
-    c = lift.context
-    best = phi.values_flat if m == 1 else np.zeros(len(lift.states))
-    applied = min(n, c) if m == 1 else 0
-    j = c
-    while applied < n:
-        k = j - m + 1
-        use_phi = 0 <= k < n
-        new = np.full(len(lift.states), NEG_INF)
-        np.maximum.at(new, lift.dst, best[lift.src] + (lift.wgt if use_phi else 0.0))
-        best = new
-        if use_phi:
-            applied += 1
-        j += 1
-    return float(best.max())
+    return _birkhoff_sups(sys, phi, n)[-1]
 
 
 def birkhoff_sup_sequence(sys: ShiftSystem, phi: Potential, n_max: int = 20):
     """The finite-n means sup_x (1/n) Phi(x, n), n = 1..n_max, reported next to
     the cycle value so a liminf/limit discrepancy would be visible."""
-    return [birkhoff_sup(sys, phi, n) / n for n in range(1, n_max + 1)]
+    return [v / n for n, v in enumerate(_birkhoff_sups(sys, phi, n_max), 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from shiftpress import (
     Potential,
+    ShiftSystem,
     Resolution,
     all_segments,
     check_gluing,
@@ -206,7 +207,169 @@ class TestSeparation:
                     assert za[:window] != zb[:window], (seq_a, seq_b)
 
 
+def reference_continuations(glued, last_symbol, h):
+    """Distinct length-h continuations past a class's determined span, by
+    depth-first recursion over the glued words."""
+    if h == 0:
+        return {()}
+    out = set()
+
+    def extend(prefix, a):
+        for j in range(glued.K):
+            b = int(glued.first[j])
+            chunk = glued.conn[(a, b)] + tuple(int(s) for s in glued.words[j])
+            cand = prefix + chunk
+            if len(cand) >= h:
+                out.add(cand[:h])
+            else:
+                extend(cand, int(glued.last[j]))
+
+    extend((), last_symbol)
+    return out
+
+
+def reference_counting_bound(glued, n, delta, eta):
+    """The per-class loop verify_counting_bound replaced: glue every class,
+    enumerate its continuations and compare its theta sum, one at a time."""
+    tau = glued.tau
+    sep_len = tau + delta.level - 1
+    count_words = construct_module.count_words
+    s_tau = float(count_words(glued.sys, sep_len)) if sep_len >= 1 else 1.0
+    bound = s_tau ** (n - 1) if tau >= 1 else max(
+        float(count_words(glued.sys, delta.level - 1)) ** (n - 1), 1.0
+    )
+    window = n * glued.N + delta.level - 1
+    theta_n = math.floor((n - 4) * glued.N / (glued.N + tau)) if n > 4 else 0
+    phi_max = glued.phi.max_value
+    failures = []
+    worst = 0
+    theta_checked = False
+    for seq in itertools.product(range(glued.K), repeat=n):
+        glued_word, times, _gaps = glue_words(glued.cert, [glued.words[i] for i in seq])
+        det = len(glued_word)
+        h = max(0, window - det)
+        prefixes = reference_continuations(glued, int(glued.last[seq[-1]]), h)
+        count = len(prefixes)
+        worst = max(worst, count)
+        if count > bound:
+            failures.append({"class": [int(i) for i in seq], "count": count, "bound": bound})
+        if n > 4 and theta_n >= 3:
+            theta_checked = True
+            width = (n - 3) * glued.N
+            log_theta_enum = birkhoff_batch(
+                glued.phi, np.array([glued_word[:width]], dtype=np.uint8), width
+            )[0]
+            log_bound = (
+                (n - 1) * math.log(max(s_tau, 1.0))
+                + math.fsum(glued.phis[i] for i in seq[2:theta_n])
+                + 2 * n * glued.N * eta
+                + 5 * glued.N * phi_max
+            )
+            if log_theta_enum > log_bound + 1e-9:
+                failures.append(
+                    {"class": [int(i) for i in seq], "theta": log_theta_enum, "theta_bound": log_bound}
+                )
+    return construct_module.CountingBoundResult(
+        ok=not failures,
+        classes_checked=glued.K**n,
+        worst_count=worst,
+        bound=bound,
+        theta_checked=theta_checked,
+        failures=failures[:10],
+    )
+
+
+def assert_same_counting_result(got, want, *label):
+    assert got == want, label
+    for g, w in zip(got.failures, want.failures):
+        assert list(g) == list(w)
+        for key in ("theta", "theta_bound"):
+            if key in w:
+                assert np.float64(g[key]).tobytes() == np.float64(w[key]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def counting_sets():
+    """(name, glued set, largest n) for the array-versus-loop comparison:
+    the constructions the benchmark and the acceptance test check, plus small
+    word sets whose n = 8 classes engage the theta check (golden: tau = 1,
+    full2: tau = 0)."""
+    full2, golden = ShiftSystem.full_shift(2), ShiftSystem.golden_mean()
+    dec = trivial_decomposition()
+    built_full2 = construct_intermediate(full2, Potential.zero(full2), dec, 0.12, 0.1)
+    built_golden = construct_intermediate(
+        golden, Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
+    )
+    cert_f = check_gluing(full2, all_segments(), Resolution(7))
+    cert_g = check_gluing(golden, all_segments(), Resolution(7))
+    phi_g = Potential.from_symbol_values(golden, [0.0, 0.1])
+    phi_f = Potential.from_symbol_values(full2, [0.2, -0.1])
+    return [
+        ("full2-construction", built_full2.subsystem, 4),
+        ("golden-construction", built_golden.subsystem, 5),
+        ("golden-3", build_glued(golden, phi_g, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_g,
+                                 params={"eta": 0.05}), 8),
+        ("full2-3", build_glued(full2, phi_f, [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], cert_f,
+                                params={"eta": 0.05}), 8),
+        # two words of unequal weight, so theta sums and bounds differ by class
+        ("golden-2", build_glued(golden, phi_g, [(0, 0, 0), (1, 0, 1)], cert_g, params={"eta": 0.05}), 8),
+        ("full2-2", build_glued(full2, phi_f, [(0, 0, 0, 0), (1, 1, 0, 1)], cert_f, params={"eta": 0.05}), 8),
+    ]
+
+
 class TestCountingBound:
+    @pytest.mark.parametrize("level", [1, 3, 7])
+    def test_class_arrays_match_per_class_loop(self, counting_sets, level):
+        theta_seen = False
+        for name, glued, n_max in counting_sets:
+            eta = glued.params["eta"]
+            if glued.tau == 0 and level == 1:
+                # no separating length: both sides refuse to count words of length 0
+                for check in (verify_counting_bound, reference_counting_bound):
+                    with pytest.raises(ConfigError, match="word length"):
+                        check(glued, 2, Resolution(level), eta=eta)
+                continue
+            for n in range(2, n_max + 1):
+                got = verify_counting_bound(glued, n, Resolution(level), eta=eta)
+                want = reference_counting_bound(glued, n, Resolution(level), eta)
+                assert_same_counting_result(got, want, name, n)
+                theta_seen = theta_seen or want.theta_checked
+        assert theta_seen
+
+    def test_failing_classes_match_per_class_loop(self, counting_sets, monkeypatch):
+        _, glued, _ = counting_sets[2]
+
+        def compare(n, eta):
+            got = verify_counting_bound(glued, n, Resolution(3), eta=eta)
+            assert_same_counting_result(got, reference_counting_bound(glued, n, Resolution(3), eta))
+            assert not got.ok and len(got.failures) == 10
+            return [sorted(f) for f in got.failures], got
+
+        # eta = -10 fails every theta bound
+        kinds, _ = compare(8, -10.0)
+        assert kinds == [["class", "theta", "theta_bound"]] * 10
+        # a count_words of 1 makes the count bound 1, which every class with
+        # two continuations exceeds
+        monkeypatch.setattr(construct_module, "count_words", lambda sys, length: 1)
+        kinds, _ = compare(5, 0.05)
+        assert kinds == [["bound", "class", "count"]] * 10
+        # a class failing both lists its count entry first
+        kinds, both = compare(8, -10.0)
+        assert kinds[:2] == [["bound", "class", "count"], ["class", "theta", "theta_bound"]]
+        assert both.failures[0]["class"] == both.failures[1]["class"]
+
+    def test_partial_theta_failures_match_per_class_loop(self, counting_sets):
+        # as eta falls through this range the theta bounds of the 2^8
+        # classes fail a group at a time, each group set by its word weights
+        for name, glued, _ in counting_sets[4:]:
+            outcomes = set()
+            for eta in np.linspace(-0.3, -0.15, 16):
+                got = verify_counting_bound(glued, 8, Resolution(3), eta=eta)
+                want = reference_counting_bound(glued, 8, Resolution(3), eta)
+                assert_same_counting_result(got, want, name, eta)
+                outcomes.add(got.ok)
+            assert outcomes == {True, False}
+
     def test_small_golden_lambda(self, golden, cert_golden):
         phi = Potential.zero(golden)
         lam = build_glued(

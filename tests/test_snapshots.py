@@ -1,5 +1,5 @@
-"""Spectrum artifacts on canonical inputs, rerun and compared with the
-snapshots stored in tests/data.
+"""Spectrum and verify-bounds artifacts on canonical inputs, rerun and
+compared with the snapshots stored in tests/data.
 
 A snapshot is the CLI output for its inputs; regenerate one from the root
 of the repository with, for example,
@@ -8,11 +8,19 @@ of the repository with, for example,
         --system tests/data/full2.json --potential tests/data/zero.json \
         --cycle-cap 6 --grid 6 --out tests/data/spectrum_full2_zero.csv
 
-The header lines (version, configuration hash, seed, wall clock) are not
-compared. The stats lines and the rows, keyed by (kind, parameter), must
-agree; numbers within 1e-12, compared as the printed decimals.
+    PYTHONPATH=src python -m shiftpress.cli verify-bounds \
+        --system tests/data/full2.json --potential tests/data/zero.json \
+        --alpha 0.12 --eta0 0.1 --n-list 3,4,5 \
+        --out tests/data/verify_bounds_full2_zero.json
+
+The header (version, configuration hash, seed, wall clock) is not
+compared. In a spectrum artifact the stats lines and the rows, keyed by
+(kind, parameter), must agree; numbers within 1e-12, compared as the
+printed decimals. A verify-bounds artifact must agree exactly: its counts,
+flags and bounds are integers, booleans and integer-valued floats.
 """
 
+import json
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -72,3 +80,24 @@ def test_spectrum_snapshot(tmp_path, system, potential, snapshot):
     assert rows.keys() == want_rows.keys()
     for key, want in want_rows.items():
         assert all(map(_close, rows[key], want)), (key, rows[key], want)
+
+
+@pytest.mark.parametrize(
+    "system,potential,alpha,snapshot",
+    [
+        ("full2", "zero", "0.12", "verify_bounds_full2_zero.json"),
+        # tau = 1 on the golden mean shift, so the gaps between words vary
+        ("golden", "golden_weighted", "0.15", "verify_bounds_golden_weighted.json"),
+    ],
+)
+def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
+    out = tmp_path / snapshot
+    code = main([
+        "verify-bounds", "--system", str(DATA / f"{system}.json"),
+        "--potential", str(DATA / f"{potential}.json"),
+        "--alpha", alpha, "--eta0", "0.1", "--n-list", "3,4,5", "--out", str(out),
+    ])
+    assert code == 0
+    got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
+    del got["header"], want["header"]
+    assert got == want
