@@ -206,6 +206,9 @@ def cmd_density(args) -> int:
         (r.alpha, r.certified, r.pressure, r.gap, r.N, r.tau, r.e_size)
         for r in result.rows
     ]
+    for r in result.rows:
+        if r.error:
+            print(f"alpha={_fmt(r.alpha)}: {r.error}", file=sys.stderr)
     stats = {
         "floor": result.floor,
         "ceiling": result.ceiling,

@@ -8,6 +8,8 @@ resulting subsystem is materialized as a word-position presentation whose
 dominant eigenvalue, from one junction-renewal solve, is checked against
 both sides of the eta0 band around alpha; extras["basis"] of each report
 says why that side holds. The finite-window sums are test oracles only.
+A density sweep shares one Preparation, the alpha-independent work, across
+its alpha values; each N's core words are ranked once.
 
 Memory >= 2 potentials are handled by recoding to the block system, where
 they become memory-1; reported quantities are mapped back.
@@ -168,6 +170,58 @@ def class_log_weight_sum(
     return log_sum_exp(phis.tolist())
 
 
+_REFUSALS = (InfeasibleError, ResourceBudgetError, PreconditionError)
+
+
+def _remembered(memo: dict, key, compute):
+    """compute() on the first request of key, its kept value afterwards. A
+    refusal it raises is kept too, and raised again unchanged."""
+    if key not in memo:
+        try:
+            memo[key] = (compute(), None)
+        except _REFUSALS as exc:
+            memo[key] = (None, exc)
+    value, refusal = memo[key]
+    if refusal is not None:
+        raise refusal
+    return value
+
+
+class CoreWords:
+    """Per-length data of one core class, each computed on first request and
+    kept: sup Birkhoff(x, N), ln of the class weight sum, and the class words
+    ranked for the greedy selection."""
+
+    def __init__(self, sys: ShiftSystem, phi: Potential, core: SegmentClass, budget: int | None):
+        self.sys, self.phi, self.core, self.budget = sys, phi, core, budget
+        self._memo = {}
+
+    def sup(self, N: int) -> float:
+        return _remembered(self._memo, ("sup", N), lambda: birkhoff_sup(self.sys, self.phi, N))
+
+    def log_total(self, N: int) -> float:
+        return _remembered(
+            self._memo, ("total", N),
+            lambda: class_log_weight_sum(self.sys, self.phi, self.core, N, self.budget),
+        )
+
+    def ranked(self, N: int):
+        """(words, phis, cum): the class words of length N by descending weight,
+        ties in lexicographic order, their Birkhoff sums, and the running sum
+        of their weights."""
+        return _remembered(self._memo, ("ranked", N), lambda: self._rank(N))
+
+    def _rank(self, N: int):
+        words = word_matrix(self.sys, N, self.budget)
+        words = words[self.core.batch(words, N)]
+        phis = birkhoff_batch(self.phi, words, N)
+        # word_matrix rows are lexicographic and the class filter keeps their
+        # order, so a stable sort breaks weight ties lexicographically
+        order = np.argsort(-phis, kind="stable")
+        phis = phis[order]
+        return words[order], phis, np.cumsum(np.exp(phis))
+
+
 def select_words(
     sys: ShiftSystem,
     phi: Potential,
@@ -176,6 +230,8 @@ def select_words(
     eta: float,
     N: int,
     budget: int | None = DEFAULT_WORD_BUDGET,
+    *,
+    core_words: CoreWords | None = None,
 ):
     """Greedy selection of core words with pinned total weight.
 
@@ -183,38 +239,31 @@ def select_words(
     keeps adding while the running sum is still <= e^{N(alpha-eta)}; the
     resulting total lies strictly between e^{N(alpha-eta)} and
     e^{N(alpha+eta)} provided no single word overshoots (checked) and the
-    class carries enough weight (checked).
+    class carries enough weight (checked). core_words, the CoreWords of the
+    same (sys, phi, core, budget), lets a sweep rank each N's words once.
     Returns (word matrix, per-word Birkhoff sums, selection info).
     """
     if phi.memory != 1:
         raise PreconditionError("select_words expects a memory-1 potential")
+    if core_words is None:
+        core_words = CoreWords(sys, phi, core, budget)
     lower = N * (alpha - eta)
     upper = N * (alpha + eta)
-    sup_phi = birkhoff_sup(sys, phi, N)
+    sup_phi = core_words.sup(N)
     if not sup_phi < lower:
         raise InfeasibleError(
             f"single-word weight bound fails: sup Birkhoff(x,{N}) = {sup_phi:.6f} "
             f">= N(alpha-eta) = {lower:.6f}",
             diagnostics=[("sup_birkhoff < N(alpha-eta)", sup_phi, lower)],
         )
-    total_log = class_log_weight_sum(sys, phi, core, N, budget)
+    total_log = core_words.log_total(N)
     if not total_log > upper:
         raise InfeasibleError(
             f"class weight too small: ln sum e^Birkhoff = {total_log:.6f} "
             f"<= N(alpha+eta) = {upper:.6f}",
             diagnostics=[("ln_total > N(alpha+eta)", total_log, upper)],
         )
-    words = word_matrix(sys, N, budget)
-    member = core.batch(words, N)
-    words = words[member]
-    phis = birkhoff_batch(phi, words, N)
-    # descending weight, then lexicographic: lexsort uses the last key as primary
-    keys = tuple(words[:, j] for j in range(N - 1, -1, -1)) + (-phis,)
-    order = np.lexsort(keys)
-    words = words[order]
-    phis = phis[order]
-    weights = np.exp(phis)
-    cum = np.cumsum(weights)
+    words, phis, cum = core_words.ranked(N)
     lo_val = math.exp(lower)
     hi_val = math.exp(upper)
     k = int(np.searchsorted(cum, lo_val, side="right")) + 1
@@ -231,7 +280,7 @@ def select_words(
         "target_low": lower,
         "target_high": upper,
     }
-    return words[:k], phis[:k], info
+    return words[:k].copy(), phis[:k].copy(), info
 
 
 # ---------------------------------------------------------------------------
@@ -810,17 +859,214 @@ def _measure_partition_floor(sys, phi, core, pressure, gamma_res, n_cap, budget)
     two_gamma = Resolution(gamma_res.level - 1)
     best = math.inf
     best_n = None
-    values = []
     for n in range(2, n_cap + 1):
         lt = partition_function(sys, phi, core, n, two_gamma, None, budget)
         if lt == NEG_INF:
-            return NEG_INF, None, values
+            return NEG_INF, None
         a = lt - n * pressure
-        values.append(a)
         if a < best:
             best = a
             best_n = n
-    return best, best_n, values
+    return best, best_n
+
+
+class Preparation:
+    """The alpha-independent part of the construction, shared by every alpha of
+    a sweep: the memory-1 recoding and normalization shift, the pressure
+    interval, the affix-cap scan with its partition floor, the Bowen bound,
+    and the per-N core data. Each stage runs when an alpha first reaches it;
+    construct() is the per-alpha step."""
+
+    def __init__(self, sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition,
+                 config: ConstructConfig | None = None):
+        self.config = config or ConstructConfig()
+        _eps_res, self.gamma_res, self.delta_res = self.config.resolutions()
+        self._inputs = (sys, phi, dec)
+        self._memo = {}
+
+    def _normalize(self):
+        self.sys, phi_c, self.dec, self.recoding = _recode_memory_one(*self._inputs)
+        self.shift = phi_c.min_value
+        self.phi = phi_c.shifted(-self.shift)
+        self.pressure = pressure_oracle(self.sys, self.phi).value
+        self.floor = pressure_floor(self.sys, self.phi)
+
+    def _scan_caps(self):
+        # affix cap scan: the partition floor on the bounded core must stay positive
+        config = self.config
+        for cap in config.affix_caps:
+            core = affix_bounded(self.dec, cap)
+            try:
+                cert = check_gluing(self.sys, core, self.delta_res, seed=config.seed)
+            except CertificateError:
+                continue
+            log_c0, n1 = _measure_partition_floor(
+                self.sys, self.phi, core, self.pressure, self.gamma_res, config.c0_n_cap, config.budget
+            )
+            if log_c0 != NEG_INF:
+                break
+        else:
+            raise InfeasibleError(
+                "no affix cap yields a glued core with positive partition floor",
+                diagnostics=[("affix caps scanned", config.affix_caps, None)],
+            )
+        self.cap, self.core, self.cert, self.log_c0, self.n1 = cap, core, cert, log_c0, n1
+        self.core_words = CoreWords(self.sys, self.phi, core, config.budget)
+        self.core_bowen = bowen_bound(self.sys, self.phi, self.dec.core_class, self.delta_res).certified
+        tau = cert.tau
+        self.log_sep_gap = (
+            math.log(tau) + math.log(float(count_words(self.sys, tau + self.delta_res.level - 1)))
+            if tau >= 1
+            else NEG_INF
+        )
+
+    def construct(self, alpha: float, eta0: float) -> ConstructionResult:
+        """The construction at one alpha; see construct_intermediate."""
+        if eta0 <= 0:
+            raise ConfigError(f"eta0 must be positive, got {eta0}")
+        _remembered(self._memo, "normalize", self._normalize)
+        shift, pressure, floor = self.shift, self.pressure, self.floor
+        alpha_n = alpha - shift
+        if not (floor < alpha_n < pressure):
+            raise InfeasibleError(
+                f"alpha must lie strictly between the pressure floor and the pressure: "
+                f"{floor + shift:.6f} < {alpha:.6f} < {pressure + shift:.6f} fails",
+                diagnostics=[("floor < alpha < pressure", floor + shift, pressure + shift)],
+            )
+        # slack parameter: a fifth of the tolerance or of alpha, further capped
+        # so that alpha +- eta stays inside the open pressure interval (the
+        # two-sided tolerance may poke outside it; the slack must not)
+        eta = min(
+            eta0 / 5.0,
+            alpha_n / 5.0,
+            0.45 * (pressure - alpha_n),
+            0.45 * (alpha_n - floor),
+        )
+
+        _remembered(self._memo, "scan_caps", self._scan_caps)
+        config, phi_n, cap, cert, log_c0, n1 = self.config, self.phi, self.cap, self.cert, self.log_c0, self.n1
+        tau = cert.tau
+        var_phi = phi_n.spread
+        core_bowen, log_sep_gap = self.core_bowen, self.log_sep_gap
+
+        n_log = []
+        chosen_n = None
+        for N in range(max(cert.n0, n1 or 1) + 1, config.n_cap + 1):
+            sup_n = self.core_words.sup(N)
+            checks = [
+                Inequality(
+                    "sup_birkhoff < N(alpha-eta)",
+                    sup_n,
+                    N * (alpha_n - eta),
+                    sup_n < N * (alpha_n - eta),
+                ),
+                Inequality("N > max(N0, N1)", N, max(cert.n0, n1 or 1), N > max(cert.n0, n1 or 1)),
+                Inequality("N*eta > -ln(C0)", N * eta, -log_c0, N * eta > -log_c0),
+                Inequality("exp(2*N*eta) > 2", 2 * N * eta, math.log(2.0), 2 * N * eta > math.log(2.0)),
+                Inequality(
+                    "N > alpha*tau/eta",
+                    N,
+                    alpha_n * tau / eta,
+                    N > alpha_n * tau / eta,
+                    note="vacuous when tau = 0" if tau == 0 else "",
+                ),
+                Inequality(
+                    "N*eta > core_bowen + 2*cap*var(phi)",
+                    N * eta,
+                    core_bowen + 2 * cap * var_phi,
+                    N * eta > core_bowen + 2 * cap * var_phi,
+                ),
+                Inequality(
+                    "N*eta > tau*max(phi)",
+                    N * eta,
+                    tau * phi_n.max_value,
+                    N * eta > tau * phi_n.max_value,
+                    note=(
+                        "deterministic connectors carry one gap choice per junction; "
+                        f"the existential-gap form would need N*eta > {log_sep_gap:.4f}"
+                        if tau >= 1
+                        else "vacuous when tau = 0"
+                    ),
+                ),
+            ]
+            total_ok = self.core_words.log_total(N)
+            checks.append(
+                Inequality(
+                    "ln sum_core > N(alpha+eta)",
+                    total_ok,
+                    N * (alpha_n + eta),
+                    total_ok > N * (alpha_n + eta),
+                )
+            )
+            n_log.append((N, checks))
+            if all(c.ok for c in checks):
+                chosen_n = N
+                break
+        if chosen_n is None:
+            failures = []
+            for N, checks in n_log:
+                bad = [c for c in checks if not c.ok]
+                failures.append((N, [(c.name, c.lhs, c.rhs) for c in bad]))
+            raise InfeasibleError(
+                f"no feasible word length below the cap {config.n_cap}; "
+                f"last failures: {failures[-1] if failures else 'none'}",
+                diagnostics=failures,
+            )
+        N = chosen_n
+        inequalities = n_log[-1][1]
+
+        words, phis, sel_info = select_words(
+            self.sys, phi_n, self.core, alpha_n, eta, N, config.budget, core_words=self.core_words
+        )
+        params = {
+            "alpha": alpha,
+            "eta0": eta0,
+            "pressure_interval": [floor + shift, pressure + shift],
+            "eta": eta,
+            "N": N,
+            "affix_cap": cap,
+            "tau": tau,
+            "E_size": int(words.shape[0]),
+            "normalization_shift": shift,
+            "recoded": self.recoding is not None,
+            "log_c0": log_c0,
+            "N1": n1,
+            "level_delta": self.delta_res.level,
+        }
+        glued = GluedSubshift(self.sys, phi_n, words, cert, params)
+
+        value_n, width = glued.log_pressure()
+        value = value_n + shift
+        lower, upper = (
+            PressureReport(
+                value=value,
+                method="oracle",
+                params={"level": level, "tol": RENEWAL_TOL, "words": glued.K, "word_length": glued.N},
+                error_bound=width,
+                extras={"solver": "junction-renewal", "basis": basis},
+            )
+            for level, basis in (
+                (self.gamma_res.level, "the presentation's eigenvalue; it equals the subshift's "
+                 "pressure only if the presentation is finite-to-one, which is not checked"),
+                (self.delta_res.level - 1, "the presentation's path space factors onto the glued "
+                 "subshift, and a factor map cannot raise pressure"),
+            )
+        )
+        lower_ok = lower.value >= alpha - eta0
+        upper_ok = upper.value <= alpha + eta0
+        certified = bool(lower_ok and upper_ok)
+        params["pressure"] = value
+        params["gap"] = abs(value - alpha)
+        return ConstructionResult(
+            subsystem=glued,
+            lower=lower,
+            upper=upper,
+            certified=certified,
+            params=params,
+            inequalities=inequalities,
+            selection=sel_info,
+            recoding=self.recoding,
+        )
 
 
 def construct_intermediate(
@@ -842,181 +1088,7 @@ def construct_intermediate(
     violated bound is reported as certified=False with full diagnostics,
     never silently.
     """
-    config = config or ConstructConfig()
-    eps_res, gamma_res, delta_res = config.resolutions()
-    if eta0 <= 0:
-        raise ConfigError(f"eta0 must be positive, got {eta0}")
-
-    sys_c, phi_c, dec_c, recoding = _recode_memory_one(sys, phi, dec)
-    shift = phi_c.min_value
-    phi_n = phi_c.shifted(-shift)
-    alpha_n = alpha - shift
-
-    pressure = pressure_oracle(sys_c, phi_n).value
-    floor = pressure_floor(sys_c, phi_n)
-    if not (floor < alpha_n < pressure):
-        raise InfeasibleError(
-            f"alpha must lie strictly between the pressure floor and the pressure: "
-            f"{floor + shift:.6f} < {alpha:.6f} < {pressure + shift:.6f} fails",
-            diagnostics=[("floor < alpha < pressure", floor + shift, pressure + shift)],
-        )
-    # slack parameter: a fifth of the tolerance or of alpha, further capped
-    # so that alpha +- eta stays inside the open pressure interval (the
-    # two-sided tolerance may poke outside it; the slack must not)
-    eta = min(
-        eta0 / 5.0,
-        alpha_n / 5.0,
-        0.45 * (pressure - alpha_n),
-        0.45 * (alpha_n - floor),
-    )
-
-    # affix cap scan: the partition floor on the bounded core must stay positive
-    chosen = None
-    for cap in config.affix_caps:
-        core = affix_bounded(dec_c, cap)
-        try:
-            cert = check_gluing(sys_c, core, delta_res, seed=config.seed)
-        except CertificateError:
-            continue
-        log_c0, n1, fit = _measure_partition_floor(
-            sys_c, phi_n, core, pressure, gamma_res, config.c0_n_cap, config.budget
-        )
-        if log_c0 == NEG_INF:
-            continue
-        chosen = (cap, core, cert, log_c0, n1, fit)
-        break
-    if chosen is None:
-        raise InfeasibleError(
-            "no affix cap yields a glued core with positive partition floor",
-            diagnostics=[("affix caps scanned", config.affix_caps, None)],
-        )
-    cap, core, cert, log_c0, n1, fit = chosen
-    tau = cert.tau
-
-    var_phi = phi_n.spread
-    core_bowen = bowen_bound(sys_c, phi_n, dec_c.core_class, delta_res).certified
-    log_sep_gap = (
-        math.log(tau) + math.log(float(count_words(sys_c, tau + delta_res.level - 1)))
-        if tau >= 1
-        else NEG_INF
-    )
-
-    n_log = []
-    chosen_n = None
-    for N in range(max(cert.n0, n1 or 1) + 1, config.n_cap + 1):
-        sup_n = birkhoff_sup(sys_c, phi_n, N)
-        checks = [
-            Inequality(
-                "sup_birkhoff < N(alpha-eta)",
-                sup_n,
-                N * (alpha_n - eta),
-                sup_n < N * (alpha_n - eta),
-            ),
-            Inequality("N > max(N0, N1)", N, max(cert.n0, n1 or 1), N > max(cert.n0, n1 or 1)),
-            Inequality("N*eta > -ln(C0)", N * eta, -log_c0, N * eta > -log_c0),
-            Inequality("exp(2*N*eta) > 2", 2 * N * eta, math.log(2.0), 2 * N * eta > math.log(2.0)),
-            Inequality(
-                "N > alpha*tau/eta",
-                N,
-                alpha_n * tau / eta,
-                N > alpha_n * tau / eta,
-                note="vacuous when tau = 0" if tau == 0 else "",
-            ),
-            Inequality(
-                "N*eta > core_bowen + 2*cap*var(phi)",
-                N * eta,
-                core_bowen + 2 * cap * var_phi,
-                N * eta > core_bowen + 2 * cap * var_phi,
-            ),
-            Inequality(
-                "N*eta > tau*max(phi)",
-                N * eta,
-                tau * phi_n.max_value,
-                N * eta > tau * phi_n.max_value,
-                note=(
-                    "deterministic connectors carry one gap choice per junction; "
-                    f"the existential-gap form would need N*eta > {log_sep_gap:.4f}"
-                    if tau >= 1
-                    else "vacuous when tau = 0"
-                ),
-            ),
-        ]
-        total_ok = class_log_weight_sum(sys_c, phi_n, core, N, config.budget)
-        checks.append(
-            Inequality(
-                "ln sum_core > N(alpha+eta)",
-                total_ok,
-                N * (alpha_n + eta),
-                total_ok > N * (alpha_n + eta),
-            )
-        )
-        n_log.append((N, checks))
-        if all(c.ok for c in checks):
-            chosen_n = N
-            break
-    if chosen_n is None:
-        failures = []
-        for N, checks in n_log:
-            bad = [c for c in checks if not c.ok]
-            failures.append((N, [(c.name, c.lhs, c.rhs) for c in bad]))
-        raise InfeasibleError(
-            f"no feasible word length below the cap {config.n_cap}; "
-            f"last failures: {failures[-1] if failures else 'none'}",
-            diagnostics=failures,
-        )
-    N = chosen_n
-    inequalities = n_log[-1][1]
-
-    words, phis, sel_info = select_words(sys_c, phi_n, core, alpha_n, eta, N, config.budget)
-    params = {
-        "alpha": alpha,
-        "eta0": eta0,
-        "pressure_interval": [floor + shift, pressure + shift],
-        "eta": eta,
-        "N": N,
-        "affix_cap": cap,
-        "tau": tau,
-        "E_size": int(words.shape[0]),
-        "normalization_shift": shift,
-        "recoded": recoding is not None,
-        "log_c0": log_c0,
-        "N1": n1,
-        "level_delta": delta_res.level,
-    }
-    glued = GluedSubshift(sys_c, phi_n, words, cert, params)
-
-    value_n, width = glued.log_pressure()
-    value = value_n + shift
-    lower, upper = (
-        PressureReport(
-            value=value,
-            method="oracle",
-            params={"level": level, "tol": RENEWAL_TOL, "words": glued.K, "word_length": glued.N},
-            error_bound=width,
-            extras={"solver": "junction-renewal", "basis": basis},
-        )
-        for level, basis in (
-            (gamma_res.level, "the presentation's eigenvalue; it equals the subshift's "
-             "pressure only if the presentation is finite-to-one, which is not checked"),
-            (delta_res.level - 1, "the presentation's path space factors onto the glued "
-             "subshift, and a factor map cannot raise pressure"),
-        )
-    )
-    lower_ok = lower.value >= alpha - eta0
-    upper_ok = upper.value <= alpha + eta0
-    certified = bool(lower_ok and upper_ok)
-    params["pressure"] = value
-    params["gap"] = abs(value - alpha)
-    return ConstructionResult(
-        subsystem=glued,
-        lower=lower,
-        upper=upper,
-        certified=certified,
-        params=params,
-        inequalities=inequalities,
-        selection=sel_info,
-        recoding=recoding,
-    )
+    return Preparation(sys, phi, dec, config).construct(alpha, eta0)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,9 +1144,9 @@ def verify_counting_bound(
     tau = glued.tau
     sep_len = tau + delta.level - 1
     s_tau = float(count_words(glued.sys, sep_len)) if sep_len >= 1 else 1.0
-    bound = s_tau ** (n - 1) if tau >= 1 else max(
-        float(count_words(glued.sys, delta.level - 1)) ** (n - 1), 1.0
-    )
+    # count_words starts at length 1; there is exactly one word of length 0
+    s_delta = float(count_words(glued.sys, delta.level - 1)) if delta.level > 1 else 1.0
+    bound = s_tau ** (n - 1) if tau >= 1 else max(s_delta ** (n - 1), 1.0)
     window = n * N + delta.level - 1
     theta_n = math.floor((n - 4) * N / (N + tau)) if n > 4 else 0
 
@@ -1190,10 +1262,11 @@ def density_experiment(
         alphas = list(np.linspace(lo, hi, grid_size))
     two_delta = Resolution(config.level_delta - 1)
     tail = variation(phi, two_delta)
+    prep = Preparation(sys, phi, dec, config)
     rows = []
     for a in alphas:
         try:
-            res = construct_intermediate(sys, phi, dec, float(a), eta0, config)
+            res = prep.construct(float(a), eta0)
             rows.append(
                 DensityRow(
                     alpha=float(a),
@@ -1205,7 +1278,7 @@ def density_experiment(
                     e_size=res.params["E_size"],
                 )
             )
-        except (InfeasibleError, ResourceBudgetError, PreconditionError) as exc:
+        except _REFUSALS as exc:
             rows.append(
                 DensityRow(
                     alpha=float(a), certified=False, pressure=None, gap=None,

@@ -27,6 +27,7 @@ class SegmentClass:
     kind marks structure the partition function can exploit:
       "all"     -- every admissible segment belongs;
       "empty"   -- no segment belongs;
+      "zero-length" -- only the empty segments (n == 0) belong;
       "generic" -- only the predicate is available.
     membership_batch, when provided, vectorizes the predicate over a word
     matrix (rows) for a fixed n.
@@ -71,6 +72,7 @@ def zero_length_segments() -> SegmentClass:
     return SegmentClass(
         lambda w, n: n == 0,
         "zero-length segments",
+        kind="zero-length",
         membership_batch=lambda words, n: np.full(len(words), n == 0),
     )
 
@@ -81,6 +83,8 @@ def union(a: SegmentClass, b: SegmentClass) -> SegmentClass:
     if a.kind == "empty":
         return b
     if b.kind == "empty":
+        return a
+    if a.kind == b.kind == "zero-length":
         return a
 
     def batch(words, n):

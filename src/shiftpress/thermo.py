@@ -200,7 +200,7 @@ def partition_function(
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if seg.kind == "empty":
+    if seg.kind in ("empty", "zero-length"):
         return NEG_INF
     m = phi.memory
     l_sep = delta.level

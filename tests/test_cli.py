@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -157,6 +158,22 @@ class TestConstructAndDensity:
         assert rows[0] == "alpha,certified,pressure,gap,N,tau,E_size"
         assert len(rows) == 5
         assert all(r.split(",")[1] == "true" for r in rows[1:])
+
+    def test_density_refused_rows_say_why(self, files, capsys):
+        mem2 = files["tmp"] / "mem2.json"
+        mem2.write_text(json.dumps({"memory": 2, "table": {"00": 0.1, "01": 0.8, "10": 0.2}}))
+        code, text = run(
+            files, "density", "--system", str(files["golden"]), "--potential", str(mem2),
+            "--grid", "3", "--eta0", "0.1",
+        )
+        assert code == 0
+        rows = [l for l in text.splitlines() if l and not l.startswith("#")][1:]
+        assert [r.split(",", 1)[1] for r in rows] == ["false,,,,,"] * 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [l.split(": ", 1)[0] for l in lines] == [f"alpha={r.split(',')[0]}" for r in rows]
+        for line in lines:
+            # the failing inequality with both of its sides
+            assert re.search(r"\('N > alpha\*tau/eta', 24, [0-9.]+\)", line), line
 
     def test_density_grid_zero_exit2(self, files):
         code, _ = run(

@@ -71,6 +71,40 @@ class TestSelectWords:
             select_words(full2, phi, all_segments(), 1.0, 0.005, 8)
 
 
+def reference_ranking(sys, phi, core, N):
+    """The ranking select_words made before ranking by a stable sort: a
+    lexsort on descending weight, then the word's symbols."""
+    words = word_matrix(sys, N)
+    words = words[core.batch(words, N)]
+    phis = birkhoff_batch(phi, words, N)
+    order = np.lexsort(tuple(words[:, j] for j in range(N - 1, -1, -1)) + (-phis,))
+    return order, words, phis[order], np.cumsum(np.exp(phis[order]))
+
+
+class TestRanking:
+    @pytest.mark.parametrize(
+        "case, N",
+        [("full2-zero", 18), ("golden-weighted", 21), ("golden-weighted", 24), ("golden-mem2-recoded", 20)],
+    )
+    def test_stable_sort_matches_lexsort(self, case, N):
+        full2, golden = ShiftSystem.full_shift(2), ShiftSystem.golden_mean()
+        if case == "full2-zero":  # every weight ties
+            sys_, phi = full2, Potential.zero(full2)
+        elif case == "golden-weighted":
+            sys_, phi = golden, Potential.from_symbol_values(golden, [0.0, 0.1])
+        else:
+            mem2 = Potential(golden, 2, {(0, 0): 0.1, (0, 1): 0.8, (1, 0): 0.2})
+            sys_, phi_c, _, _ = construct_module._recode_memory_one(golden, mem2, trivial_decomposition())
+            phi = phi_c.shifted(-phi_c.min_value)
+        core = all_segments()
+        order, members, phis, cum = reference_ranking(sys_, phi, core, N)
+        got_words, got_phis, got_cum = construct_module.CoreWords(sys_, phi, core, None).ranked(N)
+        # the members are distinct, so equal rows mean the same permutation
+        assert np.array_equal(got_words, members[order])
+        assert got_phis.tobytes() == phis.tobytes()
+        assert got_cum.tobytes() == cum.tobytes()
+
+
 class TestGluedSubshift:
     def test_all_words_recovers_full_shift(self, full2, cert_full2):
         phi = Potential.zero(full2)
@@ -235,9 +269,9 @@ def reference_counting_bound(glued, n, delta, eta):
     sep_len = tau + delta.level - 1
     count_words = construct_module.count_words
     s_tau = float(count_words(glued.sys, sep_len)) if sep_len >= 1 else 1.0
-    bound = s_tau ** (n - 1) if tau >= 1 else max(
-        float(count_words(glued.sys, delta.level - 1)) ** (n - 1), 1.0
-    )
+    # count_words starts at length 1; there is exactly one word of length 0
+    s_delta = float(count_words(glued.sys, delta.level - 1)) if delta.level > 1 else 1.0
+    bound = s_tau ** (n - 1) if tau >= 1 else max(s_delta ** (n - 1), 1.0)
     window = n * glued.N + delta.level - 1
     theta_n = math.floor((n - 4) * glued.N / (glued.N + tau)) if n > 4 else 0
     phi_max = glued.phi.max_value
@@ -323,12 +357,6 @@ class TestCountingBound:
         theta_seen = False
         for name, glued, n_max in counting_sets:
             eta = glued.params["eta"]
-            if glued.tau == 0 and level == 1:
-                # no separating length: both sides refuse to count words of length 0
-                for check in (verify_counting_bound, reference_counting_bound):
-                    with pytest.raises(ConfigError, match="word length"):
-                        check(glued, 2, Resolution(level), eta=eta)
-                continue
             for n in range(2, n_max + 1):
                 got = verify_counting_bound(glued, n, Resolution(level), eta=eta)
                 want = reference_counting_bound(glued, n, Resolution(level), eta)
@@ -576,3 +604,53 @@ class TestDensityExperiment:
         assert res.ceiling == pytest.approx(1.0 + math.log(2), abs=1e-9)
         assert all(r.certified for r in res.rows)
         assert all(abs(r.pressure - r.alpha) < 0.1 for r in res.rows)
+
+    def test_one_enumeration_per_word_length(self, full2, monkeypatch):
+        lengths = []
+
+        def counted(sys_, n, *args, **kwargs):
+            lengths.append(n)
+            return word_matrix(sys_, n, *args, **kwargs)
+
+        monkeypatch.setattr(construct_module, "word_matrix", counted)
+        res = density_experiment(full2, Potential.zero(full2), trivial_decomposition(), 8, 0.1)
+        chosen = {r.N for r in res.rows}
+        assert all(r.certified for r in res.rows)
+        assert {N: lengths.count(N) for N in chosen} == {N: 1 for N in chosen}
+
+    def test_alpha_independent_work_once_per_sweep(self, full2, monkeypatch):
+        calls = []
+        for name in ("check_gluing", "pressure_oracle"):
+            def counted(*args, _fn=getattr(construct_module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(construct_module, name, counted)
+
+        def calls_at(grid):
+            calls.clear()
+            density_experiment(full2, Potential.zero(full2), trivial_decomposition(), grid, 0.1)
+            return sorted(calls)
+
+        assert calls_at(8) == calls_at(1)
+
+
+class TestPreparation:
+    def test_refusal_kept_and_alpha_range_first(self, full2, monkeypatch):
+        floors = []
+
+        def no_floor(*args, **kwargs):
+            floors.append(1)
+            return construct_module.NEG_INF, None
+
+        monkeypatch.setattr(construct_module, "_measure_partition_floor", no_floor)
+        prep = construct_module.Preparation(full2, Potential.zero(full2), trivial_decomposition())
+        refusals = []
+        for alpha in (0.3, 0.4):
+            with pytest.raises(InfeasibleError, match="no affix cap") as info:
+                prep.construct(alpha, 0.1)
+            refusals.append(info.value)
+        assert refusals[0] is refusals[1]
+        assert len(floors) == len(ConstructConfig().affix_caps)
+        with pytest.raises(InfeasibleError, match="strictly between"):
+            prep.construct(0.8, 0.1)

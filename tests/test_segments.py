@@ -15,8 +15,10 @@ from shiftpress.segments import (
     decomposition_from_dict,
     zero_length_segments,
 )
-from shiftpress.core import word_matrix
+from shiftpress import thermo
+from shiftpress.core import Resolution, word_matrix
 from shiftpress.errors import ConfigError
+from shiftpress.potentials import Potential
 
 
 def sample_segments(sys, max_len=8):
@@ -62,6 +64,17 @@ class TestSegmentClass:
         for n in range(4):
             expected = [affixes.membership(tuple(int(s) for s in row), n) for row in words]
             assert affixes.batch(words, n).tolist() == expected
+
+    def test_zero_length_union_has_no_words(self, golden, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("zero-length class enumerated")
+
+        affixes = union(zero_length_segments(), zero_length_segments())
+        assert affixes.kind == "zero-length"
+        monkeypatch.setattr(thermo, "word_matrix", refuse)
+        phi = Potential.zero(golden)
+        for n in (1, 2, 10):
+            assert thermo.partition_function(golden, phi, affixes, n, Resolution(5)) == thermo.NEG_INF
 
 
 class TestDecompositions:

@@ -1,5 +1,5 @@
-"""Spectrum and verify-bounds artifacts on canonical inputs, rerun and
-compared with the snapshots stored in tests/data.
+"""Spectrum, verify-bounds, density and construct artifacts on canonical
+inputs, rerun and compared with the snapshots stored in tests/data.
 
 A snapshot is the CLI output for its inputs; regenerate one from the root
 of the repository with, for example,
@@ -13,11 +13,20 @@ of the repository with, for example,
         --alpha 0.12 --eta0 0.1 --n-list 3,4,5 \
         --out tests/data/verify_bounds_full2_zero.json
 
+    PYTHONPATH=src python -m shiftpress.cli density \
+        --system tests/data/golden.json --potential tests/data/golden_weighted.json \
+        --grid 3 --eta0 0.1 --out tests/data/density_golden_weighted.csv
+
+    PYTHONPATH=src python -m shiftpress.cli construct \
+        --system tests/data/full2.json --potential tests/data/zero.json \
+        --alpha 0.45 --eta0 0.1 --out tests/data/construct_full2_zero.json
+
 The header (version, configuration hash, seed, wall clock) is not
 compared. In a spectrum artifact the stats lines and the rows, keyed by
 (kind, parameter), must agree; numbers within 1e-12, compared as the
-printed decimals. A verify-bounds artifact must agree exactly: its counts,
-flags and bounds are integers, booleans and integer-valued floats.
+printed decimals. Verify-bounds, density and construct artifacts must agree
+exactly: the construction is deterministic, so every printed number is
+reproduced to the last digit.
 """
 
 import json
@@ -96,6 +105,52 @@ def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
         "verify-bounds", "--system", str(DATA / f"{system}.json"),
         "--potential", str(DATA / f"{potential}.json"),
         "--alpha", alpha, "--eta0", "0.1", "--n-list", "3,4,5", "--out", str(out),
+    ])
+    assert code == 0
+    got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
+    del got["header"], want["header"]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "system,potential,grid,snapshot",
+    [
+        ("full2", "zero", "8", "density_full2_zero.csv"),
+        # N differs between the alpha values
+        ("golden", "golden_weighted", "3", "density_golden_weighted.csv"),
+        # recoded to memory 1; every row is refused
+        ("golden", "golden_mem2", "3", "density_golden_mem2.csv"),
+    ],
+)
+def test_density_snapshot(tmp_path, system, potential, grid, snapshot):
+    out = tmp_path / snapshot
+    code = main([
+        "density", "--system", str(DATA / f"{system}.json"),
+        "--potential", str(DATA / f"{potential}.json"),
+        "--grid", grid, "--eta0", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    header = tuple(f"# {key}: " for key in HEADER)
+    got, want = (
+        [line for line in p.read_text().splitlines() if not line.startswith(header)]
+        for p in (out, DATA / snapshot)
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "system,potential,alpha,snapshot",
+    [
+        ("full2", "zero", "0.45", "construct_full2_zero.json"),
+        ("golden", "golden_weighted", "0.3", "construct_golden_weighted.json"),
+    ],
+)
+def test_construct_snapshot(tmp_path, system, potential, alpha, snapshot):
+    out = tmp_path / snapshot
+    code = main([
+        "construct", "--system", str(DATA / f"{system}.json"),
+        "--potential", str(DATA / f"{potential}.json"),
+        "--alpha", alpha, "--eta0", "0.1", "--out", str(out),
     ])
     assert code == 0
     got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
