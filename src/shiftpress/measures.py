@@ -6,14 +6,16 @@ to a length cap (entropy zero, pressure = mean potential along the cycle),
 the Gibbs-type chain built from the weighted Perron right eigenvector
 (attains the topological pressure), and row-renormalized interpolations
 between the two. A chain on the transfer lift is its edge probabilities,
-aligned with the lift's edge arrays. Every stationary vector, of a lift
-chain or of a `MarkovMeasure`, comes from one exact linear solve.
+aligned with the lift's edge arrays. The stationary vectors of the Gibbs
+chain and of a `MarkovMeasure` come from one exact linear solve; those of
+the interpolations are low-rank updates of the Gibbs solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,30 +28,33 @@ MERGE_TOL = 1e-12
 NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
 
 
-def _stationary(Q: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix, by one linear solve.
-
-    pi (Q - I) = 0 has one redundant equation (each is minus the sum of the
-    others); the last is replaced by sum(pi) = 1. In exact arithmetic the
-    system is singular exactly when the chain has more than one recurrent
-    class.
-    """
-    V = Q.shape[0]
-    M = Q.T - np.eye(V)
+def _bordered(Q: np.ndarray) -> np.ndarray:
+    """Matrix of the system pi (Q - I) = 0 in pi, with its last equation
+    (minus the sum of the others) replaced by sum(pi) = 1. In exact
+    arithmetic it is singular exactly when the chain has more than one
+    recurrent class."""
+    M = Q.T - np.eye(Q.shape[0])
     M[-1] = 1.0
-    rhs = np.zeros(V)
+    return M
+
+
+def _stationary(Q: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix, by one linear solve of
+    the bordered system."""
+    rhs = np.zeros(Q.shape[0])
     rhs[-1] = 1.0
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(_bordered(Q), rhs)
     except np.linalg.LinAlgError:
         raise StructuralError(NOT_UNIQUE) from None
 
 
-def _entropy_rate(pi_src: np.ndarray, q: np.ndarray) -> float:
-    """-sum pi(source) q ln q over the transitions q (0 ln 0 = 0)."""
+def _entropy_rate(pi_src: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """-sum pi(source) q ln q over the transitions q along the last axis
+    (0 ln 0 = 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > 0, q * np.log(q), 0.0)
-    return float(-np.sum(pi_src * terms))
+    return -np.sum(pi_src * terms, axis=-1)
 
 
 class MarkovMeasure:
@@ -107,7 +112,7 @@ class PeriodicOrbitMeasure:
 
 def markov_entropy(mu: MarkovMeasure) -> float:
     """Entropy rate -sum_a pi_a sum_b Q[ab] ln Q[ab] (0 ln 0 = 0)."""
-    return _entropy_rate(mu.stationary[:, None], mu.stochastic)
+    return float(np.sum(_entropy_rate(mu.stationary[:, None], mu.stochastic)))
 
 
 def _markov_integral(sys: ShiftSystem, phi: Potential, mu: MarkovMeasure) -> float:
@@ -147,13 +152,25 @@ class _LiftChain:
     def __init__(self, lift: _Lift, weights: np.ndarray):
         self.lift = lift
         self.q = _normalized(lift, weights)
-        V = len(lift.states)
+        self.pi = _stationary(self.matrix())
+
+    def matrix(self) -> np.ndarray:
+        """The dense (V, V) transition matrix."""
+        V = len(self.lift.states)
         Q = np.zeros((V, V))
-        Q[lift.src, lift.dst] = self.q
-        self.pi = _stationary(Q)
+        Q[self.lift.src, self.lift.dst] = self.q
+        return Q
+
+    @cached_property
+    def bordered_inverse(self) -> np.ndarray:
+        """Inverse of the bordered matrix `_stationary` solves with."""
+        try:
+            return np.linalg.inv(_bordered(self.matrix()))
+        except np.linalg.LinAlgError:
+            raise StructuralError(NOT_UNIQUE) from None
 
     def entropy(self) -> float:
-        return _entropy_rate(self.pi[self.lift.src], self.q)
+        return float(_entropy_rate(self.pi[self.lift.src], self.q))
 
     def integral(self) -> float:
         terms = self.pi[self.lift.src] * self.q * self.lift.wgt
@@ -165,10 +182,63 @@ class _LiftChain:
 
 
 def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:
-    """Edge weights divided by the total of their source state (rows with
-    no weight stay zero)."""
-    rows = np.bincount(lift.src, weights=weights, minlength=len(lift.states))
-    return weights / np.where(rows > 0, rows, 1.0)[lift.src]
+    """Edge weights, (E,) or (G, E), divided by the total of their source
+    state (rows with no weight stay zero)."""
+    V = len(lift.states)
+    w = np.atleast_2d(weights)
+    # one bincount over all chains adds each row's edges in edge order
+    keys = lift.src + V * np.arange(len(w))[:, None]
+    rows = np.bincount(keys.ravel(), weights=w.ravel(), minlength=w.shape[0] * V)
+    rows = np.where(rows > 0, rows, 1.0).reshape(-1, V)
+    return (w / rows[:, lift.src]).reshape(weights.shape)
+
+
+def _interpolated_chains(gibbs: _LiftChain, q_cycle: np.ndarray, ts: np.ndarray):
+    """Edge probabilities q (G, E) and stationary vectors pi (G, V) of the
+    chains normalize((1 - t) q_gibbs + t q_cycle) for the G values t in ts.
+
+    Such a chain differs from the Gibbs chain only in the rows of the p
+    states S the cycle visits, so its bordered matrix is M_t = M_0 + t U E_S^T:
+    U holds those rows' change q_cycle - q_gibbs (bordered row zeroed) and
+    E_S selects the states of S. With Z = M_0^-1 U the Woodbury identity
+    (Hager, SIAM Review 1989) solves M_t x = b as
+
+        x = y - t Z (I_p + t Z[S])^-1 y[S],   y = M_0^-1 b.
+
+    The other rows of the exact chain differ from the Gibbs rows in the last
+    ulp, and near t = 1 the update loses about two digits, so the solution
+    is refined once: the residual of the exact chain's bordered system,
+    taken on the lift edges in longdouble, is solved with the same operator.
+    """
+    lift = gibbs.lift
+    V = len(lift.states)
+    q = _normalized(lift, (1.0 - ts)[:, None] * gibbs.q + ts[:, None] * q_cycle)
+
+    visited = np.zeros(V, dtype=bool)
+    visited[lift.src[q_cycle > 0]] = True
+    S = np.flatnonzero(visited)
+    out = visited[lift.src]
+    U = np.zeros((V, len(S)))
+    U[lift.dst[out], np.searchsorted(S, lift.src[out])] = (q_cycle - gibbs.q)[out]
+    U[-1] = 0.0
+    inverse = gibbs.bordered_inverse
+    Z = inverse @ U
+    try:
+        K = np.linalg.inv(np.eye(len(S)) + ts[:, None, None] * Z[S])
+    except np.linalg.LinAlgError:
+        raise StructuralError(NOT_UNIQUE) from None
+
+    def solve(y):
+        """M_t^-1 b for the rows y = M_0^-1 b of a (G, V) array."""
+        return y - ts[:, None] * (np.einsum("gij,gj->gi", K, y[:, S]) @ Z.T)
+
+    pi = solve(np.broadcast_to(gibbs.pi, (len(ts), V)))
+    exact = pi.astype(np.longdouble)
+    residual = exact.copy()
+    g = np.arange(len(ts))[:, None]
+    np.subtract.at(residual, (g, lift.dst), q * exact[:, lift.src])
+    residual[:, -1] = 1.0 - exact.sum(axis=1)
+    return q, pi + solve(residual.astype(float) @ inverse.T)
 
 
 def gibbs_chain(sys: ShiftSystem, phi: Potential, tol: float = 1e-13) -> _LiftChain:
@@ -238,12 +308,6 @@ class SpectrumResult:
     notes: list = field(default_factory=list)
 
 
-def _chain_entry(kind: str, parameter: str, chain: _LiftChain) -> SpectrumEntry:
-    """Spectrum entry of a chain; its entropy and integral are computed once."""
-    entropy, integral = chain.entropy(), chain.integral()
-    return SpectrumEntry(kind, parameter, entropy, integral, entropy + integral)
-
-
 def spectrum_sample(
     sys: ShiftSystem,
     phi: Potential,
@@ -263,6 +327,10 @@ def spectrum_sample(
     sys.require_strongly_connected()
     if cycle_cap > 12:
         raise ConfigError("cycle length cap is limited to 12")
+    if cycle_cap < 0:
+        raise ConfigError(f"cycle length cap must be >= 0, got {cycle_cap}")
+    if grid < 1:
+        raise ConfigError(f"grid must be >= 1, got {grid}")
     notes = []
     partial = False
 
@@ -270,7 +338,8 @@ def spectrum_sample(
     ceiling = pressure_oracle(sys, phi).value
 
     chain = gibbs_chain(sys, phi)
-    entries = [_chain_entry("gibbs", "", chain)]
+    entropy, integral = chain.entropy(), chain.integral()
+    entries = [SpectrumEntry("gibbs", "", entropy, integral, entropy + integral)]
 
     cycles, truncated_at = primitive_cycles(sys, cycle_cap, budget)
     if truncated_at is not None:
@@ -278,34 +347,30 @@ def spectrum_sample(
         notes.append(f"cycle enumeration stopped before length {truncated_at} (budget)")
 
     lift = chain.lift
+    # uniform steps toward the deterministic end produce pressure jumps
+    # ~ H(eps) there; the squared ramp equalizes the jump sizes
+    ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
     for w in cycles:
-        mu = PeriodicOrbitMeasure(sys, w)
-        p_cycle = measure_pressure(sys, phi, mu)
-        entries.append(
-            SpectrumEntry(
-                kind="cycle",
-                parameter="".join(map(str, w)),
-                entropy=0.0,
-                integral=p_cycle,
-                pressure=p_cycle,
-            )
-        )
+        name = "".join(map(str, w))
+        p_cycle = measure_pressure(sys, phi, PeriodicOrbitMeasure(sys, w))
+        entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
         if len(entries) >= max_measures:
             partial = True
             notes.append("measure count budget reached during cycle sweep")
             break
-        q_cycle = _normalized(lift, _cycle_lift_chain(lift, w))
-        # uniform steps toward the deterministic end produce pressure jumps
-        # ~ H(eps) there; the squared ramp equalizes the jump sizes
-        ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
-        for t in ts:
-            mixed = _LiftChain(lift, (1.0 - t) * chain.q + t * q_cycle)
-            entries.append(_chain_entry("interp", f"{''.join(map(str, w))}:{t:.6f}", mixed))
-            if len(entries) >= max_measures:
-                partial = True
-                notes.append("measure count budget reached during interpolation")
-                break
+        # the whole grid is solved even when the budget keeps only part of
+        # it, so a kept entry does not depend on the budget
+        q, pi = _interpolated_chains(chain, _normalized(lift, _cycle_lift_chain(lift, w)), ts)
+        pi_src = pi[:, lift.src]
+        entropies = _entropy_rate(pi_src, q).tolist()
+        # cumsum adds left to right in edge order, as _LiftChain.integral does
+        integrals = np.cumsum(pi_src * q * lift.wgt, axis=1)[:, -1].tolist()
+        room = max_measures - len(entries)
+        for t, h, i in zip(ts[:room], entropies, integrals):
+            entries.append(SpectrumEntry("interp", f"{name}:{t:.6f}", h, i, h + i))
         if len(entries) >= max_measures:
+            partial = True
+            notes.append("measure count budget reached during interpolation")
             break
 
     entries.sort(key=lambda e: (e.pressure, e.kind, e.parameter))

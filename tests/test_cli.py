@@ -117,6 +117,19 @@ class TestPstarAndSpectrum:
         assert rows[0] == "kind,parameter,entropy,integral,pressure"
         assert len(rows) == 2 and rows[1].startswith("gibbs")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("grid", "0"), ("grid", "-2"), ("cycle-cap", "-1"), ("cycle-cap", "13")],
+    )
+    def test_spectrum_bad_arguments_exit2(self, files, capsys, flag, value):
+        code, text = run(
+            files, "spectrum", "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            f"--{flag}", value,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_non_transitive_exit3(self, files):
         code, _ = run(files, "spectrum", "--system", str(files["oneway"]), "--potential", str(files["zero"]))
         assert code == 3

@@ -66,15 +66,21 @@ class TestStationary:
     def test_lift_chains_solved_to_rounding(self, full2, monkeypatch):
         """The Gibbs and interpolated chains of a memory-4 potential (8 lift
         states) are invariant to 1e-14 and within 1e-13 of a refined solve."""
-        solve = measures._stationary
+        interpolate = measures._interpolated_chains
         solved = []
 
-        def record(Q):
-            pi = solve(Q)
-            solved.append((Q, pi))
-            return pi
+        def record(gibbs, q_cycle, ts):
+            if not solved:
+                solved.append((gibbs.matrix(), gibbs.pi))
+            q, pi = interpolate(gibbs, q_cycle, ts)
+            lift = gibbs.lift
+            for qg, pg in zip(q, pi):
+                Q = np.zeros_like(solved[0][0])
+                Q[lift.src, lift.dst] = qg
+                solved.append((Q, pg))
+            return q, pi
 
-        monkeypatch.setattr(measures, "_stationary", record)
+        monkeypatch.setattr(measures, "_interpolated_chains", record)
         phi = random_potential(np.random.default_rng(5), full2, 4)
         spectrum_sample(full2, phi, cycle_cap=4, grid=6)
         # the Gibbs chain and 5 grid points toward each of the 8 cycles
@@ -83,6 +89,26 @@ class TestStationary:
             assert Q.shape == (8, 8)
             assert np.abs(pi @ Q - pi).max() <= 1e-14
             assert np.abs(pi - _refined_stationary(Q)).max() <= 1e-13
+
+    def test_near_deterministic_chains_refined(self):
+        """Grid points up to t = 0.9996 on a 78-state lift: every
+        interpolated chain is within 1e-14 of a refined solve, which the
+        rank-p update alone misses by up to 3e-14."""
+        rng = np.random.default_rng(2)
+        sys = random_sft(rng, 5)
+        phi = random_potential(rng, sys, 4, 0.0, 3.0)
+        gibbs = gibbs_chain(sys, phi)
+        lift = gibbs.lift
+        cycles, _ = primitive_cycles(sys, 3)
+        ts = 1.0 - (1.0 - np.arange(1, 50) / 50) ** 2
+        assert len(lift.states) == 78 and len(cycles) * len(ts) == 1372
+        for w in cycles:
+            q_cycle = measures._normalized(lift, measures._cycle_lift_chain(lift, w))
+            q, pi = measures._interpolated_chains(gibbs, q_cycle, ts)
+            for qg, pg in zip(q, pi):
+                Q = np.zeros((78, 78))
+                Q[lift.src, lift.dst] = qg
+                assert np.abs(pg - _refined_stationary(Q)).max() <= 1e-14
 
 
 class TestMeasurePressure:
@@ -187,6 +213,31 @@ class TestSpectrum:
         assert res.max_gap < 0.05
         assert res.floor == pytest.approx(0.0, abs=1e-12)
         assert res.ceiling == pytest.approx(math.log(2), abs=1e-9)
+
+    def test_measure_budget_across_the_batch(self, full2):
+        """A budget ending on a cycle entry, inside a cycle's grid and at
+        its end keeps the first entries in generation order, unchanged."""
+        phi = random_potential(np.random.default_rng(5), full2, 4)
+        whole = spectrum_sample(full2, phi, cycle_cap=4, grid=6)
+        by_key = {(e.kind, e.parameter): e for e in whole.entries}
+        cycles, _ = primitive_cycles(full2, 4)
+        order = [("gibbs", "")]
+        for w in cycles:
+            name = "".join(map(str, w))
+            grid = sorted(
+                (key for key in by_key if key[1].startswith(name + ":")),
+                key=lambda key: float(key[1].split(":")[1]),
+            )
+            order += [("cycle", name), *grid]
+        assert len(order) == len(by_key) == 1 + 8 * 6
+        # gibbs, then 0 and its 5 grid points, then 1 and its grid points
+        for k, stage in ((8, "cycle sweep"), (10, "interpolation"), (13, "interpolation")):
+            res = spectrum_sample(full2, phi, cycle_cap=4, grid=6, max_measures=k)
+            assert len(res.entries) == k and res.partial
+            assert res.notes == [f"measure count budget reached during {stage}"]
+            assert {(e.kind, e.parameter) for e in res.entries} == set(order[:k])
+            for e in res.entries:
+                assert e == by_key[(e.kind, e.parameter)]
 
     def test_budget_flags_partial(self, full3):
         res = spectrum_sample(full3, Potential.zero(full3), cycle_cap=12, grid=3, budget=100)

@@ -8,6 +8,10 @@ of the repository with, for example,
         --system tests/data/full2.json --potential tests/data/zero.json \
         --cycle-cap 6 --grid 6 --out tests/data/spectrum_full2_zero.csv
 
+    PYTHONPATH=src python -m shiftpress.cli spectrum \
+        --system tests/data/full2.json --potential tests/data/full2_mem4.json \
+        --cycle-cap 4 --grid 50 --out tests/data/spectrum_full2_mem4.csv
+
     PYTHONPATH=src python -m shiftpress.cli verify-bounds \
         --system tests/data/full2.json --potential tests/data/zero.json \
         --alpha 0.12 --eta0 0.1 --n-list 3,4,5 \
@@ -66,19 +70,25 @@ def _close(a: str, b: str) -> bool:
         return False
 
 
+SPECTRUM_CASES = [
+    ("full2", "zero", "6", "6", "spectrum_full2_zero.csv"),
+    ("golden", "golden_mem2", "6", "6", "spectrum_golden_mem2.csv"),
+    # grid points up to t = 0.9996, next to the deterministic cycle chains
+    ("full2", "full2_mem4", "4", "50", "spectrum_full2_mem4.csv"),
+]
+
+
 @pytest.mark.parametrize(
-    "system,potential,snapshot",
-    [
-        ("full2", "zero", "spectrum_full2_zero.csv"),
-        ("golden", "golden_mem2", "spectrum_golden_mem2.csv"),
-    ],
+    "system,potential,cap,grid,snapshot",
+    SPECTRUM_CASES,
+    ids=[f"{system}-{potential}-{snapshot}" for system, potential, _, _, snapshot in SPECTRUM_CASES],
 )
-def test_spectrum_snapshot(tmp_path, system, potential, snapshot):
+def test_spectrum_snapshot(tmp_path, system, potential, cap, grid, snapshot):
     out = tmp_path / snapshot
     code = main([
         "spectrum", "--system", str(DATA / f"{system}.json"),
         "--potential", str(DATA / f"{potential}.json"),
-        "--cycle-cap", "6", "--grid", "6", "--out", str(out),
+        "--cycle-cap", cap, "--grid", grid, "--out", str(out),
     ])
     assert code == 0
     stats, rows = _parse(out.read_text())
