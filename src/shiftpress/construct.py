@@ -213,7 +213,9 @@ class CoreWords:
 
     def _rank(self, N: int):
         words = word_matrix(self.sys, N, self.budget)
-        words = words[self.core.batch(words, N)]
+        member = self.core.batch(words, N)
+        if not member.all():
+            words = words[member]
         phis = birkhoff_batch(self.phi, words, N)
         # word_matrix rows are lexicographic and the class filter keeps their
         # order, so a stable sort breaks weight ties lexicographically
@@ -302,7 +304,9 @@ class GluedSubshift:
     the number of words rather than quadratic.
     """
 
-    def __init__(self, sys: ShiftSystem, phi: Potential, words: np.ndarray, cert: GluingCertificate, params: dict | None = None):
+    def __init__(self, sys: ShiftSystem, phi: Potential, words: np.ndarray, cert: GluingCertificate,
+                 params: dict | None = None, phis: np.ndarray | None = None):
+        """phis: the words' Birkhoff sums, when the caller already has them."""
         if phi.memory != 1:
             raise PreconditionError("GluedSubshift expects a memory-1 potential")
         words = np.asarray(words, dtype=np.uint8)
@@ -316,7 +320,7 @@ class GluedSubshift:
         self.K, self.N = words.shape
         self.first = words[:, 0].astype(np.intp)
         self.last = words[:, -1].astype(np.intp)
-        self.phis = birkhoff_batch(phi, words, self.N)
+        self.phis = birkhoff_batch(phi, words, self.N) if phis is None else np.asarray(phis, dtype=float)
         A = sys.alphabet_size
         # connector data per ordered pair
         self.conn = {}
@@ -1033,7 +1037,7 @@ class Preparation:
             "N1": n1,
             "level_delta": self.delta_res.level,
         }
-        glued = GluedSubshift(self.sys, phi_n, words, cert, params)
+        glued = GluedSubshift(self.sys, phi_n, words, cert, params, phis)
 
         value_n, width = glued.log_pressure()
         value = value_n + shift

@@ -332,14 +332,14 @@ def spectrum_sample(
     if grid < 1:
         raise ConfigError(f"grid must be >= 1, got {grid}")
     notes = []
-    partial = False
+    partial = max_measures < 1  # no room even for the Gibbs entry
 
     floor = pressure_floor(sys, phi)
     ceiling = pressure_oracle(sys, phi).value
 
     chain = gibbs_chain(sys, phi)
     entropy, integral = chain.entropy(), chain.integral()
-    entries = [SpectrumEntry("gibbs", "", entropy, integral, entropy + integral)]
+    entries = [SpectrumEntry("gibbs", "", entropy, integral, entropy + integral)][:max_measures]
 
     cycles, truncated_at = primitive_cycles(sys, cycle_cap, budget)
     if truncated_at is not None:
@@ -351,9 +351,10 @@ def spectrum_sample(
     # ~ H(eps) there; the squared ramp equalizes the jump sizes
     ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
     for w in cycles:
-        name = "".join(map(str, w))
-        p_cycle = measure_pressure(sys, phi, PeriodicOrbitMeasure(sys, w))
-        entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
+        if len(entries) < max_measures:
+            name = "".join(map(str, w))
+            p_cycle = measure_pressure(sys, phi, PeriodicOrbitMeasure(sys, w))
+            entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
         if len(entries) >= max_measures:
             partial = True
             notes.append("measure count budget reached during cycle sweep")

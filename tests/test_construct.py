@@ -556,6 +556,27 @@ class TestConstructIntermediate:
         assert "finite-to-one" in res.lower.extras["basis"]
         assert "factor map" in res.upper.extras["basis"]
 
+    @pytest.mark.parametrize(
+        "system, values, alpha",
+        [("full2", [0.0, 0.0], 0.45), ("golden", [0.0, 0.1], 0.25)],
+    )
+    def test_selected_sums_are_not_recomputed(self, request, monkeypatch, system, values, alpha):
+        """The glued subshift takes the selection's Birkhoff sums: no batch
+        runs over the selected words, and the sums it holds are theirs."""
+        sys_ = request.getfixturevalue(system)
+        batches = []
+
+        def recorded(phi, words, n):
+            batches.append(np.array(words))
+            return birkhoff_batch(phi, words, n)
+
+        monkeypatch.setattr(construct_module, "birkhoff_batch", recorded)
+        phi = Potential.from_symbol_values(sys_, values)
+        res = construct_intermediate(sys_, phi, trivial_decomposition(), alpha, 0.1)
+        glued = res.subsystem
+        assert not any(np.array_equal(b, glued.words) for b in batches)
+        assert np.array_equal(glued.phis, birkhoff_batch(glued.phi, glued.words, glued.N))
+
     def test_gluing_bug_is_not_infeasibility(self, full2, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug inside check_gluing")

@@ -3,8 +3,10 @@ direct per-row sums and brute-force closed walks."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from shiftpress import kernels
 from shiftpress.core import count_words, is_admissible
@@ -21,6 +23,25 @@ def reference_words(sys, length):
         w
         for w in itertools.product(range(sys.alphabet_size), repeat=length)
         if is_admissible(sys, w)
+    ]
+
+
+def unblocked_birkhoff(words, n, memory, values_flat, A):
+    """The Birkhoff kernel on the whole matrix at once: one (count, n) index,
+    gathered and reduced in one call."""
+    idx = np.zeros((words.shape[0], n), dtype=np.int64)
+    for j in range(memory):
+        idx = idx * A + words[:, j : j + n].astype(np.int64)
+    return np.add.reduce(values_flat[idx], axis=1)
+
+
+def brute_words(trans, length):
+    """Rows of itertools.product over the alphabet whose every step is allowed."""
+    A = trans.shape[0]
+    return [
+        w
+        for w in itertools.product(range(A), repeat=length)
+        if all(trans[a, b] for a, b in zip(w, w[1:]))
     ]
 
 
@@ -69,6 +90,21 @@ class TestWordEnumeration:
         as_tuples = [tuple(r) for r in words]
         assert as_tuples == sorted(as_tuples)
 
+    def test_matches_product_brute_force(self):
+        """Random 1-4 symbol transition matrices, rows without successors
+        included, match the filtered product in order for lengths 1-8."""
+        stranded = 0
+        for seed in range(40):
+            rng = np.random.default_rng(200 + seed)
+            A = int(rng.integers(1, 5))
+            trans = (rng.random((A, A)) < 0.6).astype(np.uint8)
+            stranded += int((trans.sum(axis=1) == 0).any())
+            for length in range(1, 9):
+                words = kernels.word_matrix(trans, length)
+                assert words.dtype == np.uint8 and words.shape[1] == length
+                assert [tuple(int(s) for s in r) for r in words] == brute_words(trans, length)
+        assert stranded  # the seeds include rows with no successors
+
 
 class TestBirkhoffKernel:
     def test_backends_agree(self):
@@ -81,6 +117,83 @@ class TestBirkhoffKernel:
             for row, value in zip(words.tolist(), got):
                 blocks = [int("".join(map(str, row[k : k + m])), 2) for k in range(10 - m)]
                 assert abs(value - math.fsum(vals[b] for b in blocks)) < 1e-12
+
+
+class TestBlockedBirkhoff:
+    """The row-blocked kernel is bitwise equal to one whole-matrix reduction."""
+
+    ROWS = (1, "block-1", "block", "block+1", "3block+5")
+
+    @staticmethod
+    def _rows(spec, block):
+        return {"block-1": block - 1, "block": block, "block+1": block + 1,
+                "3block+5": 3 * block + 5}.get(spec, spec)
+
+    @staticmethod
+    def _case(rng, rows, n, memory, A=3, table=None):
+        words = rng.integers(0, A, size=(rows, n + memory - 1), dtype=np.uint8)
+        vals = rng.normal(size=A**memory) if table is None else table
+        return words, vals
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 128, 129, 256, 257])
+    def test_bitwise_equal_at_block_edges(self, monkeypatch, n, memory):
+        """With a small block, every row count around the block edges at every
+        n near numpy's pairwise-summation breakpoints."""
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(n * 10 + memory)
+        for spec in self.ROWS:
+            words, vals = self._case(rng, self._rows(spec, 16), n, memory)
+            got = kernels.birkhoff_kernel(words, n, memory, vals, 3)
+            want = unblocked_birkhoff(words, n, memory, vals, 3)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_bitwise_equal_at_module_block(self, memory):
+        block = kernels._BLOCK_ROWS
+        rng = np.random.default_rng(memory)
+        for n in (1, 9, 18):
+            for spec in self.ROWS:
+                words, vals = self._case(rng, self._rows(spec, block), n, memory)
+                got = kernels.birkhoff_kernel(words, n, memory, vals, 3)
+                want = unblocked_birkhoff(words, n, memory, vals, 3)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_negative_zero_table(self, monkeypatch):
+        """A table holding -0.0: rows of signed zeros sum to the same zero,
+        sign bit included, as in the whole-matrix reduction."""
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 16)
+        table = np.array([-0.0, 0.0, -0.0, 1.5])
+        rng = np.random.default_rng(11)
+        for n in (1, 8, 17, 129):
+            words = rng.choice(np.array([0, 2], dtype=np.uint8), size=(53, n))
+            words[::3] = rng.integers(0, 4, size=words[::3].shape, dtype=np.uint8)
+            got = kernels.birkhoff_kernel(words, n, 1, table, 4)
+            want = unblocked_birkhoff(words, n, 1, table, 4)
+            assert (want[1::3] == 0).all()  # rows of -0.0 symbols only
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_and_zero_length(self):
+        vals = np.array([0.25, -1.0])
+        for rows, n in ((0, 5), (4, 0)):
+            words = np.zeros((rows, n), dtype=np.uint8)
+            got = kernels.birkhoff_kernel(words, n, 1, vals, 2)
+            want = unblocked_birkhoff(words, n, 1, vals, 2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_traced_peak_is_bounded(self):
+        """2^18 words of length 18 (full 2-shift, N = 18): the whole-matrix
+        kernel peaks at about 113 MB traced, the blocked one below 10 MB."""
+        words = kernels.word_matrix(np.ones((2, 2), dtype=np.uint8), 18)
+        vals = np.array([0.3, -0.7])
+        tracemalloc.start()
+        try:
+            kernels.birkhoff_kernel(words, 18, 1, vals, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestKarpKernel:

@@ -239,6 +239,18 @@ class TestSpectrum:
             for e in res.entries:
                 assert e == by_key[(e.kind, e.parameter)]
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_small_measure_budget_is_kept(self, full2, k):
+        """A budget below the Gibbs entry plus one cycle entry is not
+        overshot: the Gibbs entry and the first cycle count against it."""
+        whole = spectrum_sample(full2, Potential.zero(full2), cycle_cap=3, grid=4)
+        res = spectrum_sample(full2, Potential.zero(full2), cycle_cap=3, grid=4, max_measures=k)
+        assert len(res.entries) <= k and res.partial
+        first_cycle = "".join(map(str, primitive_cycles(full2, 3)[0][0]))
+        expected = [("gibbs", ""), ("cycle", first_cycle)][:k]
+        assert sorted((e.kind, e.parameter) for e in res.entries) == sorted(expected)
+        assert all(e in whole.entries for e in res.entries)
+
     def test_budget_flags_partial(self, full3):
         res = spectrum_sample(full3, Potential.zero(full3), cycle_cap=12, grid=3, budget=100)
         assert res.partial
