@@ -25,8 +25,16 @@ of the repository with, for example,
         --system tests/data/full2.json --potential tests/data/zero.json \
         --alpha 0.45 --eta0 0.1 --out tests/data/construct_full2_zero.json
 
-The header (version, configuration hash, seed, wall clock) is not
-compared. In a spectrum artifact the stats lines and the rows, keyed by
+The pressure, entropy, pstar and check artifacts of the cases in
+THERMO_CASES are kept together in tests/data/thermo_cli_snapshots.json, each
+with its exit code; regenerate that file from the root of the repository with
+
+    PYTHONPATH=src python tests/test_snapshots.py
+
+and compare it there with every line of the artifact but the wall clock.
+
+In the other snapshots the header (version, configuration hash, seed, wall
+clock) is not compared. In a spectrum artifact the stats lines and the rows, keyed by
 (kind, parameter), must agree; numbers within 1e-12, compared as the
 printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
@@ -166,3 +174,48 @@ def test_construct_snapshot(tmp_path, system, potential, alpha, snapshot):
     got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
     del got["header"], want["header"]
     assert got == want
+
+
+THERMO_SNAPSHOTS = DATA / "thermo_cli_snapshots.json"
+PAIRS = [
+    ("full2.json", "zero.json"),
+    ("golden.json", "golden_weighted.json"),
+    ("golden.json", "golden_mem2.json"),
+    ("full2.json", "full2_mem4.json"),
+]
+THERMO_CASES = (
+    [["pressure", "--system", s, "--potential", p] for s, p in PAIRS]
+    + [["entropy", "--system", s] for s in ("full2.json", "golden.json")]
+    + [["pstar", "--system", s, "--potential", p] for s, p in PAIRS]
+    + [["check", "--system", s, "--potential", p] for s, p in PAIRS]
+    + [["check", "--system", "golden.json", "--potential", "golden_weighted.json",
+        "--decomposition", "prefix_run.json"]]
+)
+
+
+def _thermo_run(argv, out):
+    """(exit code, artifact lines but the wall clock) of one case; file
+    arguments name files in tests/data."""
+    args = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code = main([*args, "--out", str(out)])
+    text = out.read_text() if out.exists() else ""
+    return code, [line for line in text.splitlines() if '"wallclock": ' not in line]
+
+
+@pytest.mark.parametrize("argv", THERMO_CASES, ids=[" ".join(a) for a in THERMO_CASES])
+def test_thermo_snapshot(tmp_path, argv):
+    want = {" ".join(c["argv"]): c for c in json.loads(THERMO_SNAPSHOTS.read_text())}[" ".join(argv)]
+    code, lines = _thermo_run(argv, tmp_path / "out.json")
+    assert code == want["exit_code"]
+    assert lines == want["lines"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = []
+        for argv in THERMO_CASES:
+            code, lines = _thermo_run(argv, Path(tmp) / "out.json")
+            cases.append({"argv": argv, "exit_code": code, "lines": lines})
+    THERMO_SNAPSHOTS.write_text(json.dumps(cases, indent=1) + "\n")
