@@ -11,8 +11,9 @@ says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
 its alpha values; each N's core words are ranked once.
 
-Memory >= 2 potentials are handled by recoding to the block system, where
-they become memory-1; reported quantities are mapped back.
+Memory >= 2 potentials are recoded to memory 1 on the m-block system, the
+edge graph of the potential's transfer lift; reported quantities are mapped
+back.
 """
 
 from __future__ import annotations
@@ -102,25 +103,21 @@ class _Recoding:
 def _recode_memory_one(sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition):
     """Recode a memory-m potential to a memory-1 one on the m-block system.
 
-    The block map is a conjugacy, so pressures, cycle means and the glued
-    subsystem transfer exactly; decomposition membership is evaluated on the
-    projected base words.
+    The m-block system is the edge graph of phi.lift: edge i, an m-word, may
+    precede edge j when i ends where j starts, and carries the phi value it
+    closes. The block map is a conjugacy, so pressures, cycle means and the
+    glued subsystem transfer exactly; decomposition membership is evaluated
+    on the projected base words.
     """
     m = phi.memory
     if m == 1:
         return sys, phi, dec, None
-    blocks = [tuple(int(s) for s in row) for row in word_matrix(sys, m)]
-    index = {w: i for i, w in enumerate(blocks)}
-    B = len(blocks)
-    trans = np.zeros((B, B), dtype=bool)
-    for i, u in enumerate(blocks):
-        for b in range(sys.alphabet_size):
-            if sys.transitions[u[-1], b]:
-                j = index.get(u[1:] + (b,))
-                if j is not None:
-                    trans[i, j] = True
-    sys_c = ShiftSystem(trans)
-    phi_c = Potential(sys_c, 1, {(i,): phi.table[w] for i, w in enumerate(blocks)})
+    lift, A = phi.lift, sys.alphabet_size
+    # edge i spells its source state followed by the last symbol of its destination
+    codes = lift.codes[lift.src] * A + lift.codes[lift.dst] % A
+    blocks = list(zip(*(digits.tolist() for digits in np.unravel_index(codes, (A,) * m))))
+    sys_c = ShiftSystem(lift.dst[:, None] == lift.src[None, :])
+    phi_c = Potential(sys_c, 1, {(i,): v for i, v in enumerate(lift.wgt.tolist())})
     rec = _Recoding(base=sys, blocks=blocks)
 
     def member_through(cls: SegmentClass) -> SegmentClass:

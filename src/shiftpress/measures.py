@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import ShiftSystem, _bfs, count_words, word_matrix
-from .potentials import Potential
-from .thermo import transfer_spectrum, pressure_floor, pressure_oracle, _Lift
+from .potentials import Potential, _Lift
+from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
 from .errors import ConfigError, StructuralError
 
 MERGE_TOL = 1e-12
@@ -156,7 +156,7 @@ class _LiftChain:
 
     def matrix(self) -> np.ndarray:
         """The dense (V, V) transition matrix."""
-        V = len(self.lift.states)
+        V = self.lift.n_states
         Q = np.zeros((V, V))
         Q[self.lift.src, self.lift.dst] = self.q
         return Q
@@ -184,7 +184,7 @@ class _LiftChain:
 def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:
     """Edge weights, (E,) or (G, E), divided by the total of their source
     state (rows with no weight stay zero)."""
-    V = len(lift.states)
+    V = lift.n_states
     w = np.atleast_2d(weights)
     # one bincount over all chains adds each row's edges in edge order
     keys = lift.src + V * np.arange(len(w))[:, None]
@@ -211,7 +211,7 @@ def _interpolated_chains(gibbs: _LiftChain, q_cycle: np.ndarray, ts: np.ndarray)
     taken on the lift edges in longdouble, is solved with the same operator.
     """
     lift = gibbs.lift
-    V = len(lift.states)
+    V = lift.n_states
     q = _normalized(lift, (1.0 - ts)[:, None] * gibbs.q + ts[:, None] * q_cycle)
 
     visited = np.zeros(V, dtype=bool)
@@ -246,18 +246,18 @@ def gibbs_chain(sys: ShiftSystem, phi: Potential, tol: float = 1e-13) -> _LiftCh
     the weighted Perron right eigenvector; the row normalization divides by
     the eigenvalue. Its pressure equals the topological pressure (exactly
     for the lift, to eigen-precision here)."""
-    _, lift, right, _ = transfer_spectrum(sys, phi, tol=tol)
-    src, dst = lift.src, lift.dst
-    return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[dst] / right[src])
+    _, right, _ = transfer_spectrum(sys, phi, tol=tol)
+    lift = phi.lift
+    return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[lift.dst] / right[lift.src])
 
 
 def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
     """Counts per lift edge of the steps the cycle takes on lift states."""
     c = lift.context
     p = len(cycle)
-    ext = cycle * (2 + c // p)
-    V = len(lift.states)
-    states = np.array([lift.index[tuple(ext[k : k + c])] for k in range(p)])
+    ext = np.array(cycle * (2 + c // p))
+    V = lift.n_states
+    states = lift.state_index(np.lib.stride_tricks.sliding_window_view(ext, c)[:p])
     # edges are ordered by source, then by symbol, which is the last letter
     # of the destination, so the (src, dst) keys increase along the arrays
     keys = lift.src * V + lift.dst

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,49 @@ class Potential:
 
     def shifted(self, c: float) -> "Potential":
         return Potential(self.sys, self.memory, {k: v + c for k, v in self.table.items()})
+
+    @cached_property
+    def lift(self) -> "_Lift":
+        """The transfer lift of phi, built on first use and kept."""
+        return _Lift(self.sys, self)
+
+
+def _codes(cols: np.ndarray, A: int) -> np.ndarray:
+    """Base-A value of each row; increasing in lexicographic order."""
+    return cols.astype(np.int64) @ A ** np.arange(cols.shape[1] - 1, -1, -1)
+
+
+class _Lift:
+    """States are admissible words of length max(memory-1, 1), kept as their
+    count and their increasing base-A codes; appending a symbol steps the
+    state and, when a full memory window closes, applies phi.
+
+    The steps are parallel edge arrays ordered by source state, then symbol:
+    src -> dst, with wgt the phi value of the window the step closes. For
+    memory m >= 2 the steps are the admissible m-words in lexicographic
+    order, and the edge graph is the m-block presentation of the shift.
+    """
+
+    def __init__(self, sys: ShiftSystem, phi: Potential):
+        self.context = max(phi.memory - 1, 1)
+        self.alphabet_size = A = sys.alphabet_size
+        words = word_matrix(sys, self.context)
+        self.n_states = words.shape[0]
+        self.codes = _codes(words, A)
+        self.src, syms = np.nonzero(sys.transitions[words[:, -1].astype(np.intp)])
+        steps = self.codes[self.src] * A + syms  # code of the word each step spells
+        self.dst = np.searchsorted(self.codes, steps % A**self.context)
+        self.wgt = phi.values_flat[steps if phi.memory > 1 else syms]
+
+    def state_index(self, windows: np.ndarray) -> np.ndarray:
+        """Index of the state each row of a (k, context) symbol array spells."""
+        return np.searchsorted(self.codes, _codes(windows, self.alphabet_size))
+
+    def weighted_matrix(self, shift: float = 0.0) -> np.ndarray:
+        """Transfer matrix L[i][j] = exp(phi(window) - shift) on allowed steps."""
+        L = np.zeros((self.n_states, self.n_states))
+        L[self.src, self.dst] = np.exp(self.wgt - shift)
+        return L
 
 
 def birkhoff_sum(sys: ShiftSystem, phi: Potential, word, n: int) -> float:

@@ -205,16 +205,7 @@ def affix_bounded(dec: OrbitDecomposition, cap: int) -> SegmentClass:
         p, g, s = dec.split(w, n)
         return p <= cap and s <= cap
 
-    def batch(words, n):
-        base_ok = dec.base.batch(words, n)
-        out = np.zeros(words.shape[0], dtype=bool)
-        for i in np.nonzero(base_ok)[0]:
-            w = tuple(int(s) for s in words[i])
-            p, g, s = dec.split(w, n)
-            out[i] = p <= cap and s <= cap
-        return out
-
-    return SegmentClass(member, f"{dec.name} core(cap={cap})", membership_batch=batch)
+    return SegmentClass(member, f"{dec.name} core(cap={cap})")
 
 
 # ---------------------------------------------------------------------------

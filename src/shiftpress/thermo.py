@@ -10,6 +10,7 @@ Two independent routes to pressure are kept side by side:
 * `pressure_oracle` computes ln of the dominant eigenvalue of the weighted
   transfer matrix by power iteration.
 
+Every transfer computation reads the potential's one lift, `phi.lift`.
 All values are in nats.
 """
 
@@ -28,7 +29,7 @@ from .core import (
     word_matrix,
     DEFAULT_WORD_BUDGET,
 )
-from .potentials import Potential, birkhoff_batch, variation
+from .potentials import Potential, _Lift, birkhoff_batch, variation  # noqa: F401 (perfbench traces thermo._Lift)
 from .segments import SegmentClass
 from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from . import kernels
@@ -72,46 +73,13 @@ def log_sum_exp(values) -> float:
 
 
 def _row_group_ids(mat: np.ndarray):
-    """Group identical rows; returns (n_groups, inverse index per row)."""
-    _, inverse = np.unique(mat, axis=0, return_inverse=True)
-    return int(inverse.max()) + 1, inverse.reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# context-state machinery for the transfer recursion
-# ---------------------------------------------------------------------------
-
-class _Lift:
-    """States are admissible words of length max(memory-1, 1); appending a
-    symbol steps the state and, when a full memory window closes, applies phi.
-
-    The steps are parallel edge arrays ordered by source state, then symbol:
-    src -> dst, with wgt the phi value of the window the step closes.
-    """
-
-    def __init__(self, sys: ShiftSystem, phi: Potential):
-        self.context = max(phi.memory - 1, 1)
-        words = word_matrix(sys, self.context)
-        self.states = [tuple(int(s) for s in row) for row in words]
-        self.index = {w: i for i, w in enumerate(self.states)}
-        A = sys.alphabet_size
-
-        def code(cols):
-            # base-A value of each row; increasing in lexicographic order
-            return cols.astype(np.int64) @ A ** np.arange(cols.shape[1] - 1, -1, -1)
-
-        rows, syms = np.nonzero(sys.transitions[words[:, -1].astype(np.intp)])
-        steps = np.column_stack([words[rows], syms])
-        self.src = rows
-        self.dst = np.searchsorted(code(words), code(steps[:, 1:]))
-        self.wgt = phi.values_flat[code(steps[:, -phi.memory:])]
-
-    def weighted_matrix(self, shift: float = 0.0) -> np.ndarray:
-        """Transfer matrix L[i][j] = exp(phi(window) - shift) on allowed steps."""
-        V = len(self.states)
-        L = np.zeros((V, V))
-        L[self.src, self.dst] = np.exp(self.wgt - shift)
-        return L
+    """Group identical rows of a matrix whose identical rows are contiguous,
+    such as prefixes of lexicographic `word_matrix` rows; returns (n_groups,
+    group id per row), the ids numbering the groups in row order."""
+    change = np.ones(mat.shape[0], dtype=bool)
+    change[1:] = (mat[1:] != mat[:-1]).any(axis=1)
+    ids = np.cumsum(change) - 1
+    return int(ids[-1]) + 1, ids
 
 
 def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
@@ -168,12 +136,11 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
 
 
 def transfer_spectrum(sys: ShiftSystem, phi: Potential, tol: float = 1e-12):
-    """(log lambda, lift, right eigvec, info) of the weighted lift."""
+    """(log lambda, right eigvec, info) of the weighted lift phi.lift."""
     sys.require_strongly_connected()
-    lift = _Lift(sys, phi)
     shift = phi.max_value
-    log_lam, right, info = perron_log(lift.weighted_matrix(shift=shift), tol=tol)
-    return log_lam + shift, lift, right, info
+    log_lam, right, info = perron_log(phi.lift.weighted_matrix(shift=shift), tol=tol)
+    return log_lam + shift, right, info
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +218,11 @@ def _partition_all_dp(sys: ShiftSystem, phi: Potential, n: int, L_sep: int) -> f
     window outruns the separation cylinder (memory > delta level), the
     remaining windows are resolved by a per-state best-extension tail.
     """
-    lift = _Lift(sys, phi)
+    lift = phi.lift
     m = phi.memory
     c = lift.context
     shift = phi.max_value
-    V = len(lift.states)
+    V = lift.n_states
     if m == 1:
         # each leading symbol closes a memory-1 window
         vec = np.exp(phi.values_flat - shift)
@@ -340,11 +307,11 @@ def pressure_enumerate(
 
 def pressure_oracle(sys: ShiftSystem, phi: Potential, tol: float = 1e-12) -> PressureReport:
     """Topological pressure as ln of the dominant transfer eigenvalue."""
-    log_lam, lift, _, info = transfer_spectrum(sys, phi, tol=tol)
+    log_lam, _, info = transfer_spectrum(sys, phi, tol=tol)
     return PressureReport(
         value=log_lam,
         method="oracle",
-        params={"memory": phi.memory, "states": len(lift.states), "tol": tol},
+        params={"memory": phi.memory, "states": phi.lift.n_states, "tol": tol},
         error_bound=info["residual"] if info["converged"] else math.inf,
         extras=info,
     )
@@ -360,18 +327,18 @@ def pressure_floor(sys: ShiftSystem, phi: Potential) -> float:
     equals the maximum mean cycle weight of the weighted lift, computed by
     Karp's dynamic program."""
     sys.require_strongly_connected()
-    lift = _Lift(sys, phi)
-    return float(kernels.karp_kernel(len(lift.states), lift.src, lift.dst, lift.wgt))
+    lift = phi.lift
+    return float(kernels.karp_kernel(lift.n_states, lift.src, lift.dst, lift.wgt))
 
 
 def _birkhoff_sups(sys: ShiftSystem, phi: Potential, n_max: int) -> list:
     """sup over admissible words of the n-step Birkhoff sum for n = 1..n_max,
     from one max-plus pass that records the best sum each time a window closes."""
-    lift = _Lift(sys, phi)
-    best = phi.values_flat if phi.memory == 1 else np.zeros(len(lift.states))
+    lift = phi.lift
+    best = phi.values_flat if phi.memory == 1 else np.zeros(lift.n_states)
     sups = [float(best.max())] if phi.memory == 1 else []
     while len(sups) < n_max:
-        new = np.full(len(lift.states), NEG_INF)
+        new = np.full(lift.n_states, NEG_INF)
         np.maximum.at(new, lift.dst, best[lift.src] + lift.wgt)
         best = new
         sups.append(float(best.max()))

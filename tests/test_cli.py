@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +273,42 @@ class TestConstructAndDensity:
         payload = json.loads(text)
         header = payload["header"]
         assert set(header) == {"version", "config_hash", "seed", "wallclock"}
+
+
+class TestOneLiftPerPotential:
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pressure", "--system", "full2.json", "--potential", "full2_mem4.json"],
+            ["spectrum", "--system", "golden.json", "--potential", "golden_mem2.json",
+             "--cycle-cap", "4", "--grid", "4"],
+            ["verify-bounds", "--system", "full2.json", "--potential", "zero.json",
+             "--alpha", "0.12", "--eta0", "0.1"],
+            ["density", "--system", "golden.json", "--potential", "golden_mem2.json",
+             "--grid", "3", "--eta0", "0.1"],
+            ["density", "--system", "golden.json", "--potential", "golden_weighted.json",
+             "--grid", "3", "--eta0", "0.1"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[4]}",
+    )
+    def test_each_potential_builds_one_lift(self, tmp_path, monkeypatch, argv):
+        """A subcommand builds each Potential's transfer lift once, however
+        many pressures, floors and chains it computes from it."""
+        from shiftpress import thermo
+        from shiftpress.potentials import _Lift
+
+        assert thermo._Lift is _Lift
+        built = []
+        init = _Lift.__init__
+
+        def counting(self, sys_, phi):
+            built.append(phi)
+            init(self, sys_, phi)
+
+        monkeypatch.setattr(_Lift, "__init__", counting)
+        args = [str(self.DATA / a) if a.endswith(".json") else a for a in argv]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        assert built
+        assert len({id(phi) for phi in built}) == len(built)

@@ -675,3 +675,36 @@ class TestPreparation:
         assert len(floors) == len(ConstructConfig().affix_caps)
         with pytest.raises(InfeasibleError, match="strictly between"):
             prep.construct(0.8, 0.1)
+
+
+def reference_recoding(sys, phi):
+    """The m-block system by its definition: blocks are the admissible
+    m-words, u may precede v when v = u[1:] + (b,) is admissible, and block
+    u carries phi(u)."""
+    blocks = [tuple(int(s) for s in row) for row in word_matrix(sys, phi.memory)]
+    index = {w: i for i, w in enumerate(blocks)}
+    trans = np.zeros((len(blocks), len(blocks)), dtype=bool)
+    for i, u in enumerate(blocks):
+        for b in range(sys.alphabet_size):
+            if sys.transitions[u[-1], b]:
+                j = index.get(u[1:] + (b,))
+                if j is not None:
+                    trans[i, j] = True
+    return blocks, trans, np.array([phi.table[w] for w in blocks])
+
+
+class TestRecoding:
+    @pytest.mark.parametrize("memory", [2, 3, 4])
+    def test_lift_edges_match_block_definition(self, memory):
+        from conftest import random_sft, random_potential
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sys_ = random_sft(rng, int(rng.integers(2, 5)))
+            phi = random_potential(rng, sys_, memory, -1.0, 2.0)
+            sys_c, phi_c, _, rec = construct_module._recode_memory_one(sys_, phi, trivial_decomposition())
+            blocks, trans, values = reference_recoding(sys_, phi)
+            assert rec.blocks == blocks
+            assert np.array_equal(sys_c.transitions, trans)
+            assert phi_c.memory == 1
+            assert phi_c.values_flat.tobytes() == values.tobytes()

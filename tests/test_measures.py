@@ -101,7 +101,7 @@ class TestStationary:
         lift = gibbs.lift
         cycles, _ = primitive_cycles(sys, 3)
         ts = 1.0 - (1.0 - np.arange(1, 50) / 50) ** 2
-        assert len(lift.states) == 78 and len(cycles) * len(ts) == 1372
+        assert lift.n_states == 78 and len(cycles) * len(ts) == 1372
         for w in cycles:
             q_cycle = measures._normalized(lift, measures._cycle_lift_chain(lift, w))
             q, pi = measures._interpolated_chains(gibbs, q_cycle, ts)

@@ -129,6 +129,30 @@ class TestDecompositions:
                 if small.membership(w, n):
                     assert big.membership(w, n)
 
+    @pytest.mark.parametrize("kind", ["prefix-run", "table"])
+    def test_affix_bounded_batch_matches_membership(self, full2, kind):
+        if kind == "prefix-run":
+            dec = prefix_run_decomposition(symbol=0, cap=2)
+        else:
+            dec = decomposition_from_dict(
+                {
+                    "kind": "table",
+                    "base": [["010", 3], ["011", 3], ["110", 3], ["000", 3]],
+                    "prefix": [["0", 1], ["01", 2]],
+                    "core": [["10", 2], ["11", 2], ["1", 1], ["000", 3]],
+                    "suffix": [["0", 1]],
+                    "split": [["010", 3, 1, 2, 0], ["011", 3, 2, 1, 0],
+                              ["110", 3, 0, 2, 1], ["000", 3, 0, 3, 0]],
+                }
+            )
+        words = word_matrix(full2, 5)
+        for cap in (0, 1, 2):
+            core = affix_bounded(dec, cap)
+            for n in range(1, 6):
+                expected = [core.membership(tuple(int(s) for s in row), n) for row in words]
+                assert core.batch(words, n).tolist() == expected
+        assert any(affix_bounded(dec, 0).batch(words, 3)) and not all(affix_bounded(dec, 0).batch(words, 3))
+
     def test_split_violation_reported(self, full2):
         broken = OrbitDecomposition(
             base=all_segments(),

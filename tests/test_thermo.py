@@ -183,6 +183,23 @@ class TestPressureEnumerate:
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
+class TestRowGroups:
+    def test_ids_match_unique_inverse(self):
+        """On prefixes of lexicographic word_matrix rows the group ids are the
+        inverse np.unique(axis=0) returns."""
+        from shiftpress.thermo import _row_group_ids
+
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            sys = random_sft(rng, int(rng.integers(2, 6)))
+            words = word_matrix(sys, 7)
+            for width in range(1, 8):
+                _, inverse = np.unique(words[:, :width], axis=0, return_inverse=True)
+                n_groups, ids = _row_group_ids(words[:, :width])
+                assert n_groups == int(inverse.max()) + 1
+                assert np.array_equal(ids, inverse.reshape(-1))
+
+
 class TestLift:
     def test_edges_match_definition(self):
         """Edge arrays against the per-state definition: state w steps to the
@@ -196,9 +213,12 @@ class TestLift:
             for memory in (1, 2, 3, 4):
                 phi = random_potential(rng, sys, memory)
                 lift = _Lift(sys, phi)
+                states = [tuple(int(s) for s in row) for row in word_matrix(sys, lift.context)]
+                index = {w: i for i, w in enumerate(states)}
+                assert lift.n_states == len(states)
                 expected = [
-                    (i, lift.index[(w + (b,))[-lift.context :]], phi.table[(w + (b,))[-memory:]])
-                    for i, w in enumerate(lift.states)
+                    (i, index[(w + (b,))[-lift.context :]], phi.table[(w + (b,))[-memory:]])
+                    for i, w in enumerate(states)
                     for b in range(sys.alphabet_size)
                     if sys.transitions[w[-1], b]
                 ]
