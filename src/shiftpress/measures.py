@@ -257,7 +257,9 @@ def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
     p = len(cycle)
     ext = np.array(cycle * (2 + c // p))
     V = lift.n_states
-    states = lift.state_index(np.lib.stride_tricks.sliding_window_view(ext, c)[:p])
+    # the state at step k is the one whose code is the base-A value of ext[k : k + c]
+    codes = np.correlate(ext, lift.alphabet_size ** np.arange(c - 1, -1, -1), "valid")[:p]
+    states = np.searchsorted(lift.codes, codes)
     # edges are ordered by source, then by symbol, which is the last letter
     # of the destination, so the (src, dst) keys increase along the arrays
     keys = lift.src * V + lift.dst

@@ -92,11 +92,6 @@ class Potential:
         return _Lift(self.sys, self)
 
 
-def _codes(cols: np.ndarray, A: int) -> np.ndarray:
-    """Base-A value of each row; increasing in lexicographic order."""
-    return cols.astype(np.int64) @ A ** np.arange(cols.shape[1] - 1, -1, -1)
-
-
 class _Lift:
     """States are admissible words of length max(memory-1, 1), kept as their
     count and their increasing base-A codes; appending a symbol steps the
@@ -109,19 +104,15 @@ class _Lift:
     """
 
     def __init__(self, sys: ShiftSystem, phi: Potential):
-        self.context = max(phi.memory - 1, 1)
+        self.context = c = max(phi.memory - 1, 1)
         self.alphabet_size = A = sys.alphabet_size
-        words = word_matrix(sys, self.context)
+        words = word_matrix(sys, c)
         self.n_states = words.shape[0]
-        self.codes = _codes(words, A)
+        self.codes = words.astype(np.int64) @ A ** np.arange(c - 1, -1, -1)
         self.src, syms = np.nonzero(sys.transitions[words[:, -1].astype(np.intp)])
         steps = self.codes[self.src] * A + syms  # code of the word each step spells
-        self.dst = np.searchsorted(self.codes, steps % A**self.context)
+        self.dst = np.searchsorted(self.codes, steps % A**c)
         self.wgt = phi.values_flat[steps if phi.memory > 1 else syms]
-
-    def state_index(self, windows: np.ndarray) -> np.ndarray:
-        """Index of the state each row of a (k, context) symbol array spells."""
-        return np.searchsorted(self.codes, _codes(windows, self.alphabet_size))
 
     def weighted_matrix(self, shift: float = 0.0) -> np.ndarray:
         """Transfer matrix L[i][j] = exp(phi(window) - shift) on allowed steps."""
