@@ -31,12 +31,13 @@ with its exit code; regenerate that file from the root of the repository with
 
     PYTHONPATH=src python tests/test_snapshots.py
 
-and compare it there with every line of the artifact but the wall clock.
+Those cases must reproduce the exit code and every line of the artifact
+but the wall clock.
 
 In the other snapshots the header (version, configuration hash, seed, wall
-clock) is not compared. In a spectrum artifact the stats lines and the rows, keyed by
-(kind, parameter), must agree; numbers within 1e-12, compared as the
-printed decimals. Verify-bounds, density and construct artifacts must agree
+clock) is not compared. In a spectrum artifact the stats lines and the rows,
+keyed by (kind, parameter), must agree; numbers within 1e-12, compared as
+the printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
 reproduced to the last digit.
 """
@@ -202,7 +203,10 @@ def _thermo_run(argv, out):
     return code, [line for line in text.splitlines() if '"wallclock": ' not in line]
 
 
-@pytest.mark.parametrize("argv", THERMO_CASES, ids=[" ".join(a) for a in THERMO_CASES])
+@pytest.mark.parametrize(
+    "argv", THERMO_CASES,
+    ids=["-".join(a.removesuffix(".json") for a in argv if not a.startswith("--")) for argv in THERMO_CASES],
+)
 def test_thermo_snapshot(tmp_path, argv):
     want = {" ".join(c["argv"]): c for c in json.loads(THERMO_SNAPSHOTS.read_text())}[" ".join(argv)]
     code, lines = _thermo_run(argv, tmp_path / "out.json")
