@@ -93,13 +93,10 @@ def _emit_csv(header: dict, columns, rows, out: str | None, stats: dict | None =
     _emit("\n".join(lines) + "\n", out)
 
 
-def _load_inputs(args, need_potential=True):
+def _load_inputs(args, need_potential=True) -> Potential:
+    """The potential of the command, which carries its system."""
     sys_ = load_system(args.system)
-    if need_potential:
-        phi = load_potential(sys_, args.potential)
-    else:
-        phi = Potential.zero(sys_)
-    return sys_, phi
+    return load_potential(sys_, args.potential) if need_potential else Potential.zero(sys_)
 
 
 def _construct_config(args) -> ConstructConfig:
@@ -126,12 +123,12 @@ def _load_decomposition(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pressure(args) -> int:
-    sys_, phi = _load_inputs(args, need_potential=args.command == "pressure")
+    phi = _load_inputs(args, need_potential=args.command == "pressure")
     enum = pressure_enumerate(
-        sys_, phi, all_segments(), Resolution(args.res_delta_enum), None,
+        phi, all_segments(), Resolution(args.res_delta_enum), None,
         (args.n_min, args.n_max), args.budget_words,
     )
-    oracle = pressure_oracle(sys_, phi)
+    oracle = pressure_oracle(phi)
     payload = {
         "header": _header(args),
         "enumeration": enum.to_dict(),
@@ -143,22 +140,20 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_pstar(args) -> int:
-    sys_, phi = _load_inputs(args)
-    value = pressure_floor(sys_, phi)
+    phi = _load_inputs(args)
+    value = pressure_floor(phi)
     payload = {
         "header": _header(args),
         "value": value,
-        "finite_means": birkhoff_sup_sequence(sys_, phi, 20),
+        "finite_means": birkhoff_sup_sequence(phi, 20),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    sys_, phi = _load_inputs(args)
     result = spectrum_sample(
-        sys_, phi, cycle_cap=args.cycle_cap, grid=args.grid,
-        budget=args.budget_words,
+        _load_inputs(args), cycle_cap=args.cycle_cap, grid=args.grid, budget=args.budget_words
     )
     rows = [
         (e.kind, e.parameter, e.entropy, e.integral, e.pressure)
@@ -175,33 +170,31 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sys_, phi = _load_inputs(args)
+    phi = _load_inputs(args)
     dec = _load_decomposition(args)
-    check = check_structure_conditions(sys_, phi, dec, _construct_config(args), n_cap=args.n_cap_check)
+    check = check_structure_conditions(phi, dec, _construct_config(args), n_cap=args.n_cap_check)
     payload = {"header": _header(args), **check.to_dict()}
     _emit_json(payload, args.out)
     return EXIT_OK if check.all_pass else EXIT_COMPUTE
 
 
 def cmd_construct(args) -> int:
-    sys_, phi = _load_inputs(args)
+    phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.alpha is None or args.eta0 is None:
         raise ConfigError("construct requires --alpha and --eta0")
-    result = construct_intermediate(sys_, phi, dec, args.alpha, args.eta0, _construct_config(args))
+    result = construct_intermediate(phi, dec, args.alpha, args.eta0, _construct_config(args))
     payload = {"header": _header(args), **result.to_dict()}
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    sys_, phi = _load_inputs(args)
+    phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.eta0 is None:
         raise ConfigError("density requires --eta0")
-    result = density_experiment(
-        sys_, phi, dec, args.grid, args.eta0, _construct_config(args), margin=args.margin
-    )
+    result = density_experiment(phi, dec, args.grid, args.eta0, _construct_config(args), margin=args.margin)
     rows = [
         (r.alpha, r.certified, r.pressure, r.gap, r.N, r.tau, r.e_size)
         for r in result.rows
@@ -223,7 +216,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    sys_, phi = _load_inputs(args)
+    phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.alpha is None or args.eta0 is None:
         raise ConfigError("verify-bounds requires --alpha and --eta0")
@@ -234,7 +227,7 @@ def cmd_verify_bounds(args) -> int:
     if not ns or any(n not in COUNTING_N for n in ns):
         span = f"{COUNTING_N.start}..{COUNTING_N.stop - 1}"
         raise ConfigError(f"--n-list must be comma-separated integers in {span}, got {args.n_list!r}")
-    result = construct_intermediate(sys_, phi, dec, args.alpha, args.eta0, _construct_config(args))
+    result = construct_intermediate(phi, dec, args.alpha, args.eta0, _construct_config(args))
     checks = {}
     all_ok = True
     for n in ns:

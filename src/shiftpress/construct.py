@@ -11,9 +11,10 @@ says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
 its alpha values; each N's core words are ranked once.
 
-Memory >= 2 potentials are recoded to memory 1 on the m-block system, the
-edge graph of the potential's transfer lift; reported quantities are mapped
-back.
+Every stage takes the potential alone, which carries its system. Memory
+>= 2 potentials are recoded to memory 1 on the m-block system, the edge
+graph of the potential's transfer lift; the recoded potential carries that
+system, and reported quantities are mapped back.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class _Recoding:
         return tuple(out)
 
 
-def _recode_memory_one(sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition):
+def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
     """Recode a memory-m potential to a memory-1 one on the m-block system.
 
     The m-block system is the edge graph of phi.lift: edge i, an m-word, may
@@ -111,14 +112,14 @@ def _recode_memory_one(sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition
     """
     m = phi.memory
     if m == 1:
-        return sys, phi, dec, None
-    lift, A = phi.lift, sys.alphabet_size
+        return phi, dec, None
+    lift, A = phi.lift, phi.sys.alphabet_size
     # edge i spells its source state followed by the last symbol of its destination
     codes = lift.codes[lift.src] * A + lift.codes[lift.dst] % A
     blocks = list(zip(*(digits.tolist() for digits in np.unravel_index(codes, (A,) * m))))
     sys_c = ShiftSystem(lift.dst[:, None] == lift.src[None, :])
     phi_c = Potential(sys_c, 1, {(i,): v for i, v in enumerate(lift.wgt.tolist())})
-    rec = _Recoding(base=sys, blocks=blocks)
+    rec = _Recoding(base=phi.sys, blocks=blocks)
 
     def member_through(cls: SegmentClass) -> SegmentClass:
         if cls.kind in ("all", "empty"):
@@ -136,7 +137,7 @@ def _recode_memory_one(sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition
         split=lambda w, n: dec.split(rec.project_word(w), n),
         name=dec.name,
     )
-    return sys_c, phi_c, dec_c, rec
+    return phi_c, dec_c, rec
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,6 @@ def _recode_memory_one(sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition
 # ---------------------------------------------------------------------------
 
 def class_log_weight_sum(
-    sys: ShiftSystem,
     phi: Potential,
     seg: SegmentClass,
     n: int,
@@ -158,8 +158,8 @@ def class_log_weight_sum(
     if seg.kind == "empty":
         return NEG_INF
     if seg.kind == "all":
-        return partition_function(sys, phi, seg, n, Resolution(1), None, budget)
-    words = word_matrix(sys, n, budget)
+        return partition_function(phi, seg, n, Resolution(1), None, budget)
+    words = word_matrix(phi.sys, n, budget)
     member = seg.batch(words, n)
     if not member.any():
         return NEG_INF
@@ -189,17 +189,17 @@ class CoreWords:
     kept: sup Birkhoff(x, N), ln of the class weight sum, and the class words
     ranked for the greedy selection."""
 
-    def __init__(self, sys: ShiftSystem, phi: Potential, core: SegmentClass, budget: int | None):
-        self.sys, self.phi, self.core, self.budget = sys, phi, core, budget
+    def __init__(self, phi: Potential, core: SegmentClass, budget: int | None):
+        self.phi, self.core, self.budget = phi, core, budget
         self._memo = {}
 
     def sup(self, N: int) -> float:
-        return _remembered(self._memo, ("sup", N), lambda: birkhoff_sup(self.sys, self.phi, N))
+        return _remembered(self._memo, ("sup", N), lambda: birkhoff_sup(self.phi, N))
 
     def log_total(self, N: int) -> float:
         return _remembered(
             self._memo, ("total", N),
-            lambda: class_log_weight_sum(self.sys, self.phi, self.core, N, self.budget),
+            lambda: class_log_weight_sum(self.phi, self.core, N, self.budget),
         )
 
     def ranked(self, N: int):
@@ -209,7 +209,7 @@ class CoreWords:
         return _remembered(self._memo, ("ranked", N), lambda: self._rank(N))
 
     def _rank(self, N: int):
-        words = word_matrix(self.sys, N, self.budget)
+        words = word_matrix(self.phi.sys, N, self.budget)
         member = self.core.batch(words, N)
         if not member.all():
             words = words[member]
@@ -222,7 +222,6 @@ class CoreWords:
 
 
 def select_words(
-    sys: ShiftSystem,
     phi: Potential,
     core: SegmentClass,
     alpha: float,
@@ -239,13 +238,13 @@ def select_words(
     resulting total lies strictly between e^{N(alpha-eta)} and
     e^{N(alpha+eta)} provided no single word overshoots (checked) and the
     class carries enough weight (checked). core_words, the CoreWords of the
-    same (sys, phi, core, budget), lets a sweep rank each N's words once.
+    same (phi, core, budget), lets a sweep rank each N's words once.
     Returns (word matrix, per-word Birkhoff sums, selection info).
     """
     if phi.memory != 1:
         raise PreconditionError("select_words expects a memory-1 potential")
     if core_words is None:
-        core_words = CoreWords(sys, phi, core, budget)
+        core_words = CoreWords(phi, core, budget)
     lower = N * (alpha - eta)
     upper = N * (alpha + eta)
     sup_phi = core_words.sup(N)
@@ -301,7 +300,7 @@ class GluedSubshift:
     the number of words rather than quadratic.
     """
 
-    def __init__(self, sys: ShiftSystem, phi: Potential, words: np.ndarray, cert: GluingCertificate,
+    def __init__(self, phi: Potential, words: np.ndarray, cert: GluingCertificate,
                  params: dict | None = None, phis: np.ndarray | None = None):
         """phis: the words' Birkhoff sums, when the caller already has them."""
         if phi.memory != 1:
@@ -309,7 +308,7 @@ class GluedSubshift:
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim != 2 or words.shape[0] == 0:
             raise ConfigError("the selected word set must be a nonempty matrix")
-        self.sys = sys
+        self.sys = sys = phi.sys
         self.phi = phi
         self.words = words
         self.cert = cert
@@ -331,7 +330,7 @@ class GluedSubshift:
                     raise ConfigError(f"certificate connector for ({a},{b}) is stale")
                 self.conn[(a, b)] = c
         self.conn_phi = {
-            pair: math.fsum(phi.table[(s,)] for s in c) for pair, c in self.conn.items()
+            pair: math.fsum(phi.values_flat[list(c)].tolist()) for pair, c in self.conn.items()
         }
         self.tau = max(len(c) for c in self.conn.values())
 
@@ -398,10 +397,7 @@ class GluedSubshift:
     # -- finite-window partition sums ----------------------------------------
 
     def _symbol_weights(self, shift: float) -> np.ndarray:
-        A = self.sys.alphabet_size
-        return np.exp(
-            np.array([self.phi.table[(a,)] for a in range(A)]) - shift
-        )
+        return np.exp(self.phi.values_flat - shift)
 
     def log_theta(self, n: int, level: int, anchored: bool) -> float:
         """ln Theta over presentation paths: windows of n weighted symbols plus
@@ -669,14 +665,14 @@ class GluedSubshift:
         return {"summary": False, "vertices": vertices, "edges": edges}
 
 
-def build_glued(sys: ShiftSystem, phi: Potential, words, cert: GluingCertificate, params=None) -> GluedSubshift:
+def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> GluedSubshift:
     """Materialize the glued subsystem from an explicit word selection."""
     words = list(words)
     if not words:
         raise ConfigError("cannot glue an empty word set")
     if len({len(tuple(w)) for w in words}) != 1:
         raise ConfigError("all selected words must share one length")
-    return GluedSubshift(sys, phi, np.asarray(words, dtype=np.uint8), cert, params)
+    return GluedSubshift(phi, np.asarray(words, dtype=np.uint8), cert, params)
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +709,8 @@ class StructureCheck:
         }
 
 
-def _pressure_condition(name, sys, phi, seg, delta, eps, n_cap, pressure, budget) -> ConditionReport:
-    rep = pressure_enumerate(sys, phi, seg, delta, eps, (2, n_cap), budget)
+def _pressure_condition(name, phi, seg, delta, eps, n_cap, pressure, budget) -> ConditionReport:
+    rep = pressure_enumerate(phi, seg, delta, eps, (2, n_cap), budget)
     if rep.value == NEG_INF:
         return ConditionReport(name, "pass", math.inf, {"class_pressure": None})
     margin = pressure - rep.value
@@ -730,7 +726,6 @@ def _pressure_condition(name, sys, phi, seg, delta, eps, n_cap, pressure, budget
 
 
 def check_structure_conditions(
-    sys: ShiftSystem,
     phi: Potential,
     dec: OrbitDecomposition,
     config: ConstructConfig | None = None,
@@ -742,8 +737,9 @@ def check_structure_conditions(
     the expansivity obstruction."""
     config = config or ConstructConfig()
     eps_res, gamma_res, delta_res = config.resolutions()
+    sys = phi.sys
     sys.require_strongly_connected()
-    pressure = pressure_oracle(sys, phi).value
+    pressure = pressure_oracle(phi).value
     conditions = []
 
     # (1) gluing on the affix-bounded cores
@@ -765,7 +761,7 @@ def check_structure_conditions(
     two_gamma = Resolution(gamma_res.level - 1)
     conditions.append(
         _pressure_condition(
-            "complement_pressure", sys, phi, complement(dec.base),
+            "complement_pressure", phi, complement(dec.base),
             two_gamma, two_gamma, n_cap, pressure, config.budget,
         )
     )
@@ -775,13 +771,13 @@ def check_structure_conditions(
     three_gamma = Resolution(gamma_res.level - 1)
     conditions.append(
         _pressure_condition(
-            "affix_pressure", sys, phi, union(dec.prefix_class, dec.suffix_class),
+            "affix_pressure", phi, union(dec.prefix_class, dec.suffix_class),
             gamma_res, three_gamma, n_cap, pressure, config.budget,
         )
     )
 
     # (4) Bowen bound on the core at 3*gamma
-    bb = bowen_bound(sys, phi, dec.core_class, three_gamma)
+    bb = bowen_bound(phi, dec.core_class, three_gamma)
     if bb.exact:
         conditions.append(ConditionReport("bowen_on_core", "pass", math.inf, {"certified": 0.0}))
     else:
@@ -854,14 +850,14 @@ class ConstructionResult:
         }
 
 
-def _measure_partition_floor(sys, phi, core, pressure, gamma_res, n_cap, budget):
+def _measure_partition_floor(phi, core, pressure, gamma_res, n_cap, budget):
     """Fit of the partition-function floor on the core class: the least
     ln Theta(n) - n * pressure over the sampled range and the n attaining it."""
     two_gamma = Resolution(gamma_res.level - 1)
     best = math.inf
     best_n = None
     for n in range(2, n_cap + 1):
-        lt = partition_function(sys, phi, core, n, two_gamma, None, budget)
+        lt = partition_function(phi, core, n, two_gamma, None, budget)
         if lt == NEG_INF:
             return NEG_INF, None
         a = lt - n * pressure
@@ -878,19 +874,18 @@ class Preparation:
     and the per-N core data. Each stage runs when an alpha first reaches it;
     construct() is the per-alpha step."""
 
-    def __init__(self, sys: ShiftSystem, phi: Potential, dec: OrbitDecomposition,
-                 config: ConstructConfig | None = None):
+    def __init__(self, phi: Potential, dec: OrbitDecomposition, config: ConstructConfig | None = None):
         self.config = config or ConstructConfig()
         _eps_res, self.gamma_res, self.delta_res = self.config.resolutions()
-        self._inputs = (sys, phi, dec)
+        self._inputs = (phi, dec)
         self._memo = {}
 
     def _normalize(self):
-        self.sys, phi_c, self.dec, self.recoding = _recode_memory_one(*self._inputs)
+        phi_c, self.dec, self.recoding = _recode_memory_one(*self._inputs)
         self.shift = phi_c.min_value
         self.phi = phi_c.shifted(-self.shift)
-        self.pressure = pressure_oracle(self.sys, self.phi).value
-        self.floor = pressure_floor(self.sys, self.phi)
+        self.pressure = pressure_oracle(self.phi).value
+        self.floor = pressure_floor(self.phi)
 
     def _scan_caps(self):
         # affix cap scan: the partition floor on the bounded core must stay positive
@@ -898,11 +893,11 @@ class Preparation:
         for cap in config.affix_caps:
             core = affix_bounded(self.dec, cap)
             try:
-                cert = check_gluing(self.sys, core, self.delta_res, seed=config.seed)
+                cert = check_gluing(self.phi.sys, core, self.delta_res, seed=config.seed)
             except CertificateError:
                 continue
             log_c0, n1 = _measure_partition_floor(
-                self.sys, self.phi, core, self.pressure, self.gamma_res, config.c0_n_cap, config.budget
+                self.phi, core, self.pressure, self.gamma_res, config.c0_n_cap, config.budget
             )
             if log_c0 != NEG_INF:
                 break
@@ -912,11 +907,11 @@ class Preparation:
                 diagnostics=[("affix caps scanned", config.affix_caps, None)],
             )
         self.cap, self.core, self.cert, self.log_c0, self.n1 = cap, core, cert, log_c0, n1
-        self.core_words = CoreWords(self.sys, self.phi, core, config.budget)
-        self.core_bowen = bowen_bound(self.sys, self.phi, self.dec.core_class, self.delta_res).certified
+        self.core_words = CoreWords(self.phi, core, config.budget)
+        self.core_bowen = bowen_bound(self.phi, self.dec.core_class, self.delta_res).certified
         tau = cert.tau
         self.log_sep_gap = (
-            math.log(tau) + math.log(float(count_words(self.sys, tau + self.delta_res.level - 1)))
+            math.log(tau) + math.log(float(count_words(self.phi.sys, tau + self.delta_res.level - 1)))
             if tau >= 1
             else NEG_INF
         )
@@ -1017,7 +1012,7 @@ class Preparation:
         inequalities = n_log[-1][1]
 
         words, phis, sel_info = select_words(
-            self.sys, phi_n, self.core, alpha_n, eta, N, config.budget, core_words=self.core_words
+            phi_n, self.core, alpha_n, eta, N, config.budget, core_words=self.core_words
         )
         params = {
             "alpha": alpha,
@@ -1034,7 +1029,7 @@ class Preparation:
             "N1": n1,
             "level_delta": self.delta_res.level,
         }
-        glued = GluedSubshift(self.sys, phi_n, words, cert, params, phis)
+        glued = GluedSubshift(phi_n, words, cert, params, phis)
 
         value_n, width = glued.log_pressure()
         value = value_n + shift
@@ -1071,7 +1066,6 @@ class Preparation:
 
 
 def construct_intermediate(
-    sys: ShiftSystem,
     phi: Potential,
     dec: OrbitDecomposition,
     alpha: float,
@@ -1089,7 +1083,7 @@ def construct_intermediate(
     violated bound is reported as certified=False with full diagnostics,
     never silently.
     """
-    return Preparation(sys, phi, dec, config).construct(alpha, eta0)
+    return Preparation(phi, dec, config).construct(alpha, eta0)
 
 
 # ---------------------------------------------------------------------------
@@ -1223,7 +1217,6 @@ class DensityResult:
 
 
 def density_experiment(
-    sys: ShiftSystem,
     phi: Potential,
     dec: OrbitDecomposition,
     grid_size: int,
@@ -1241,7 +1234,7 @@ def density_experiment(
     if grid_size < 1:
         raise ConfigError(f"grid size must be >= 1, got {grid_size}")
     config = config or ConstructConfig()
-    check = check_structure_conditions(sys, phi, dec, config)
+    check = check_structure_conditions(phi, dec, config)
     if not check.all_pass:
         bad = [c.name for c in check.conditions if c.status != "pass"]
         raise InfeasibleError(
@@ -1249,7 +1242,7 @@ def density_experiment(
             diagnostics=[(c.name, c.status, c.margin) for c in check.conditions],
         )
     margin = eta0 if margin is None else margin
-    floor = pressure_floor(sys, phi)
+    floor = pressure_floor(phi)
     ceiling = check.pressure
     lo, hi = floor + margin, ceiling - margin
     if lo >= hi:
@@ -1263,7 +1256,7 @@ def density_experiment(
         alphas = list(np.linspace(lo, hi, grid_size))
     two_delta = Resolution(config.level_delta - 1)
     tail = variation(phi, two_delta)
-    prep = Preparation(sys, phi, dec, config)
+    prep = Preparation(phi, dec, config)
     rows = []
     for a in alphas:
         try:

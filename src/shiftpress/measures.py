@@ -9,6 +9,9 @@ between the two. A chain on the transfer lift is its edge probabilities,
 aligned with the lift's edge arrays. The stationary vectors of the Gibbs
 chain and of a `MarkovMeasure` come from one exact linear solve; those of
 the interpolations are low-rank updates of the Gibbs solve.
+
+Every entry point takes the potential alone and reads its system from it;
+`measure_pressure` refuses a measure that lives on another system.
 """
 
 from __future__ import annotations
@@ -115,29 +118,30 @@ def markov_entropy(mu: MarkovMeasure) -> float:
     return float(np.sum(_entropy_rate(mu.stationary[:, None], mu.stochastic)))
 
 
-def _markov_integral(sys: ShiftSystem, phi: Potential, mu: MarkovMeasure) -> float:
+def _markov_integral(phi: Potential, mu: MarkovMeasure) -> float:
     """integral of phi: sum over admissible memory-words of mu(cylinder) * phi."""
-    m = phi.memory
-    total = 0.0
-    for w, v in phi.table.items():
-        prob = mu.stationary[w[0]]
-        for k in range(m - 1):
-            prob *= mu.stochastic[w[k], w[k + 1]]
-        total += prob * v
-    return total
+    words = word_matrix(phi.sys, phi.memory).astype(np.intp)
+    prob = mu.stationary[words[:, 0]]
+    for k in range(phi.memory - 1):
+        prob = prob * mu.stochastic[words[:, k], words[:, k + 1]]
+    codes = words @ phi.sys.alphabet_size ** np.arange(phi.memory - 1, -1, -1)
+    return math.fsum((prob * phi.values_flat[codes]).tolist())
 
 
-def measure_pressure(sys: ShiftSystem, phi: Potential, mu) -> float:
+def measure_pressure(phi: Potential, mu) -> float:
     """h_mu + integral(phi) for a Markov chain; mean of phi along the cycle
-    (entropy zero) for a periodic-orbit measure."""
+    (entropy zero) for a periodic-orbit measure. The measure must live on
+    the potential's system."""
+    if not isinstance(mu, (MarkovMeasure, PeriodicOrbitMeasure)):
+        raise ConfigError(f"unsupported measure type {type(mu).__name__}")
+    if not np.array_equal(mu.sys.transitions, phi.sys.transitions):
+        raise ConfigError("the measure and the potential live on different systems")
     if isinstance(mu, MarkovMeasure):
-        return markov_entropy(mu) + _markov_integral(sys, phi, mu)
-    if isinstance(mu, PeriodicOrbitMeasure):
-        w = mu.cycle
-        p = len(w)
-        ext = w * (1 + (phi.memory + p - 2) // p)
-        return math.fsum(phi.table[tuple(ext[k : k + phi.memory])] for k in range(p)) / p
-    raise ConfigError(f"unsupported measure type {type(mu).__name__}")
+        return markov_entropy(mu) + _markov_integral(phi, mu)
+    w = mu.cycle
+    p = len(w)
+    ext = w * (1 + (phi.memory + p - 2) // p)
+    return math.fsum(phi(ext[k:]) for k in range(p)) / p
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +245,12 @@ def _interpolated_chains(gibbs: _LiftChain, q_cycle: np.ndarray, ts: np.ndarray)
     return q, pi + solve(residual.astype(float) @ inverse.T)
 
 
-def gibbs_chain(sys: ShiftSystem, phi: Potential, tol: float = 1e-13) -> _LiftChain:
+def gibbs_chain(phi: Potential, tol: float = 1e-13) -> _LiftChain:
     """Chain with q(i -> j) proportional to exp(phi) right[j] / right[i] for
     the weighted Perron right eigenvector; the row normalization divides by
     the eigenvalue. Its pressure equals the topological pressure (exactly
     for the lift, to eigen-precision here)."""
-    _, right, _ = transfer_spectrum(sys, phi, tol=tol)
+    _, right, _ = transfer_spectrum(phi, tol=tol)
     lift = phi.lift
     return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[lift.dst] / right[lift.src])
 
@@ -311,7 +315,6 @@ class SpectrumResult:
 
 
 def spectrum_sample(
-    sys: ShiftSystem,
     phi: Potential,
     cycle_cap: int = 8,
     grid: int = 20,
@@ -326,6 +329,7 @@ def spectrum_sample(
     within 1e-12 are merged in the deduplicated value list. Exceeding a
     budget flags the result as partial rather than failing.
     """
+    sys = phi.sys
     sys.require_strongly_connected()
     if cycle_cap > 12:
         raise ConfigError("cycle length cap is limited to 12")
@@ -336,10 +340,10 @@ def spectrum_sample(
     notes = []
     partial = max_measures < 1  # no room even for the Gibbs entry
 
-    floor = pressure_floor(sys, phi)
-    ceiling = pressure_oracle(sys, phi).value
+    floor = pressure_floor(phi)
+    ceiling = pressure_oracle(phi).value
 
-    chain = gibbs_chain(sys, phi)
+    chain = gibbs_chain(phi)
     entropy, integral = chain.entropy(), chain.integral()
     entries = [SpectrumEntry("gibbs", "", entropy, integral, entropy + integral)][:max_measures]
 
@@ -355,7 +359,7 @@ def spectrum_sample(
     for w in cycles:
         if len(entries) < max_measures:
             name = "".join(map(str, w))
-            p_cycle = measure_pressure(sys, phi, PeriodicOrbitMeasure(sys, w))
+            p_cycle = measure_pressure(phi, PeriodicOrbitMeasure(sys, w))
             entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
         if len(entries) >= max_measures:
             partial = True

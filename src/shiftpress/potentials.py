@@ -21,37 +21,36 @@ from . import kernels
 
 
 class Potential:
-    """Memory-m potential given by a table over admissible length-m words."""
+    """Memory-m potential on one system, given by a table over its admissible
+    length-m words. Its values are kept in one read-only array indexed by a
+    word's base-A code, with -inf in the slots of inadmissible words."""
 
     def __init__(self, sys: ShiftSystem, memory: int, table: dict):
         if memory < 1:
             raise ConfigError(f"memory must be >= 1, got {memory}")
         self.sys = sys
         self.memory = memory
-        norm = {}
-        for k, v in table.items():
-            key = tuple(int(s) for s in k)
-            norm[key] = float(v)
-        admissible = {tuple(int(s) for s in row) for row in word_matrix(sys, memory)}
-        missing = sorted(admissible - set(norm))
-        extra = sorted(set(norm) - admissible)
-        if missing or extra:
+        norm = {tuple(int(s) for s in k): float(v) for k, v in table.items()}
+        A = sys.alphabet_size
+        place = A ** np.arange(memory - 1, -1, -1)
+        words = word_matrix(sys, memory)
+        admissible = words.astype(np.int64) @ place
+        # only m-words over the alphabet have a code; any other key is inadmissible
+        coded = {w: v for w, v in norm.items() if len(w) == memory and 0 <= min(w) and max(w) < A}
+        keys = np.array(list(coded), dtype=np.int64).reshape(-1, memory)
+        codes = keys @ place
+        missing = words[~np.isin(admissible, codes)]
+        unlisted = keys[~np.isin(codes, admissible)].tolist()
+        extra = sorted([w for w in norm if w not in coded] + list(map(tuple, unlisted)))
+        if len(missing) or extra:
             parts = []
-            if missing:
+            if len(missing):
                 parts.append("missing admissible words: " + ", ".join(word_str(w) for w in missing))
             if extra:
                 parts.append("entries for inadmissible words: " + ", ".join(word_str(w) for w in extra))
             raise ConfigError("potential table invalid; " + "; ".join(parts))
-        self.table = norm
-        # dense lookup indexed by base-A digits; inadmissible slots hold -inf
-        A = sys.alphabet_size
-        flat = np.full(A**memory, -np.inf)
-        for w, v in norm.items():
-            idx = 0
-            for s in w:
-                idx = idx * A + s
-            flat[idx] = v
-        self.values_flat = flat
+        self.values_flat = np.full(A**memory, -np.inf)
+        self.values_flat[codes] = list(coded.values())
         self.values_flat.setflags(write=False)
 
     @classmethod
@@ -67,16 +66,24 @@ class Potential:
         return cls(sys, 1, {(a,): values[a] for a in range(sys.alphabet_size)})
 
     def __call__(self, word) -> float:
-        key = tuple(int(s) for s in word[: self.memory])
-        return self.table[key]
+        """phi at a point starting with the word (its first memory symbols)."""
+        if len(word) < self.memory:
+            raise PreconditionError(f"phi needs {self.memory} symbols, got {len(word)}")
+        A = self.sys.alphabet_size
+        code = 0
+        for s in word[: self.memory]:
+            if not 0 <= s < A:  # such a symbol would alias another word's code
+                raise PreconditionError(f"symbol {s} is outside the alphabet of {A} symbols")
+            code = code * A + int(s)
+        return float(self.values_flat[code])
 
     @property
     def max_value(self) -> float:
-        return max(self.table.values())
+        return float(self.values_flat.max())
 
     @property
     def min_value(self) -> float:
-        return min(self.table.values())
+        return float(self.values_flat[self.values_flat > -np.inf].min())
 
     @property
     def spread(self) -> float:
@@ -84,12 +91,16 @@ class Potential:
         return self.max_value - self.min_value
 
     def shifted(self, c: float) -> "Potential":
-        return Potential(self.sys, self.memory, {k: v + c for k, v in self.table.items()})
+        out = object.__new__(Potential)
+        out.sys, out.memory = self.sys, self.memory
+        out.values_flat = self.values_flat + c
+        out.values_flat.setflags(write=False)
+        return out
 
     @cached_property
     def lift(self) -> "_Lift":
         """The transfer lift of phi, built on first use and kept."""
-        return _Lift(self.sys, self)
+        return _Lift(self)
 
 
 class _Lift:
@@ -103,7 +114,8 @@ class _Lift:
     order, and the edge graph is the m-block presentation of the shift.
     """
 
-    def __init__(self, sys: ShiftSystem, phi: Potential):
+    def __init__(self, phi: Potential):
+        sys = phi.sys
         self.context = c = max(phi.memory - 1, 1)
         self.alphabet_size = A = sys.alphabet_size
         words = word_matrix(sys, c)
@@ -121,7 +133,7 @@ class _Lift:
         return L
 
 
-def birkhoff_sum(sys: ShiftSystem, phi: Potential, word, n: int) -> float:
+def birkhoff_sum(phi: Potential, word, n: int) -> float:
     """Sum of phi along the first n shifts of the word, compensated summation.
 
     Needs n + memory - 1 symbols so every shifted evaluation is determined.
@@ -132,7 +144,7 @@ def birkhoff_sum(sys: ShiftSystem, phi: Potential, word, n: int) -> float:
         raise PreconditionError(
             f"birkhoff_sum needs a word of length >= {need} (n={n}, memory={phi.memory}), got {len(w)}"
         )
-    return math.fsum(phi.table[w[k : k + phi.memory]] for k in range(n))
+    return math.fsum(phi(w[k:]) for k in range(n))
 
 
 def birkhoff_batch(phi: Potential, words: np.ndarray, n: int) -> np.ndarray:
@@ -148,14 +160,11 @@ def variation(phi: Potential, eps: Resolution) -> float:
     first min(level, memory) symbols; exactly 0 once level >= memory."""
     if eps.level >= phi.memory:
         return 0.0
-    agree = eps.level
-    groups = {}
-    for w, v in phi.table.items():
-        groups.setdefault(w[:agree], []).append(v)
-    worst = 0.0
-    for vals in groups.values():
-        worst = max(worst, max(vals) - min(vals))
-    return worst
+    # one row per first-level symbols, one column per continuation
+    groups = phi.values_flat.reshape(phi.sys.alphabet_size**eps.level, -1)
+    hi = groups.max(axis=1)
+    lo = np.where(groups > -np.inf, groups, np.inf).min(axis=1)
+    return float((hi - lo)[hi > -np.inf].max(initial=0.0))
 
 
 def load_potential(sys: ShiftSystem, path) -> Potential:

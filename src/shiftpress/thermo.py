@@ -10,8 +10,10 @@ Two independent routes to pressure are kept side by side:
 * `pressure_oracle` computes ln of the dominant eigenvalue of the weighted
   transfer matrix by power iteration.
 
-Every transfer computation reads the potential's one lift, `phi.lift`.
-All values are in nats.
+Every entry point takes the potential alone: it carries its system
+(`phi.sys`), its values (`phi.values_flat`) and its one transfer lift
+(`phi.lift`), which every transfer computation reads. All values are in
+nats.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
     return log_lam, x, info
 
 
-def transfer_spectrum(sys: ShiftSystem, phi: Potential, tol: float = 1e-12):
+def transfer_spectrum(phi: Potential, tol: float = 1e-12):
     """(log lambda, right eigvec, info) of the weighted lift phi.lift."""
-    sys.require_strongly_connected()
+    phi.sys.require_strongly_connected()
     shift = phi.max_value
     log_lam, right, info = perron_log(phi.lift.weighted_matrix(shift=shift), tol=tol)
     return log_lam + shift, right, info
@@ -148,7 +150,6 @@ def transfer_spectrum(sys: ShiftSystem, phi: Potential, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 
 def partition_function(
-    sys: ShiftSystem,
     phi: Potential,
     seg: SegmentClass,
     n: int,
@@ -176,16 +177,16 @@ def partition_function(
     L_eval = n + max(m, l_sep, l_eps or 1) - 1
 
     if seg.kind == "all" and (l_eps is None or l_eps >= m) and L_sep >= max(m - 1, 1):
-        return _partition_all_dp(sys, phi, n, L_sep)
+        return _partition_all_dp(phi, n, L_sep)
 
-    total = count_words(sys, L_eval)
+    total = count_words(phi.sys, L_eval)
     if budget is not None and total > budget:
         raise ResourceBudgetError(
             f"partition function at n={n} needs {total} words of length {L_eval}, "
             f"budget is {budget}",
             n=n,
         )
-    words = word_matrix(sys, L_eval, budget)
+    words = word_matrix(phi.sys, L_eval, budget)
     if words.shape[0] == 0:
         return NEG_INF
     phis = birkhoff_batch(phi, words, n)
@@ -210,7 +211,7 @@ def partition_function(
     return log_sum_exp(cyl_best[cyl_best > NEG_INF])
 
 
-def _partition_all_dp(sys: ShiftSystem, phi: Potential, n: int, L_sep: int) -> float:
+def _partition_all_dp(phi: Potential, n: int, L_sep: int) -> float:
     """Exact ln Theta for the unrestricted class via the transfer recursion.
 
     Weights are shifted by max phi so the running vector stays bounded by
@@ -257,7 +258,6 @@ def _partition_all_dp(sys: ShiftSystem, phi: Potential, n: int, L_sep: int) -> f
 
 
 def pressure_enumerate(
-    sys: ShiftSystem,
     phi: Potential,
     seg: SegmentClass,
     delta: Resolution,
@@ -280,7 +280,7 @@ def pressure_enumerate(
     ns = list(range(n_min, n_max + 1))
     seq = []
     for n in ns:
-        logtheta = partition_function(sys, phi, seg, n, delta, eps, budget)
+        logtheta = partition_function(phi, seg, n, delta, eps, budget)
         seq.append(logtheta / n if logtheta != NEG_INF else NEG_INF)
     value = min(a for a in seq if a != NEG_INF) if any(a != NEG_INF for a in seq) else NEG_INF
     top = seq[len(seq) // 2 :]
@@ -305,9 +305,9 @@ def pressure_enumerate(
     )
 
 
-def pressure_oracle(sys: ShiftSystem, phi: Potential, tol: float = 1e-12) -> PressureReport:
+def pressure_oracle(phi: Potential, tol: float = 1e-12) -> PressureReport:
     """Topological pressure as ln of the dominant transfer eigenvalue."""
-    log_lam, _, info = transfer_spectrum(sys, phi, tol=tol)
+    log_lam, _, info = transfer_spectrum(phi, tol=tol)
     return PressureReport(
         value=log_lam,
         method="oracle",
@@ -321,17 +321,17 @@ def pressure_oracle(sys: ShiftSystem, phi: Potential, tol: float = 1e-12) -> Pre
 # maximal Birkhoff averages
 # ---------------------------------------------------------------------------
 
-def pressure_floor(sys: ShiftSystem, phi: Potential) -> float:
+def pressure_floor(phi: Potential) -> float:
     """liminf_n sup_x (1/n) * (n-step Birkhoff sum): the floor of the ergodic
     pressure interval. For finite-memory potentials on a transitive SFT this
     equals the maximum mean cycle weight of the weighted lift, computed by
     Karp's dynamic program."""
-    sys.require_strongly_connected()
+    phi.sys.require_strongly_connected()
     lift = phi.lift
     return float(kernels.karp_kernel(lift.n_states, lift.src, lift.dst, lift.wgt))
 
 
-def _birkhoff_sups(sys: ShiftSystem, phi: Potential, n_max: int) -> list:
+def _birkhoff_sups(phi: Potential, n_max: int) -> list:
     """sup over admissible words of the n-step Birkhoff sum for n = 1..n_max,
     from one max-plus pass that records the best sum each time a window closes."""
     lift = phi.lift
@@ -345,17 +345,17 @@ def _birkhoff_sups(sys: ShiftSystem, phi: Potential, n_max: int) -> list:
     return sups
 
 
-def birkhoff_sup(sys: ShiftSystem, phi: Potential, n: int) -> float:
+def birkhoff_sup(phi: Potential, n: int) -> float:
     """sup over admissible words of the n-step Birkhoff sum (max-plus recursion)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return _birkhoff_sups(sys, phi, n)[-1]
+    return _birkhoff_sups(phi, n)[-1]
 
 
-def birkhoff_sup_sequence(sys: ShiftSystem, phi: Potential, n_max: int = 20):
+def birkhoff_sup_sequence(phi: Potential, n_max: int = 20):
     """The finite-n means sup_x (1/n) Phi(x, n), n = 1..n_max, reported next to
     the cycle value so a liminf/limit discrepancy would be visible."""
-    return [v / n for n, v in enumerate(_birkhoff_sups(sys, phi, n_max), 1)]
+    return [v / n for n, v in enumerate(_birkhoff_sups(phi, n_max), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,6 @@ class BowenBound:
 
 
 def bowen_bound(
-    sys: ShiftSystem,
     phi: Potential,
     seg: SegmentClass,
     eps: Resolution,
@@ -392,7 +391,7 @@ def bowen_bound(
         m = phi.memory
         for n in range(1, n_cap + 1):
             L = n + max(m, eps.level) - 1
-            words = word_matrix(sys, L, budget)
+            words = word_matrix(phi.sys, L, budget)
             phis = birkhoff_batch(phi, words, n)
             member = seg.batch(words, n)
             if not member.any():

@@ -45,7 +45,7 @@ def test_criterion_01_oracle_correctness():
     ]
     worst = 0.0
     for sys, expected in cases:
-        got = pressure_oracle(sys, Potential.zero(sys)).value
+        got = pressure_oracle(Potential.zero(sys)).value
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) < 1e-9
     report(1, f"oracle vs closed-form eigenvalues, worst gap {worst:.2e} < 1e-9")
@@ -64,8 +64,8 @@ def test_criterion_02_estimator_convergence():
         systems.append((sys, phi))
     worst = 0.0
     for sys, phi in systems:
-        enum = pressure_enumerate(sys, phi, all_segments(), Resolution(1), None, (2, 20)).value
-        oracle = pressure_oracle(sys, phi).value
+        enum = pressure_enumerate(phi, all_segments(), Resolution(1), None, (2, 20)).value
+        oracle = pressure_oracle(phi).value
         worst = max(worst, abs(enum - oracle))
         assert abs(enum - oracle) < 0.05
     report(2, f"23 systems, worst |enumeration - oracle| = {worst:.4f} < 0.05")
@@ -77,7 +77,7 @@ def test_criterion_03_pressure_floor_vs_cycle_enumeration():
         rng = np.random.default_rng(1000 + seed)
         sys = random_sft(rng, int(rng.integers(2, 7)), density=0.55)
         phi = random_potential(rng, sys, 1)
-        karp = pressure_floor(sys, phi)
+        karp = pressure_floor(phi)
         brute = simple_cycle_max_mean(sys, phi)
         worst = max(worst, abs(karp - brute))
         assert abs(karp - brute) < 1e-12
@@ -98,8 +98,8 @@ def test_criterion_04_variational_principle():
     for sys, phi in checks:
         if phi is None:
             phi = random_potential(rng, sys, 1)
-        res = spectrum_sample(sys, phi, cycle_cap=6, grid=8)
-        ceiling = pressure_oracle(sys, phi).value
+        res = spectrum_sample(phi, cycle_cap=6, grid=8)
+        ceiling = pressure_oracle(phi).value
         for e in res.entries:
             assert e.pressure <= ceiling + 1e-9
             worst_over = max(worst_over, e.pressure - ceiling)
@@ -115,7 +115,7 @@ def test_criterion_05_construction_sandwich():
     dec = trivial_decomposition()
     gaps = []
     for alpha in (0.2, 0.35, 0.5, 0.6):
-        res = construct_intermediate(full2, phi, dec, alpha, 0.1)
+        res = construct_intermediate(phi, dec, alpha, 0.1)
         assert res.certified
         assert abs(res.params["pressure"] - alpha) < 0.1
         assert res.lower.value >= alpha - 0.1
@@ -133,7 +133,7 @@ def test_criterion_06_density_sweep():
         (full2, Potential.zero(full2)),
         (golden, Potential.from_symbol_values(golden, [0.0, 0.1])),
     ):
-        res = density_experiment(sys, phi, dec, 8, 0.1)
+        res = density_experiment(phi, dec, 8, 0.1)
         certified = sum(r.certified for r in res.rows)
         assert certified >= 7
         worst = max(r.gap for r in res.rows if r.certified)
@@ -147,9 +147,9 @@ def test_criterion_07_counting_bound():
     golden = ShiftSystem.golden_mean()
     dec = trivial_decomposition()
     built = [
-        construct_intermediate(full2, Potential.zero(full2), dec, 0.1, 0.1),
+        construct_intermediate(Potential.zero(full2), dec, 0.1, 0.1),
         construct_intermediate(
-            golden, Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
+            Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
         ),
     ]
     total = 0
@@ -193,13 +193,13 @@ def test_criterion_09_degenerate_selections():
     full2 = ShiftSystem.full_shift(2)
     cert = check_gluing(full2, all_segments(), Resolution(7))
     phi = Potential.from_symbol_values(full2, [0.1, 0.7])
-    single = build_glued(full2, phi, [(0, 1, 1, 0)], cert)
+    single = build_glued(phi, [(0, 1, 1, 0)], cert)
     v1, _ = single.log_pressure()
     expected = (0.1 + 0.7 + 0.7 + 0.1) / 4
     assert abs(v1 - expected) < 1e-9
-    everything = build_glued(full2, phi, word_matrix(full2, 4), cert)
+    everything = build_glued(phi, word_matrix(full2, 4), cert)
     v2, _ = everything.log_pressure()
-    full_pressure = pressure_oracle(full2, phi).value
+    full_pressure = pressure_oracle(phi).value
     assert abs(v2 - full_pressure) < 1e-9
     report(9, f"single word: |P - mean| = {abs(v1-expected):.2e}; all words: |P - P(phi)| = {abs(v2-full_pressure):.2e}")
 

@@ -303,9 +303,9 @@ class TestOneLiftPerPotential:
         built = []
         init = _Lift.__init__
 
-        def counting(self, sys_, phi):
+        def counting(self, phi):
             built.append(phi)
-            init(self, sys_, phi)
+            init(self, phi)
 
         monkeypatch.setattr(_Lift, "__init__", counting)
         args = [str(self.DATA / a) if a.endswith(".json") else a for a in argv]

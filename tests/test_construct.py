@@ -42,7 +42,7 @@ class TestSelectWords:
     def test_counting_case(self, full2):
         # phi = 0: weights are 1, so the selection is a word count in the window
         phi = Potential.zero(full2)
-        words, phis, info = select_words(full2, phi, all_segments(), 0.4, 0.05, 6)
+        words, phis, info = select_words(phi, all_segments(), 0.4, 0.05, 6)
         lo, hi = math.exp(6 * 0.35), math.exp(6 * 0.45)
         assert lo < info["count"] < hi
         assert 9 <= info["count"] <= 14
@@ -54,21 +54,21 @@ class TestSelectWords:
         rng = np.random.default_rng(2)
         phi = Potential.from_symbol_values(full2, [0.05, 0.25])
         alpha, eta, N = 0.5, 0.03, 10
-        words, phis, info = select_words(full2, phi, all_segments(), alpha, eta, N)
+        words, phis, info = select_words(phi, all_segments(), alpha, eta, N)
         total = math.fsum(math.exp(v) for v in phis)
         assert math.exp(N * (alpha - eta)) < total < math.exp(N * (alpha + eta))
 
     def test_infeasible_alpha_above_pressure(self, full2):
         phi = Potential.zero(full2)
         with pytest.raises(InfeasibleError, match="class weight too small"):
-            select_words(full2, phi, all_segments(), 0.8, 0.05, 8)
+            select_words(phi, all_segments(), 0.8, 0.05, 8)
 
     def test_single_word_overshoot_detected(self, full2):
         # constant potential: every word hits the sup, so the target window
         # below the sup is unreachable by any single word
         phi = Potential.from_symbol_values(full2, [1.0, 1.0])
         with pytest.raises(InfeasibleError, match="single-word"):
-            select_words(full2, phi, all_segments(), 1.0, 0.005, 8)
+            select_words(phi, all_segments(), 1.0, 0.005, 8)
 
 
 def reference_ranking(sys, phi, core, N):
@@ -94,11 +94,12 @@ class TestRanking:
             sys_, phi = golden, Potential.from_symbol_values(golden, [0.0, 0.1])
         else:
             mem2 = Potential(golden, 2, {(0, 0): 0.1, (0, 1): 0.8, (1, 0): 0.2})
-            sys_, phi_c, _, _ = construct_module._recode_memory_one(golden, mem2, trivial_decomposition())
+            phi_c, _, _ = construct_module._recode_memory_one(mem2, trivial_decomposition())
+            sys_ = phi_c.sys
             phi = phi_c.shifted(-phi_c.min_value)
         core = all_segments()
         order, members, phis, cum = reference_ranking(sys_, phi, core, N)
-        got_words, got_phis, got_cum = construct_module.CoreWords(sys_, phi, core, None).ranked(N)
+        got_words, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
         # the members are distinct, so equal rows mean the same permutation
         assert np.array_equal(got_words, members[order])
         assert got_phis.tobytes() == phis.tobytes()
@@ -108,19 +109,19 @@ class TestRanking:
 class TestGluedSubshift:
     def test_all_words_recovers_full_shift(self, full2, cert_full2):
         phi = Potential.zero(full2)
-        lam = build_glued(full2, phi, word_matrix(full2, 4), cert_full2)
+        lam = build_glued(phi, word_matrix(full2, 4), cert_full2)
         value, _ = lam.log_pressure()
         assert value == pytest.approx(math.log(2), abs=1e-9)
 
     def test_single_word_is_periodic_orbit(self, full2, cert_full2):
         phi = Potential.from_symbol_values(full2, [0.1, 0.7])
-        lam = build_glued(full2, phi, [(0, 1, 1, 0)], cert_full2)
+        lam = build_glued(phi, [(0, 1, 1, 0)], cert_full2)
         value, _ = lam.log_pressure()
         assert value == pytest.approx((0.1 + 0.7 + 0.7 + 0.1) / 4, abs=1e-9)
 
     def test_oracle_matches_enumeration_small(self, golden, cert_golden):
         phi = Potential.zero(golden)
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         value, _ = lam.log_pressure()
         rep = lam.finite_pressure_report(1, anchored=False)
         assert rep.extras["exact_words"]
@@ -133,13 +134,13 @@ class TestGluedSubshift:
         small = pool[:3]
         for extra in range(1, 5):
             big = pool[: 3 + extra]
-            v_small, _ = build_glued(full2, phi, small, cert_full2).log_pressure()
-            v_big, _ = build_glued(full2, phi, big, cert_full2).log_pressure()
+            v_small, _ = build_glued(phi, small, cert_full2).log_pressure()
+            v_big, _ = build_glued(phi, big, cert_full2).log_pressure()
             assert v_small <= v_big + 1e-9
 
     def test_language_words_are_admissible_factors(self, golden, cert_golden):
         phi = Potential.zero(golden)
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         words = lam.language_words(5)
         from shiftpress.core import is_admissible
 
@@ -151,7 +152,7 @@ class TestGluedSubshift:
         """Every length-(n+1) presentation word has its shifted suffix in the
         language: the spelled subshift is closed under the shift."""
         phi = Potential.zero(golden)
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         longer = {tuple(w) for w in lam.language_words(7)}
         shorter = {tuple(w) for w in lam.language_words(6)}
         for w in longer:
@@ -161,7 +162,7 @@ class TestGluedSubshift:
         """Dual route on the glued system: anchored path sums at full block
         multiples equal exact anchored word sums when no spelling collides."""
         phi = Potential.from_symbol_values(golden, [0.3, 0.6])
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         # one full block anchored: paths = the two words themselves
         lt = lam.log_theta(3, 1, anchored=True)
         direct = math.log(
@@ -171,7 +172,7 @@ class TestGluedSubshift:
 
     def test_explicit_digraph_small(self, golden, cert_golden):
         phi = Potential.zero(golden)
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         dig = lam.explicit_digraph()
         assert not dig["summary"]
         assert len(dig["vertices"]) == lam.vertex_count() == 7
@@ -181,14 +182,14 @@ class TestGluedSubshift:
 
     def test_empty_selection_rejected(self, full2, cert_full2):
         with pytest.raises(ConfigError):
-            build_glued(full2, Potential.zero(full2), [], cert_full2)
+            build_glued(Potential.zero(full2), [], cert_full2)
 
     def test_word_theta_matches_materialized_language(self, golden, cert_golden):
         """The follower-set recursion must equal the sum over the explicitly
         materialized, deduplicated language, and genuinely differ from the
         path recursion when spellings collide across phases."""
         phi = Potential.from_symbol_values(golden, [0.15, 0.4])
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         for n, level in [(3, 3), (4, 2), (6, 1)]:
             words = lam.language_words(n + level - 1)
             brute = math.log(
@@ -207,14 +208,14 @@ class TestGluedSubshift:
         rng = np.random.default_rng(31)
         phi = Potential.from_symbol_values(golden, [0.2, 0.65])
         pool = [tuple(int(s) for s in r) for r in word_matrix(golden, 4)]
-        lam = build_glued(golden, phi, pool[:5], cert_golden)
+        lam = build_glued(phi, pool[:5], cert_golden)
         dig = lam.explicit_digraph(max_edges=10_000)
         assert not dig["summary"]
         V = len(dig["vertices"])
         M = np.zeros((V, V))
         shift = phi.max_value
         for u, v in dig["edges"]:
-            M[u, v] = math.exp(phi.table[(dig["vertices"][v]["symbol"],)] - shift)
+            M[u, v] = math.exp(phi((dig["vertices"][v]["symbol"],)) - shift)
         log_dense, _, _ = perron_log(M)
         log_renewal, _ = lam.log_pressure()
         assert log_renewal == pytest.approx(log_dense + shift, abs=1e-9)
@@ -330,9 +331,9 @@ def counting_sets():
     full2: tau = 0)."""
     full2, golden = ShiftSystem.full_shift(2), ShiftSystem.golden_mean()
     dec = trivial_decomposition()
-    built_full2 = construct_intermediate(full2, Potential.zero(full2), dec, 0.12, 0.1)
+    built_full2 = construct_intermediate(Potential.zero(full2), dec, 0.12, 0.1)
     built_golden = construct_intermediate(
-        golden, Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
+        Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
     )
     cert_f = check_gluing(full2, all_segments(), Resolution(7))
     cert_g = check_gluing(golden, all_segments(), Resolution(7))
@@ -341,13 +342,13 @@ def counting_sets():
     return [
         ("full2-construction", built_full2.subsystem, 4),
         ("golden-construction", built_golden.subsystem, 5),
-        ("golden-3", build_glued(golden, phi_g, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_g,
+        ("golden-3", build_glued(phi_g, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_g,
                                  params={"eta": 0.05}), 8),
-        ("full2-3", build_glued(full2, phi_f, [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], cert_f,
+        ("full2-3", build_glued(phi_f, [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], cert_f,
                                 params={"eta": 0.05}), 8),
         # two words of unequal weight, so theta sums and bounds differ by class
-        ("golden-2", build_glued(golden, phi_g, [(0, 0, 0), (1, 0, 1)], cert_g, params={"eta": 0.05}), 8),
-        ("full2-2", build_glued(full2, phi_f, [(0, 0, 0, 0), (1, 1, 0, 1)], cert_f, params={"eta": 0.05}), 8),
+        ("golden-2", build_glued(phi_g, [(0, 0, 0), (1, 0, 1)], cert_g, params={"eta": 0.05}), 8),
+        ("full2-2", build_glued(phi_f, [(0, 0, 0, 0), (1, 1, 0, 1)], cert_f, params={"eta": 0.05}), 8),
     ]
 
 
@@ -401,7 +402,7 @@ class TestCountingBound:
     def test_small_golden_lambda(self, golden, cert_golden):
         phi = Potential.zero(golden)
         lam = build_glued(
-            golden, phi, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_golden, params={"eta": 0.05}
+            phi, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_golden, params={"eta": 0.05}
         )
         for n in (3, 4, 5):
             res = verify_counting_bound(lam, n, Resolution(7))
@@ -410,20 +411,20 @@ class TestCountingBound:
 
     def test_full_shift_free_gaps(self, full2, cert_full2):
         phi = Potential.zero(full2)
-        lam = build_glued(full2, phi, word_matrix(full2, 3), cert_full2, params={"eta": 0.05})
+        lam = build_glued(phi, word_matrix(full2, 3), cert_full2, params={"eta": 0.05})
         for n in (3, 4):
             assert verify_counting_bound(lam, n, Resolution(7)).ok
 
     def test_theta_bound_engages_at_larger_n(self, golden, cert_golden):
         phi = Potential.zero(golden)
-        lam = build_glued(golden, phi, [(0, 0, 1), (0, 1, 0)], cert_golden, params={"eta": 0.05})
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden, params={"eta": 0.05})
         res = verify_counting_bound(lam, 8, Resolution(7))
         assert res.ok and res.theta_checked
 
 
 class TestStructureConditions:
     def test_trivial_everything_passes(self, full2):
-        check = check_structure_conditions(full2, Potential.zero(full2), trivial_decomposition())
+        check = check_structure_conditions(Potential.zero(full2), trivial_decomposition())
         assert check.all_pass
         by_name = {c.name: c for c in check.conditions}
         assert by_name["complement_pressure"].margin == math.inf
@@ -434,7 +435,7 @@ class TestStructureConditions:
         from conftest import random_potential
 
         phi = random_potential(rng, golden, 1)
-        check = check_structure_conditions(golden, phi, trivial_decomposition())
+        check = check_structure_conditions(phi, trivial_decomposition())
         assert check.all_pass
 
     def test_prefix_equals_everything_fails(self, full2):
@@ -446,7 +447,7 @@ class TestStructureConditions:
             split=lambda w, n: (n, 0, 0),
             name="prefix-everything",
         )
-        check = check_structure_conditions(full2, Potential.zero(full2), dec)
+        check = check_structure_conditions(Potential.zero(full2), dec)
         by_name = {c.name: c for c in check.conditions}
         assert by_name["affix_pressure"].status == "fail"
         assert by_name["affix_pressure"].margin <= 0
@@ -460,7 +461,7 @@ class TestStructureConditions:
 class TestConstructIntermediate:
     def test_full2_midrange(self, full2):
         res = construct_intermediate(
-            full2, Potential.zero(full2), trivial_decomposition(), 0.35, 0.1
+            Potential.zero(full2), trivial_decomposition(), 0.35, 0.1
         )
         assert res.certified
         assert 0.25 < res.params["pressure"] < 0.45
@@ -470,34 +471,34 @@ class TestConstructIntermediate:
     def test_alpha_outside_interval(self, full2):
         with pytest.raises(InfeasibleError, match="strictly between"):
             construct_intermediate(
-                full2, Potential.zero(full2), trivial_decomposition(), 0.8, 0.05
+                Potential.zero(full2), trivial_decomposition(), 0.8, 0.05
             )
 
     def test_n_cap_exhaustion_lists_failures(self, full2):
         cfg = ConstructConfig(n_cap=3)
         with pytest.raises(InfeasibleError, match="no feasible word length"):
             construct_intermediate(
-                full2, Potential.zero(full2), trivial_decomposition(), 0.35, 0.1, cfg
+                Potential.zero(full2), trivial_decomposition(), 0.35, 0.1, cfg
             )
 
     def test_near_pressure_target(self, full2):
         # alpha close to the pressure: selection keeps most words
         res = construct_intermediate(
-            full2, Potential.zero(full2), trivial_decomposition(), 0.62, 0.1
+            Potential.zero(full2), trivial_decomposition(), 0.62, 0.1
         )
         assert res.certified
         assert abs(res.params["pressure"] - 0.62) < 0.1
 
     def test_golden_with_potential(self, golden):
         phi = Potential.from_symbol_values(golden, [0.0, 0.1])
-        res = construct_intermediate(golden, phi, trivial_decomposition(), 0.25, 0.1)
+        res = construct_intermediate(phi, trivial_decomposition(), 0.25, 0.1)
         assert res.certified
         assert abs(res.params["pressure"] - 0.25) < 0.1
         assert res.params["tau"] == 1
 
     def test_memory2_recoded(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.0, (0, 1): 0.12, (1, 0): 0.05})
-        res = construct_intermediate(golden, phi, trivial_decomposition(), 0.3, 0.1)
+        res = construct_intermediate(phi, trivial_decomposition(), 0.3, 0.1)
         assert res.certified
         assert res.params["recoded"]
         assert abs(res.params["pressure"] - 0.3) < 0.1
@@ -509,7 +510,7 @@ class TestConstructIntermediate:
 
     def test_sandwich_reports(self, full2):
         res = construct_intermediate(
-            full2, Potential.zero(full2), trivial_decomposition(), 0.45, 0.1
+            Potential.zero(full2), trivial_decomposition(), 0.45, 0.1
         )
         assert res.certified
         assert res.lower.value >= 0.45 - 0.1 - 1e-6
@@ -524,7 +525,7 @@ class TestConstructIntermediate:
         # negative potential: construction works through the nonnegative shift
         phi = Potential.from_symbol_values(full2, [-1.0, -1.0])
         res = construct_intermediate(
-            full2, phi, trivial_decomposition(), -0.6, 0.1
+            phi, trivial_decomposition(), -0.6, 0.1
         )
         assert res.certified
         assert abs(res.params["pressure"] - (-0.6)) < 0.1
@@ -549,7 +550,7 @@ class TestConstructIntermediate:
         for name in ("finite_pressure_report", "word_theta", "log_theta"):
             monkeypatch.setattr(GluedSubshift, name, forbidden)
         phi = Potential.from_symbol_values(sys_, values)
-        res = construct_intermediate(sys_, phi, trivial_decomposition(), alpha, 0.1)
+        res = construct_intermediate(phi, trivial_decomposition(), alpha, 0.1)
         assert len(calls) == 1
         assert res.lower.value == res.upper.value == res.params["pressure"]
         assert res.certified
@@ -572,7 +573,7 @@ class TestConstructIntermediate:
 
         monkeypatch.setattr(construct_module, "birkhoff_batch", recorded)
         phi = Potential.from_symbol_values(sys_, values)
-        res = construct_intermediate(sys_, phi, trivial_decomposition(), alpha, 0.1)
+        res = construct_intermediate(phi, trivial_decomposition(), alpha, 0.1)
         glued = res.subsystem
         assert not any(np.array_equal(b, glued.words) for b in batches)
         assert np.array_equal(glued.phis, birkhoff_batch(glued.phi, glued.words, glued.N))
@@ -584,14 +585,14 @@ class TestConstructIntermediate:
         monkeypatch.setattr(construct_module, "check_gluing", broken)
         phi = Potential.zero(full2)
         with pytest.raises(RuntimeError, match="bug inside check_gluing"):
-            construct_intermediate(full2, phi, trivial_decomposition(), 0.35, 0.1)
+            construct_intermediate(phi, trivial_decomposition(), 0.35, 0.1)
         with pytest.raises(RuntimeError, match="bug inside check_gluing"):
-            check_structure_conditions(full2, phi, trivial_decomposition())
+            check_structure_conditions(phi, trivial_decomposition())
 
     def test_counting_bound_defaults_to_construction_delta(self, full2):
         cfg = ConstructConfig(level_delta=8)
         res = construct_intermediate(
-            full2, Potential.zero(full2), trivial_decomposition(), 0.12, 0.1, cfg
+            Potential.zero(full2), trivial_decomposition(), 0.12, 0.1, cfg
         )
         assert res.params["level_delta"] == 8
         n = 2
@@ -602,7 +603,7 @@ class TestConstructIntermediate:
 
 class TestDensityExperiment:
     def test_grid_one_midpoint(self, full2):
-        res = density_experiment(full2, Potential.zero(full2), trivial_decomposition(), 1, 0.1)
+        res = density_experiment(Potential.zero(full2), trivial_decomposition(), 1, 0.1)
         assert len(res.rows) == 1
         assert res.rows[0].certified
 
@@ -616,11 +617,11 @@ class TestDensityExperiment:
             name="prefix-everything",
         )
         with pytest.raises(InfeasibleError, match="structure conditions"):
-            density_experiment(full2, Potential.zero(full2), dec, 4, 0.1)
+            density_experiment(Potential.zero(full2), dec, 4, 0.1)
 
     def test_constant_potential_shifts_interval(self, full2):
         phi = Potential.constant(full2, 1.0)
-        res = density_experiment(full2, phi, trivial_decomposition(), 4, 0.1)
+        res = density_experiment(phi, trivial_decomposition(), 4, 0.1)
         assert res.floor == pytest.approx(1.0, abs=1e-12)
         assert res.ceiling == pytest.approx(1.0 + math.log(2), abs=1e-9)
         assert all(r.certified for r in res.rows)
@@ -634,7 +635,7 @@ class TestDensityExperiment:
             return word_matrix(sys_, n, *args, **kwargs)
 
         monkeypatch.setattr(construct_module, "word_matrix", counted)
-        res = density_experiment(full2, Potential.zero(full2), trivial_decomposition(), 8, 0.1)
+        res = density_experiment(Potential.zero(full2), trivial_decomposition(), 8, 0.1)
         chosen = {r.N for r in res.rows}
         assert all(r.certified for r in res.rows)
         assert {N: lengths.count(N) for N in chosen} == {N: 1 for N in chosen}
@@ -650,7 +651,7 @@ class TestDensityExperiment:
 
         def calls_at(grid):
             calls.clear()
-            density_experiment(full2, Potential.zero(full2), trivial_decomposition(), grid, 0.1)
+            density_experiment(Potential.zero(full2), trivial_decomposition(), grid, 0.1)
             return sorted(calls)
 
         assert calls_at(8) == calls_at(1)
@@ -665,7 +666,7 @@ class TestPreparation:
             return construct_module.NEG_INF, None
 
         monkeypatch.setattr(construct_module, "_measure_partition_floor", no_floor)
-        prep = construct_module.Preparation(full2, Potential.zero(full2), trivial_decomposition())
+        prep = construct_module.Preparation(Potential.zero(full2), trivial_decomposition())
         refusals = []
         for alpha in (0.3, 0.4):
             with pytest.raises(InfeasibleError, match="no affix cap") as info:
@@ -690,7 +691,7 @@ def reference_recoding(sys, phi):
                 j = index.get(u[1:] + (b,))
                 if j is not None:
                     trans[i, j] = True
-    return blocks, trans, np.array([phi.table[w] for w in blocks])
+    return blocks, trans, np.array([phi(w) for w in blocks])
 
 
 class TestRecoding:
@@ -702,7 +703,8 @@ class TestRecoding:
             rng = np.random.default_rng(seed)
             sys_ = random_sft(rng, int(rng.integers(2, 5)))
             phi = random_potential(rng, sys_, memory, -1.0, 2.0)
-            sys_c, phi_c, _, rec = construct_module._recode_memory_one(sys_, phi, trivial_decomposition())
+            phi_c, _, rec = construct_module._recode_memory_one(phi, trivial_decomposition())
+            sys_c = phi_c.sys
             blocks, trans, values = reference_recoding(sys_, phi)
             assert rec.blocks == blocks
             assert np.array_equal(sys_c.transitions, trans)

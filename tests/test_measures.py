@@ -82,7 +82,7 @@ class TestStationary:
 
         monkeypatch.setattr(measures, "_interpolated_chains", record)
         phi = random_potential(np.random.default_rng(5), full2, 4)
-        spectrum_sample(full2, phi, cycle_cap=4, grid=6)
+        spectrum_sample(phi, cycle_cap=4, grid=6)
         # the Gibbs chain and 5 grid points toward each of the 8 cycles
         assert len(solved) == 1 + 8 * 5
         for Q, pi in solved:
@@ -97,7 +97,7 @@ class TestStationary:
         rng = np.random.default_rng(2)
         sys = random_sft(rng, 5)
         phi = random_potential(rng, sys, 4, 0.0, 3.0)
-        gibbs = gibbs_chain(sys, phi)
+        gibbs = gibbs_chain(phi)
         lift = gibbs.lift
         cycles, _ = primitive_cycles(sys, 3)
         ts = 1.0 - (1.0 - np.arange(1, 50) / 50) ** 2
@@ -114,32 +114,39 @@ class TestStationary:
 class TestMeasurePressure:
     def test_uniform_is_topological_entropy(self, full2):
         mu = MarkovMeasure.bernoulli(full2, [0.5, 0.5])
-        assert measure_pressure(full2, Potential.zero(full2), mu) == pytest.approx(
+        assert measure_pressure(Potential.zero(full2), mu) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_fixed_point_attains_floor(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
         mu = PeriodicOrbitMeasure(full2, (1,))
-        assert measure_pressure(full2, phi, mu) == pytest.approx(1.0, abs=1e-12)
+        assert measure_pressure(phi, mu) == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle_with_memory2(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.2, (0, 1): 1.0, (1, 0): -0.4})
         mu = PeriodicOrbitMeasure(golden, (0, 1))
         # windows around the cycle: 01 and 10
-        assert measure_pressure(golden, phi, mu) == pytest.approx((1.0 - 0.4) / 2, abs=1e-12)
+        assert measure_pressure(phi, mu) == pytest.approx((1.0 - 0.4) / 2, abs=1e-12)
 
     def test_parry_matches_oracle(self, golden):
-        chain = gibbs_chain(golden, Potential.zero(golden))
+        chain = gibbs_chain(Potential.zero(golden))
         assert chain.pressure() == pytest.approx(
-            pressure_oracle(golden, Potential.zero(golden)).value, abs=1e-9
+            pressure_oracle(Potential.zero(golden)).value, abs=1e-9
         )
+
+    def test_measure_on_another_system_refused(self, full2, golden):
+        phi = Potential.zero(full2)
+        with pytest.raises(ConfigError, match="different systems"):
+            measure_pressure(phi, PeriodicOrbitMeasure(golden, (0, 1)))
+        with pytest.raises(ConfigError, match="different systems"):
+            measure_pressure(Potential.zero(golden), MarkovMeasure.bernoulli(full2, [0.5, 0.5]))
 
     def test_markov_cylinder_integral(self, full2):
         # memory-2 potential integrated through cylinder probabilities
         phi = Potential(full2, 2, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0})
         mu = MarkovMeasure.bernoulli(full2, [0.25, 0.75])
-        assert measure_pressure(full2, phi, mu) == pytest.approx(
+        assert measure_pressure(phi, mu) == pytest.approx(
             markov_entropy(mu) + 0.25 * 0.25, abs=1e-12
         )
 
@@ -170,22 +177,22 @@ class TestSpectrum:
             rng = np.random.default_rng(seed)
             sys = random_sft(rng, int(rng.integers(2, 4)))
             phi = random_potential(rng, sys, 1)
-            res = spectrum_sample(sys, phi, cycle_cap=5, grid=6)
-            ceiling = pressure_oracle(sys, phi).value
+            res = spectrum_sample(phi, cycle_cap=5, grid=6)
+            ceiling = pressure_oracle(phi).value
             assert all(e.pressure <= ceiling + 1e-9 for e in res.entries)
 
     def test_gibbs_attains_pressure_memory1(self, full2, golden):
         for sys in (full2, golden):
             rng = np.random.default_rng(17)
             phi = random_potential(rng, sys, 1)
-            res = spectrum_sample(sys, phi, cycle_cap=3, grid=4)
-            ceiling = pressure_oracle(sys, phi).value
+            res = spectrum_sample(phi, cycle_cap=3, grid=4)
+            ceiling = pressure_oracle(phi).value
             assert max(e.pressure for e in res.entries) == pytest.approx(ceiling, abs=1e-9)
 
     def test_memory2_lift_attainment(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.1, (0, 1): 0.8, (1, 0): 0.2})
-        res = spectrum_sample(golden, phi, cycle_cap=4, grid=6)
-        ceiling = pressure_oracle(golden, phi).value
+        res = spectrum_sample(phi, cycle_cap=4, grid=6)
+        ceiling = pressure_oracle(phi).value
         assert max(e.pressure for e in res.entries) <= ceiling + 1e-9
         assert max(e.pressure for e in res.entries) >= ceiling - 0.02
 
@@ -195,21 +202,21 @@ class TestSpectrum:
         rng = np.random.default_rng(23)
         for sys in (golden, full2):
             phi = random_potential(rng, sys, 3)
-            ceiling = pressure_oracle(sys, phi).value
-            assert gibbs_chain(sys, phi).pressure() == pytest.approx(ceiling, abs=1e-9)
-            res = spectrum_sample(sys, phi, cycle_cap=4, grid=4)
+            ceiling = pressure_oracle(phi).value
+            assert gibbs_chain(phi).pressure() == pytest.approx(ceiling, abs=1e-9)
+            res = spectrum_sample(phi, cycle_cap=4, grid=4)
             assert max(e.pressure for e in res.entries) == pytest.approx(ceiling, abs=1e-9)
 
     def test_cycle_floor_sandwich(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        res = spectrum_sample(full2, phi, cycle_cap=6, grid=4)
+        res = spectrum_sample(phi, cycle_cap=6, grid=4)
         cycle_vals = [e.pressure for e in res.entries if e.kind == "cycle"]
-        floor = pressure_floor(full2, phi)
+        floor = pressure_floor(phi)
         assert min(cycle_vals) <= floor <= max(cycle_vals) + 1e-12
         assert max(cycle_vals) == pytest.approx(floor, abs=1e-12)
 
     def test_density_gap_small(self, full2):
-        res = spectrum_sample(full2, Potential.zero(full2), cycle_cap=10, grid=50)
+        res = spectrum_sample(Potential.zero(full2), cycle_cap=10, grid=50)
         assert res.max_gap < 0.05
         assert res.floor == pytest.approx(0.0, abs=1e-12)
         assert res.ceiling == pytest.approx(math.log(2), abs=1e-9)
@@ -218,7 +225,7 @@ class TestSpectrum:
         """A budget ending on a cycle entry, inside a cycle's grid and at
         its end keeps the first entries in generation order, unchanged."""
         phi = random_potential(np.random.default_rng(5), full2, 4)
-        whole = spectrum_sample(full2, phi, cycle_cap=4, grid=6)
+        whole = spectrum_sample(phi, cycle_cap=4, grid=6)
         by_key = {(e.kind, e.parameter): e for e in whole.entries}
         cycles, _ = primitive_cycles(full2, 4)
         order = [("gibbs", "")]
@@ -232,7 +239,7 @@ class TestSpectrum:
         assert len(order) == len(by_key) == 1 + 8 * 6
         # gibbs, then 0 and its 5 grid points, then 1 and its grid points
         for k, stage in ((8, "cycle sweep"), (10, "interpolation"), (13, "interpolation")):
-            res = spectrum_sample(full2, phi, cycle_cap=4, grid=6, max_measures=k)
+            res = spectrum_sample(phi, cycle_cap=4, grid=6, max_measures=k)
             assert len(res.entries) == k and res.partial
             assert res.notes == [f"measure count budget reached during {stage}"]
             assert {(e.kind, e.parameter) for e in res.entries} == set(order[:k])
@@ -243,8 +250,8 @@ class TestSpectrum:
     def test_small_measure_budget_is_kept(self, full2, k):
         """A budget below the Gibbs entry plus one cycle entry is not
         overshot: the Gibbs entry and the first cycle count against it."""
-        whole = spectrum_sample(full2, Potential.zero(full2), cycle_cap=3, grid=4)
-        res = spectrum_sample(full2, Potential.zero(full2), cycle_cap=3, grid=4, max_measures=k)
+        whole = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4)
+        res = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4, max_measures=k)
         assert len(res.entries) <= k and res.partial
         first_cycle = "".join(map(str, primitive_cycles(full2, 3)[0][0]))
         expected = [("gibbs", ""), ("cycle", first_cycle)][:k]
@@ -252,5 +259,5 @@ class TestSpectrum:
         assert all(e in whole.entries for e in res.entries)
 
     def test_budget_flags_partial(self, full3):
-        res = spectrum_sample(full3, Potential.zero(full3), cycle_cap=12, grid=3, budget=100)
+        res = spectrum_sample(Potential.zero(full3), cycle_cap=12, grid=3, budget=100)
         assert res.partial

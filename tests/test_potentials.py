@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,24 +14,24 @@ from conftest import random_sft, random_potential
 class TestBirkhoff:
     def test_indicator_sum(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        assert birkhoff_sum(full2, phi, (0, 1, 0, 1), 4) == 2.0
+        assert birkhoff_sum(phi, (0, 1, 0, 1), 4) == 2.0
 
     def test_constant(self, golden):
         phi = Potential.constant(golden, 0.7)
         for n in range(1, 6):
             w = (0, 1) * 5
-            assert birkhoff_sum(golden, phi, w, n) == pytest.approx(n * 0.7, abs=1e-12)
+            assert birkhoff_sum(phi, w, n) == pytest.approx(n * 0.7, abs=1e-12)
 
     def test_memory2_hand_evaluated(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0})
         # windows of 0100: 01 -> 1.0, 10 -> -1.0, 00 -> 0.0
-        by_hand = phi.table[(0, 1)] + phi.table[(1, 0)] + phi.table[(0, 0)]
-        assert birkhoff_sum(golden, phi, (0, 1, 0, 0), 3) == by_hand == 0.0
+        by_hand = phi((0, 1)) + phi((1, 0)) + phi((0, 0))
+        assert birkhoff_sum(phi, (0, 1, 0, 0), 3) == by_hand == 0.0
 
     def test_length_precondition(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0})
         with pytest.raises(PreconditionError, match="4"):
-            birkhoff_sum(golden, phi, (0, 1, 0), 3)
+            birkhoff_sum(phi, (0, 1, 0), 3)
 
     def test_batch_matches_scalar(self, golden):
         rng = np.random.default_rng(5)
@@ -39,7 +41,7 @@ class TestBirkhoff:
         words = word_matrix(golden, 7)
         got = birkhoff_batch(phi, words, 6)
         for row, val in zip(words, got):
-            assert val == pytest.approx(birkhoff_sum(golden, phi, tuple(row), 6), abs=1e-12)
+            assert val == pytest.approx(birkhoff_sum(phi, tuple(row), 6), abs=1e-12)
 
 
 class TestVariation:
@@ -51,8 +53,9 @@ class TestVariation:
         phi = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.0})
         # class "0.": |0 - 1| = 1; class "1.": |-1 - 0| = 1; worst pair = 1.0
         brute = 0.0
-        for u, x in phi.table.items():
-            for v, y in phi.table.items():
+        table = {u: phi(u) for u in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        for u, x in table.items():
+            for v, y in table.items():
                 if u[0] == v[0]:
                     brute = max(brute, abs(x - y))
         assert brute == 1.0
@@ -93,3 +96,57 @@ class TestLoader:
     def test_malformed_keys(self, full2):
         with pytest.raises(ConfigError, match="malformed"):
             potential_from_dict(full2, {"memory": 1, "table": {"x": 1.0, "1": 0.0}})
+
+    def test_symbol_outside_alphabet_is_inadmissible(self, full2):
+        with pytest.raises(ConfigError, match="inadmissible words: 2$"):
+            potential_from_dict(full2, {"memory": 1, "table": {"0": 0.0, "1": 0.0, "2": 0.0}})
+
+    def test_symbol_outside_alphabet_exits_2(self, full2, tmp_path, capsys):
+        from shiftpress.cli import main
+
+        system = tmp_path / "full2.json"
+        system.write_text(json.dumps({"alphabet": 2, "full": True}))
+        potential = tmp_path / "phi.json"
+        potential.write_text(json.dumps({"memory": 1, "table": {"0": 0.0, "1": 0.0, "2": 0.0}}))
+        assert main(["pstar", "--system", str(system), "--potential", str(potential)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("inadmissible words: 2\n") and err.count("\n") == 1
+
+    def test_out_of_range_key_never_aliases(self, full2):
+        # on a binary alphabet the base-2 code of 02 equals that of 10
+        full = {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}
+        with pytest.raises(ConfigError) as info:
+            potential_from_dict(full2, {"memory": 2, "table": {**full, "02": 1.0}})
+        assert str(info.value).endswith("potential table invalid; entries for inadmissible words: 02")
+        del full["10"]
+        with pytest.raises(ConfigError) as info:
+            potential_from_dict(full2, {"memory": 2, "table": {**full, "02": 1.0}})
+        assert str(info.value).endswith(
+            "potential table invalid; missing admissible words: 10; entries for inadmissible words: 02"
+        )
+
+    def test_direct_table_with_symbol_outside_alphabet(self, full2):
+        table = {(0, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0, (0, 2): 0.0}
+        with pytest.raises(ConfigError, match="missing admissible words: 10; entries for inadmissible words: 02"):
+            Potential(full2, 2, table)
+
+
+class TestValues:
+    def test_one_array_with_inadmissible_slots(self, golden):
+        phi = Potential(golden, 2, {(0, 0): 0.4, (0, 1): 1.0, (1, 0): -1.0})
+        assert not hasattr(phi, "table")
+        assert phi.values_flat.tolist() == [0.4, 1.0, -1.0, -np.inf]
+        assert not phi.values_flat.flags.writeable
+        assert (phi.max_value, phi.min_value, phi.spread) == (1.0, -1.0, 2.0)
+        assert phi((1, 0, 1)) == -1.0
+        assert phi((1, 1)) == -np.inf
+        with pytest.raises(PreconditionError, match="outside the alphabet"):
+            phi((0, 2))
+        with pytest.raises(PreconditionError, match="needs 2 symbols"):
+            phi((0,))
+
+    def test_shifted_keeps_system_and_slots(self, golden):
+        phi = Potential(golden, 2, {(0, 0): 0.4, (0, 1): 1.0, (1, 0): -1.0}).shifted(1.0)
+        assert phi.sys is golden and phi.memory == 2
+        assert phi.values_flat.tolist() == [1.4, 2.0, 0.0, -np.inf]
+        assert phi.min_value == 0.0

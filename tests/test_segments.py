@@ -74,7 +74,7 @@ class TestSegmentClass:
         monkeypatch.setattr(thermo, "word_matrix", refuse)
         phi = Potential.zero(golden)
         for n in (1, 2, 10):
-            assert thermo.partition_function(golden, phi, affixes, n, Resolution(5)) == thermo.NEG_INF
+            assert thermo.partition_function(phi, affixes, n, Resolution(5)) == thermo.NEG_INF
 
 
 class TestDecompositions:

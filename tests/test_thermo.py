@@ -42,7 +42,7 @@ def simple_cycle_max_mean(sys, phi):
             if not sys.transitions[u, v]:
                 continue
             if v == path[0]:
-                mean = math.fsum(phi.table[(x,)] for x in path) / len(path)
+                mean = math.fsum(phi((x,)) for x in path) / len(path)
                 best = max(best, mean)
             elif v not in seen and v > path[0]:
                 walk(path + [v], seen | {v})
@@ -55,17 +55,17 @@ def simple_cycle_max_mean(sys, phi):
 class TestPartitionFunction:
     def test_counts_words(self, full2):
         phi = Potential.zero(full2)
-        lt = partition_function(full2, phi, all_segments(), 3, Resolution(1), Resolution(1))
+        lt = partition_function(phi, all_segments(), 3, Resolution(1), Resolution(1))
         assert math.exp(lt) == pytest.approx(8.0, rel=1e-12)
 
     def test_two_cylinders(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, math.log(2)])
-        lt = partition_function(full2, phi, all_segments(), 1, Resolution(1))
+        lt = partition_function(phi, all_segments(), 1, Resolution(1))
         assert math.exp(lt) == pytest.approx(3.0, rel=1e-12)
 
     def test_golden_word_count_cross_check(self, golden):
         phi = Potential.zero(golden)
-        lt = partition_function(golden, phi, all_segments(), 2, Resolution(2))
+        lt = partition_function(phi, all_segments(), 2, Resolution(2))
         assert math.exp(lt) == pytest.approx(5.0, rel=1e-12)
         assert round(math.exp(lt)) == count_words(golden, 3)
 
@@ -73,13 +73,13 @@ class TestPartitionFunction:
         from shiftpress import empty_segments
 
         phi = Potential.zero(full2)
-        assert partition_function(full2, phi, empty_segments(), 3, Resolution(1)) == -math.inf
+        assert partition_function(phi, empty_segments(), 3, Resolution(1)) == -math.inf
 
     def test_budget_error_carries_n(self, full2):
         phi = Potential.zero(full2)
         generic = SegmentClass(lambda w, n: True, "generic")
         with pytest.raises(ResourceBudgetError) as err:
-            partition_function(full2, phi, generic, 40, Resolution(1), budget=1000)
+            partition_function(phi, generic, 40, Resolution(1), budget=1000)
         assert err.value.n == 40
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -91,8 +91,8 @@ class TestPartitionFunction:
         sys = random_sft(rng, int(rng.integers(2, 4)))
         phi = random_potential(rng, sys, int(rng.integers(1, 5)))
         generic = SegmentClass(lambda w, n_: True, "generic-all")
-        fast = partition_function(sys, phi, all_segments(), n, Resolution(l_delta))
-        slow = partition_function(sys, phi, generic, n, Resolution(l_delta))
+        fast = partition_function(phi, all_segments(), n, Resolution(l_delta))
+        slow = partition_function(phi, generic, n, Resolution(l_delta))
         assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_smearing_brute_force(self, golden, full2):
@@ -108,7 +108,7 @@ class TestPartitionFunction:
                 pool = [tuple(int(s) for s in r) for r in word_matrix(sys, L)]
 
                 def phi_sum(w):
-                    return math.fsum(phi.table[w[k : k + 2]] for k in range(n))
+                    return math.fsum(phi(w[k : k + 2]) for k in range(n))
 
                 def window_distance(x, y, win):
                     # d_win = max over shifts k < win of 2^-(first diff of shifted)
@@ -139,7 +139,7 @@ class TestPartitionFunction:
                         classes[x] = smeared[x]
                 brute = math.log(math.fsum(math.exp(v) for v in classes.values()))
                 got = partition_function(
-                    sys, phi, all_segments(), n, Resolution(ld), Resolution(le)
+                    phi, all_segments(), n, Resolution(ld), Resolution(le)
                 )
                 assert got == pytest.approx(brute, abs=1e-10), (n, ld, le)
 
@@ -147,7 +147,7 @@ class TestPartitionFunction:
         # finer separation level -> more words counted -> larger Theta
         phi = Potential.zero(golden)
         values = [
-            partition_function(golden, phi, all_segments(), 4, Resolution(l))
+            partition_function(phi, all_segments(), 4, Resolution(l))
             for l in range(1, 5)
         ]
         assert values == sorted(values)
@@ -157,28 +157,28 @@ class TestPartitionFunction:
 
 class TestPressureEnumerate:
     def test_full2_exact_at_level1(self, full2):
-        rep = pressure_enumerate(full2, Potential.zero(full2), all_segments(), Resolution(1), None, (2, 12))
+        rep = pressure_enumerate(Potential.zero(full2), all_segments(), Resolution(1), None, (2, 12))
         assert rep.value == pytest.approx(math.log(2), abs=1e-12)
         assert rep.error_bound == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_converges_to_oracle(self, golden):
-        rep = pressure_enumerate(golden, Potential.zero(golden), all_segments(), Resolution(1), None, (2, 20))
+        rep = pressure_enumerate(Potential.zero(golden), all_segments(), Resolution(1), None, (2, 20))
         assert abs(rep.value - GOLDEN_PRESSURE) < 0.05
 
     def test_constant_shift_moves_every_term(self, golden):
         phi = Potential.zero(golden)
         shifted = Potential.constant(golden, 0.75)
-        r0 = pressure_enumerate(golden, phi, all_segments(), Resolution(1), None, (2, 10))
-        r1 = pressure_enumerate(golden, shifted, all_segments(), Resolution(1), None, (2, 10))
+        r0 = pressure_enumerate(phi, all_segments(), Resolution(1), None, (2, 10))
+        r1 = pressure_enumerate(shifted, all_segments(), Resolution(1), None, (2, 10))
         assert r1.value == pytest.approx(r0.value + 0.75, abs=1e-10)
         for a, b in zip(r0.extras["sequence"], r1.extras["sequence"]):
             assert b == pytest.approx(a + 0.75, abs=1e-10)
 
     def test_gap_shrinks_with_n_max(self, golden):
-        oracle = pressure_oracle(golden, Potential.zero(golden)).value
+        oracle = pressure_oracle(Potential.zero(golden)).value
         gaps = []
         for n_max in (6, 10, 14, 18):
-            rep = pressure_enumerate(golden, Potential.zero(golden), all_segments(), Resolution(1), None, (2, n_max))
+            rep = pressure_enumerate(Potential.zero(golden), all_segments(), Resolution(1), None, (2, n_max))
             gaps.append(abs(rep.value - oracle))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -212,12 +212,12 @@ class TestLift:
             sys = random_sft(rng, int(rng.integers(2, 5)))
             for memory in (1, 2, 3, 4):
                 phi = random_potential(rng, sys, memory)
-                lift = _Lift(sys, phi)
+                lift = _Lift(phi)
                 states = [tuple(int(s) for s in row) for row in word_matrix(sys, lift.context)]
                 index = {w: i for i, w in enumerate(states)}
                 assert lift.n_states == len(states)
                 expected = [
-                    (i, index[(w + (b,))[-lift.context :]], phi.table[(w + (b,))[-memory:]])
+                    (i, index[(w + (b,))[-lift.context :]], phi((w + (b,))[-memory:]))
                     for i, w in enumerate(states)
                     for b in range(sys.alphabet_size)
                     if sys.transitions[w[-1], b]
@@ -228,33 +228,33 @@ class TestLift:
 
 class TestPressureOracle:
     def test_full2(self, full2):
-        rep = pressure_oracle(full2, Potential.zero(full2))
+        rep = pressure_oracle(Potential.zero(full2))
         assert rep.value == pytest.approx(math.log(2), abs=1e-9)
 
     def test_full3(self, full3):
-        rep = pressure_oracle(full3, Potential.zero(full3))
+        rep = pressure_oracle(Potential.zero(full3))
         assert rep.value == pytest.approx(math.log(3), abs=1e-9)
 
     def test_golden_characteristic_polynomial(self, golden):
         # lambda^2 = lambda + 1 solved independently
         lam = (1 + math.sqrt(5)) / 2
-        rep = pressure_oracle(golden, Potential.zero(golden))
+        rep = pressure_oracle(Potential.zero(golden))
         assert rep.value == pytest.approx(math.log(lam), abs=1e-9)
 
     def test_weighted_row_sums(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, math.log(2)])
-        rep = pressure_oracle(full2, phi)
+        rep = pressure_oracle(phi)
         assert rep.value == pytest.approx(math.log(3), abs=1e-9)
 
     def test_periodic_system_flagged(self, cycle3):
-        rep = pressure_oracle(cycle3, Potential.zero(cycle3))
+        rep = pressure_oracle(Potential.zero(cycle3))
         assert rep.value == pytest.approx(0.0, abs=1e-9)
         assert rep.extras["periodic_fallback"]
 
     @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
     def test_constant_shift(self, golden, c):
-        base = pressure_oracle(golden, Potential.zero(golden)).value
-        rep = pressure_oracle(golden, Potential.constant(golden, c))
+        base = pressure_oracle(Potential.zero(golden)).value
+        rep = pressure_oracle(Potential.constant(golden, c))
         assert rep.value == pytest.approx(base + c, abs=1e-9)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -263,45 +263,45 @@ class TestPressureOracle:
         rng = np.random.default_rng(seed)
         sys = random_sft(rng, int(rng.integers(2, 5)))
         phi = random_potential(rng, sys, int(rng.integers(1, 5)))
-        oracle = pressure_oracle(sys, phi).value
+        oracle = pressure_oracle(phi).value
         # the finite-n quotients overshoot the limit by O(1/n) with a constant
         # that grows with the memory; n runs to 40 so memory 4 stays within 0.05
-        enum = pressure_enumerate(sys, phi, all_segments(), Resolution(1), None, (2, 40)).value
+        enum = pressure_enumerate(phi, all_segments(), Resolution(1), None, (2, 40)).value
         assert abs(oracle - enum) < 0.05
 
 
 class TestPressureFloor:
     def test_full2_fixed_point(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        assert pressure_floor(full2, phi) == pytest.approx(1.0, abs=1e-12)
+        assert pressure_floor(phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_best_cycle(self, golden):
         phi = Potential.from_symbol_values(golden, [0.0, 1.0])
         # 0-loop mean 0.0; 01-cycle mean 0.5; 1-loop forbidden
-        assert pressure_floor(golden, phi) == pytest.approx(0.5, abs=1e-12)
+        assert pressure_floor(phi) == pytest.approx(0.5, abs=1e-12)
 
     def test_constant(self, cycle3):
         phi = Potential.constant(cycle3, -0.3)
-        assert pressure_floor(cycle3, phi) == pytest.approx(-0.3, abs=1e-12)
+        assert pressure_floor(phi) == pytest.approx(-0.3, abs=1e-12)
 
     def test_floor_below_pressure(self, golden, full2):
         rng = np.random.default_rng(11)
         for sys in (golden, full2):
             phi = random_potential(rng, sys, 1)
-            assert pressure_floor(sys, phi) <= pressure_oracle(sys, phi).value + 1e-9
+            assert pressure_floor(phi) <= pressure_oracle(phi).value + 1e-9
 
     def test_matches_simple_cycle_enumeration(self):
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             sys = random_sft(rng, int(rng.integers(2, 7)), density=0.55)
             phi = random_potential(rng, sys, 1)
-            assert pressure_floor(sys, phi) == pytest.approx(
+            assert pressure_floor(phi) == pytest.approx(
                 simple_cycle_max_mean(sys, phi), abs=1e-12
             )
 
     def test_finite_sequence_reported(self, golden):
         phi = Potential.from_symbol_values(golden, [0.0, 1.0])
-        seq = birkhoff_sup_sequence(golden, phi, 12)
+        seq = birkhoff_sup_sequence(phi, 12)
         assert len(seq) == 12
         # finite means bound the cycle value from above and approach it
         assert all(a >= 0.5 - 1e-12 for a in seq)
@@ -310,23 +310,23 @@ class TestPressureFloor:
     def test_memory2_lift(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0})
         # cycles: 0-loop mean 0; 01-cycle mean (1+0)/2
-        assert pressure_floor(golden, phi) == pytest.approx(0.5, abs=1e-12)
+        assert pressure_floor(phi) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBowenAndExpansivity:
     def test_locally_constant_exact(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.3, (0, 1): 1.0, (1, 0): -1.0})
-        bb = bowen_bound(golden, phi, all_segments(), Resolution(2))
+        bb = bowen_bound(phi, all_segments(), Resolution(2))
         assert bb.exact and bb.certified == 0.0
 
     def test_memory1_level1(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        bb = bowen_bound(full2, phi, all_segments(), Resolution(1))
+        bb = bowen_bound(phi, all_segments(), Resolution(1))
         assert bb.exact and bb.certified == 0.0
 
     def test_coarse_scale_bound_and_sample(self, full2):
         phi = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.0})
-        bb = bowen_bound(full2, phi, all_segments(), Resolution(1), n_cap=6)
+        bb = bowen_bound(phi, all_segments(), Resolution(1), n_cap=6)
         assert not bb.exact
         assert bb.certified == pytest.approx(6 * 1.0)
         assert 0.0 < bb.sampled <= bb.certified + 1e-12
@@ -347,4 +347,4 @@ class TestBirkhoffSup:
             for n in range(1, 7):
                 words = word_matrix(golden, n + memory - 1)
                 brute = birkhoff_batch(phi, words, n).max()
-                assert birkhoff_sup(golden, phi, n) == pytest.approx(brute, abs=1e-12)
+                assert birkhoff_sup(phi, n) == pytest.approx(brute, abs=1e-12)
