@@ -2,7 +2,7 @@
 
 Every case must end with exit 0, 2 or 3 and at most one line on stderr: no
 traceback and no warning. Systems stay small (alphabets up to 12, memory up
-to 3), so no case can ask for a large enumeration.
+to 4), so no case can ask for a large enumeration.
 """
 
 import contextlib
