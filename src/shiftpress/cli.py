@@ -19,23 +19,10 @@ from pathlib import Path
 from . import __version__
 from .core import Resolution, load_system
 from .potentials import Potential, load_potential
-from .segments import all_segments, trivial_decomposition, load_decomposition
-from .thermo import (
-    pressure_enumerate,
-    pressure_oracle,
-    pressure_floor,
-    birkhoff_sup_sequence,
-)
-from .measures import spectrum_sample
-from .construct import (
-    COUNTING_N,
-    ConstructConfig,
-    check_structure_conditions,
-    construct_intermediate,
-    density_experiment,
-    verify_counting_bound,
-)
 from .errors import ConfigError, ShiftPressError
+
+# Each subcommand imports the modules it runs inside its cmd_* function, so a
+# process loads and compiles only those; `check` never loads `construct`.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,7 +86,9 @@ def _load_inputs(args, need_potential=True) -> Potential:
     return load_potential(sys_, args.potential) if need_potential else Potential.zero(sys_)
 
 
-def _construct_config(args) -> ConstructConfig:
+def _construct_config(args):
+    from .structure import ConstructConfig
+
     cfg = ConstructConfig(
         level_eps=args.res_eps,
         level_gamma=args.res_gamma,
@@ -113,6 +102,8 @@ def _construct_config(args) -> ConstructConfig:
 
 
 def _load_decomposition(args):
+    from .segments import trivial_decomposition, load_decomposition
+
     if getattr(args, "decomposition", None):
         return load_decomposition(args.decomposition)
     return trivial_decomposition()
@@ -123,6 +114,9 @@ def _load_decomposition(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pressure(args) -> int:
+    from .segments import all_segments
+    from .thermo import pressure_enumerate, pressure_oracle
+
     phi = _load_inputs(args, need_potential=args.command == "pressure")
     enum = pressure_enumerate(
         phi, all_segments(), Resolution(args.res_delta_enum), None,
@@ -140,6 +134,8 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_pstar(args) -> int:
+    from .thermo import pressure_floor, birkhoff_sup_sequence
+
     phi = _load_inputs(args)
     value = pressure_floor(phi)
     payload = {
@@ -152,6 +148,8 @@ def cmd_pstar(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .measures import spectrum_sample
+
     result = spectrum_sample(
         _load_inputs(args), cycle_cap=args.cycle_cap, grid=args.grid, budget=args.budget_words
     )
@@ -170,6 +168,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .structure import check_structure_conditions
+
     phi = _load_inputs(args)
     dec = _load_decomposition(args)
     check = check_structure_conditions(phi, dec, _construct_config(args), n_cap=args.n_cap_check)
@@ -179,6 +179,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import construct_intermediate
+
     phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.alpha is None or args.eta0 is None:
@@ -190,6 +192,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .construct import density_experiment
+
     phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.eta0 is None:
@@ -216,6 +220,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
+    from .construct import COUNTING_N, construct_intermediate, verify_counting_bound
+
     phi = _load_inputs(args)
     dec = _load_decomposition(args)
     if args.alpha is None or args.eta0 is None:

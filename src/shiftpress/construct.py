@@ -34,17 +34,15 @@ from .core import (
     DEFAULT_WORD_BUDGET,
 )
 from .potentials import Potential, birkhoff_batch, variation
-from .segments import SegmentClass, OrbitDecomposition, affix_bounded, complement, union
+from .segments import SegmentClass, OrbitDecomposition, affix_bounded
 from .gluing import GluingCertificate, check_gluing, glue_words
 from .thermo import (
     PressureReport,
     partition_function,
-    pressure_enumerate,
     pressure_oracle,
     pressure_floor,
     birkhoff_sup,
     bowen_bound,
-    expansivity_report,
     log_sum_exp,
     NEG_INF,
 )
@@ -55,33 +53,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-
-
-@dataclass
-class ConstructConfig:
-    """Tunable knobs of the construction driver."""
-
-    level_eps: int = 1
-    level_gamma: int = 5
-    level_delta: int = 7
-    n_cap: int = 24
-    c0_n_cap: int = 10
-    affix_caps: tuple = (0, 1, 2, 4)
-    budget: int = 6_000_000
-    seed: int = 0
-
-    def resolutions(self):
-        if not (self.level_gamma >= self.level_eps + 4 and self.level_delta >= self.level_gamma + 2):
-            raise ConfigError(
-                "resolution levels must satisfy gamma >= eps + 4 and delta >= gamma + 2 "
-                f"(got eps={self.level_eps}, gamma={self.level_gamma}, delta={self.level_delta}); "
-                "this is the dyadic form of the strict scale ordering 16*delta < 8*gamma < eps"
-            )
-        return (
-            Resolution(self.level_eps),
-            Resolution(self.level_gamma),
-            Resolution(self.level_delta),
-        )
+from .structure import ConstructConfig, StructureCheck, check_structure_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -673,132 +645,6 @@ def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> 
     if len({len(tuple(w)) for w in words}) != 1:
         raise ConfigError("all selected words must share one length")
     return GluedSubshift(phi, np.asarray(words, dtype=np.uint8), cert, params)
-
-
-# ---------------------------------------------------------------------------
-# structure conditions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConditionReport:
-    name: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    margin: float
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
-class StructureCheck:
-    conditions: list
-    all_pass: bool
-    pressure: float
-
-    def to_dict(self):
-        return {
-            "pressure": self.pressure,
-            "all_pass": self.all_pass,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "margin": None if math.isinf(c.margin) else c.margin,
-                    "details": c.details,
-                }
-                for c in self.conditions
-            ],
-        }
-
-
-def _pressure_condition(name, phi, seg, delta, eps, n_cap, pressure, budget) -> ConditionReport:
-    rep = pressure_enumerate(phi, seg, delta, eps, (2, n_cap), budget)
-    if rep.value == NEG_INF:
-        return ConditionReport(name, "pass", math.inf, {"class_pressure": None})
-    margin = pressure - rep.value
-    spread = rep.error_bound if not math.isinf(rep.error_bound) else 0.0
-    details = {"class_pressure": rep.value, "spread": rep.error_bound}
-    if margin <= 0:
-        # the finite-n upper proxy already reaches the full pressure: the
-        # strict inequality is falsified at this resolution
-        return ConditionReport(name, "fail", margin, details)
-    if margin > spread:
-        return ConditionReport(name, "pass", margin, details)
-    return ConditionReport(name, "inconclusive", margin, details)
-
-
-def check_structure_conditions(
-    phi: Potential,
-    dec: OrbitDecomposition,
-    config: ConstructConfig | None = None,
-    n_cap: int = 10,
-) -> StructureCheck:
-    """Numeric evaluation of the five structural conditions behind the
-    construction: gluing on the affix-bounded cores, small pressure of the
-    complement and of the affix classes, the Bowen bound on the core, and
-    the expansivity obstruction."""
-    config = config or ConstructConfig()
-    eps_res, gamma_res, delta_res = config.resolutions()
-    sys = phi.sys
-    sys.require_strongly_connected()
-    pressure = pressure_oracle(phi).value
-    conditions = []
-
-    # (1) gluing on the affix-bounded cores
-    glue_ok = True
-    glue_details = {}
-    for cap in (0, 1, 2):
-        try:
-            cert = check_gluing(sys, affix_bounded(dec, cap), delta_res, seed=config.seed)
-            glue_details[f"cap_{cap}"] = {"tau": cert.tau, "n0": cert.n0}
-        except CertificateError as exc:
-            glue_ok = False
-            glue_details[f"cap_{cap}"] = {"error": str(exc)}
-    conditions.append(
-        ConditionReport("gluing_on_bounded_cores", "pass" if glue_ok else "fail",
-                        math.inf if glue_ok else 0.0, glue_details)
-    )
-
-    # (2) complement class pressure at (2*gamma, 2*gamma)
-    two_gamma = Resolution(gamma_res.level - 1)
-    conditions.append(
-        _pressure_condition(
-            "complement_pressure", phi, complement(dec.base),
-            two_gamma, two_gamma, n_cap, pressure, config.budget,
-        )
-    )
-
-    # (3) affix class pressure at (gamma, 3*gamma); a 3*gamma ball is the
-    # dyadic ball one level coarser than gamma
-    three_gamma = Resolution(gamma_res.level - 1)
-    conditions.append(
-        _pressure_condition(
-            "affix_pressure", phi, union(dec.prefix_class, dec.suffix_class),
-            gamma_res, three_gamma, n_cap, pressure, config.budget,
-        )
-    )
-
-    # (4) Bowen bound on the core at 3*gamma
-    bb = bowen_bound(phi, dec.core_class, three_gamma)
-    if bb.exact:
-        conditions.append(ConditionReport("bowen_on_core", "pass", math.inf, {"certified": 0.0}))
-    else:
-        conditions.append(
-            ConditionReport(
-                "bowen_on_core", "inconclusive", 0.0,
-                {"certified_up_to_n_cap": bb.certified, "sampled": bb.sampled},
-            )
-        )
-
-    # (5) expansivity obstruction
-    er = expansivity_report(sys, eps_res)
-    conditions.append(
-        ConditionReport(
-            "expansivity_obstruction", "pass", math.inf,
-            {"h_star": er.h_star, "ne_empty": er.ne_empty},
-        )
-    )
-
-    all_pass = all(c.status == "pass" for c in conditions)
-    return StructureCheck(conditions=conditions, all_pass=all_pass, pressure=pressure)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .core import ShiftSystem, _bfs, count_words, word_matrix
 from .potentials import Potential, _Lift
 from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, PreconditionError, StructuralError
 
 MERGE_TOL = 1e-12
 NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
@@ -251,6 +251,8 @@ def gibbs_chain(phi: Potential, tol: float = 1e-13) -> _LiftChain:
     the eigenvalue. Its pressure equals the topological pressure (exactly
     for the lift, to eigen-precision here)."""
     _, right, _ = transfer_spectrum(phi, tol=tol)
+    if not (right > 0).all():
+        raise PreconditionError("the Perron vector underflows to 0: the potential's values spread too widely")
     lift = phi.lift
     return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[lift.dst] / right[lift.src])
 

@@ -19,6 +19,13 @@ from .core import ShiftSystem, Resolution, word_matrix, word_str, parse_word
 from .errors import ConfigError, PreconditionError
 from . import kernels
 
+# A Birkhoff sum here has far fewer than MAX_SUM_TERMS terms, and the widest
+# value formed from phi is the difference of two of them (the exp(x - max)
+# shifts of the pressure routes), so |phi| <= VALUE_BOUND keeps every such
+# value finite.
+MAX_SUM_TERMS = 2**32
+VALUE_BOUND = float(np.finfo(float).max) / (2 * MAX_SUM_TERMS)
+
 
 class Potential:
     """Memory-m potential on one system, given by a table over its admissible
@@ -192,6 +199,7 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
     parsed = {}
     bad = []
     non_finite = []
+    huge = []
     for k, v in table.items():
         try:
             w = parse_word(k)
@@ -208,11 +216,16 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
         if not math.isfinite(value):
             non_finite.append(k)
             continue
+        if abs(value) > VALUE_BOUND:
+            huge.append(k)
+            continue
         parsed[w] = value
     if bad:
         raise ConfigError(f"{origin}: malformed table keys/values: {', '.join(sorted(bad))}")
     if non_finite:
         raise ConfigError(f"{origin}: non-finite table values for: {', '.join(sorted(non_finite))}")
+    if huge:
+        raise ConfigError(f"{origin}: table values beyond +-{VALUE_BOUND:.3g} for: {', '.join(sorted(huge))}")
     try:
         return Potential(sys, m, parsed)
     except ConfigError as exc:

@@ -90,6 +90,16 @@ class TestPressure:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "non-finite" in err
 
+    def test_huge_potential_exit2(self, files, capsys):
+        # finite, but their Birkhoff sums and exp(x - max) shifts overflow
+        phi = files["tmp"] / "huge.json"
+        phi.write_text('{"memory": 1, "table": {"0": 1e308, "1": -1e308}}')
+        for command in ("spectrum", "pressure", "pstar"):
+            code, _ = run(files, command, "--system", str(files["full2"]), "--potential", str(phi))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("config error:") and err.endswith("for: 0, 1\n")
+
 
 class TestPstarAndSpectrum:
     def test_pstar(self, files):
@@ -241,7 +251,7 @@ class TestConstructAndDensity:
     @pytest.mark.parametrize("n_list", ["3,x", "12", ""], ids=["not-integer", "out-of-range", "empty"])
     def test_verify_bounds_bad_n_list_exit2(self, files, capsys, monkeypatch, n_list):
         # the list is checked before the construction runs
-        monkeypatch.setattr("shiftpress.cli.construct_intermediate", lambda *a: pytest.fail("construction ran"))
+        monkeypatch.setattr("shiftpress.construct.construct_intermediate", lambda *a: pytest.fail("construction ran"))
         code, _ = run(
             files, "verify-bounds", "--system", str(files["full2"]), "--potential", str(files["zero"]),
             "--alpha", "0.12", "--eta0", "0.1", "--n-list", n_list,

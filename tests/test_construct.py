@@ -21,6 +21,7 @@ from shiftpress import (
     ConstructConfig,
 )
 from shiftpress import construct as construct_module
+from shiftpress import structure as structure_module
 from shiftpress.construct import GluedSubshift
 from shiftpress.core import word_matrix
 from shiftpress.segments import OrbitDecomposition, empty_segments
@@ -583,6 +584,7 @@ class TestConstructIntermediate:
             raise RuntimeError("bug inside check_gluing")
 
         monkeypatch.setattr(construct_module, "check_gluing", broken)
+        monkeypatch.setattr(structure_module, "check_gluing", broken)
         phi = Potential.zero(full2)
         with pytest.raises(RuntimeError, match="bug inside check_gluing"):
             construct_intermediate(phi, trivial_decomposition(), 0.35, 0.1)

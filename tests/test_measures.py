@@ -15,7 +15,7 @@ from shiftpress import (
 )
 from shiftpress import measures
 from shiftpress.measures import gibbs_chain, primitive_cycles
-from shiftpress.errors import ConfigError, StructuralError
+from shiftpress.errors import ConfigError, PreconditionError, StructuralError
 
 from conftest import random_sft, random_potential
 
@@ -134,6 +134,12 @@ class TestMeasurePressure:
         assert chain.pressure() == pytest.approx(
             pressure_oracle(Potential.zero(golden)).value, abs=1e-9
         )
+
+    def test_underflowing_perron_vector_refused(self, full2):
+        # exp(0 - 1000) underflows, so the right vector is 0 off the state 0
+        phi = Potential(full2, 2, {(0, 0): 1000.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0})
+        with pytest.raises(PreconditionError, match="underflows"):
+            gibbs_chain(phi)
 
     def test_measure_on_another_system_refused(self, full2, golden):
         phi = Potential.zero(full2)

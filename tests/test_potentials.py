@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftpress import Potential, Resolution, birkhoff_sum, variation
-from shiftpress.potentials import potential_from_dict, birkhoff_batch
+from shiftpress.potentials import VALUE_BOUND, potential_from_dict, birkhoff_batch
 from shiftpress.errors import ConfigError, PreconditionError
 
 from conftest import random_sft, random_potential
@@ -92,6 +92,13 @@ class TestLoader:
             potential_from_dict(
                 golden, {"memory": 2, "table": {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}}
             )
+
+    def test_values_bounded(self, full2):
+        at = potential_from_dict(full2, {"memory": 1, "table": {"0": VALUE_BOUND, "1": -VALUE_BOUND}})
+        assert at.spread == 2 * VALUE_BOUND
+        beyond = float(np.nextafter(VALUE_BOUND, np.inf))
+        with pytest.raises(ConfigError, match="beyond .* for: 1$"):
+            potential_from_dict(full2, {"memory": 1, "table": {"0": 0.0, "1": -beyond}})
 
     def test_malformed_keys(self, full2):
         with pytest.raises(ConfigError, match="malformed"):
