@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 config/parse problem, 3 computation or
 infeasibility. Every artifact embeds the tool version, a hash of the
-resolved configuration, the seed, and the wall-clock time; rerunning with
-an identical configuration reproduces the output byte for byte except for
-the wall-clock field.
+resolved configuration, and the wall-clock time; rerunning with an
+identical configuration reproduces the output byte for byte except for the
+wall-clock field.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def _header(args) -> dict:
     return {
         "version": __version__,
         "config_hash": _config_hash(args),
-        "seed": args.seed,
         "wallclock": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -93,10 +92,11 @@ def _construct_config(args):
         level_eps=args.res_eps,
         level_gamma=args.res_gamma,
         level_delta=args.res_delta,
-        seed=args.seed,
         budget=args.budget_words,
     )
-    if getattr(args, "n_cap", None):
+    if args.n_cap is not None:
+        if args.n_cap < 2:
+            raise ConfigError(f"--n-cap must be >= 2, got {args.n_cap}")
         cfg.n_cap = args.n_cap
     return cfg
 
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         if potential:
             p.add_argument("--potential", required=True, help="potential JSON")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-words", type=int, default=20_000_000, dest="budget_words")
 
     def construct_flags(p):

@@ -739,7 +739,7 @@ class Preparation:
         for cap in config.affix_caps:
             core = affix_bounded(self.dec, cap)
             try:
-                cert = check_gluing(self.phi.sys, core, self.delta_res, seed=config.seed)
+                cert = check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
             log_c0, n1 = _measure_partition_floor(

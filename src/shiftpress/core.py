@@ -72,7 +72,6 @@ class ShiftSystem:
         self.transitions = T
         self.transitions.setflags(write=False)
         self._strongly_connected = None
-        self._period = None
         self._diameter = None
 
     @classmethod
@@ -113,18 +112,6 @@ class ShiftSystem:
                 f"transition digraph is not strongly connected: symbol {missing} "
                 f"{direction} symbol 0"
             )
-
-    def period(self) -> int:
-        """gcd of cycle lengths of the (strongly connected) transition digraph."""
-        self.require_strongly_connected()
-        if self._period is None:
-            self._period = graph_period(self.transitions)
-        return self._period
-
-    @property
-    def primitive(self) -> bool:
-        """True iff some power of T is entrywise positive (checked, not assumed)."""
-        return self.strongly_connected() and self.period() == 1
 
 
 # ---------------------------------------------------------------------------

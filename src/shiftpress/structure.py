@@ -36,7 +36,6 @@ class ConstructConfig:
     c0_n_cap: int = 10
     affix_caps: tuple = (0, 1, 2, 4)
     budget: int = 6_000_000
-    seed: int = 0
 
     def resolutions(self):
         if not (self.level_gamma >= self.level_eps + 4 and self.level_delta >= self.level_gamma + 2):
@@ -109,7 +108,7 @@ def check_structure_conditions(
     complement and of the affix classes, the Bowen bound on the core, and
     the expansivity obstruction."""
     config = config or ConstructConfig()
-    eps_res, gamma_res, delta_res = config.resolutions()
+    eps_res, gamma_res, _delta_res = config.resolutions()
     sys = phi.sys
     sys.require_strongly_connected()
     pressure = pressure_oracle(phi).value
@@ -120,7 +119,7 @@ def check_structure_conditions(
     glue_details = {}
     for cap in (0, 1, 2):
         try:
-            cert = check_gluing(sys, affix_bounded(dec, cap), delta_res, seed=config.seed)
+            cert = check_gluing(sys, affix_bounded(dec, cap))
             glue_details[f"cap_{cap}"] = {"tau": cert.tau, "n0": cert.n0}
         except CertificateError as exc:
             glue_ok = False

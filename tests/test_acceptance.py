@@ -165,7 +165,7 @@ def test_criterion_07_counting_bound():
 
 def test_criterion_08_tracing_and_separation():
     golden = ShiftSystem.golden_mean()
-    cert = check_gluing(golden, all_segments(), Resolution(7))
+    cert = check_gluing(golden, all_segments())
     pool = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
     N, tau = 3, cert.tau
     traced = 0
@@ -191,7 +191,7 @@ def test_criterion_08_tracing_and_separation():
 
 def test_criterion_09_degenerate_selections():
     full2 = ShiftSystem.full_shift(2)
-    cert = check_gluing(full2, all_segments(), Resolution(7))
+    cert = check_gluing(full2, all_segments())
     phi = Potential.from_symbol_values(full2, [0.1, 0.7])
     single = build_glued(phi, [(0, 1, 1, 0)], cert)
     v1, _ = single.log_pressure()

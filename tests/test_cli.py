@@ -172,6 +172,24 @@ class TestConstructAndDensity:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("n_cap", ["0", "1", "-3"])
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("construct", ("--alpha", "0.35", "--eta0", "0.1")),
+            ("density", ("--grid", "2", "--eta0", "0.1")),
+            ("verify-bounds", ("--alpha", "0.12", "--eta0", "0.1")),
+        ],
+    )
+    def test_n_cap_below_two_exit2(self, files, capsys, command, flags, n_cap):
+        code, text = run(
+            files, command, "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            *flags, "--n-cap", n_cap,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: --n-cap must be >= 2, got {n_cap}\n"
+
     def test_density_rows(self, files):
         code, text = run(
             files, "density", "--system", str(files["full2"]), "--potential", str(files["zero"]),
@@ -282,7 +300,16 @@ class TestConstructAndDensity:
         )
         payload = json.loads(text)
         header = payload["header"]
-        assert set(header) == {"version", "config_hash", "seed", "wallclock"}
+        assert set(header) == {"version", "config_hash", "wallclock"}
+
+    @pytest.mark.parametrize(
+        "command", ["pressure", "entropy", "pstar", "spectrum", "check", "construct", "density", "verify-bounds"]
+    )
+    def test_seed_flag_removed_exit2(self, files, capsys, command):
+        potential = [] if command == "entropy" else ["--potential", str(files["zero"])]
+        code, text = run(files, command, "--system", str(files["full2"]), *potential, "--seed", "0")
+        assert code == 2 and text == ""
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 class TestOneLiftPerPotential:

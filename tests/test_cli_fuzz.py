@@ -22,6 +22,7 @@ COMMANDS = (
     ["pressure", "--n-max", "4"],
     ["pstar"],
     ["spectrum", "--cycle-cap", "2", "--grid", "2"],
+    ["check", "--n-cap-check", "3"],
 )
 
 junk = st.one_of(

@@ -31,12 +31,12 @@ from shiftpress.errors import InfeasibleError, ConfigError
 
 @pytest.fixture
 def cert_full2(full2):
-    return check_gluing(full2, all_segments(), Resolution(7))
+    return check_gluing(full2, all_segments())
 
 
 @pytest.fixture
 def cert_golden(golden):
-    return check_gluing(golden, all_segments(), Resolution(7))
+    return check_gluing(golden, all_segments())
 
 
 class TestSelectWords:
@@ -336,8 +336,8 @@ def counting_sets():
     built_golden = construct_intermediate(
         Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
     )
-    cert_f = check_gluing(full2, all_segments(), Resolution(7))
-    cert_g = check_gluing(golden, all_segments(), Resolution(7))
+    cert_f = check_gluing(full2, all_segments())
+    cert_g = check_gluing(golden, all_segments())
     phi_g = Potential.from_symbol_values(golden, [0.0, 0.1])
     phi_f = Potential.from_symbol_values(full2, [0.2, -0.1])
     return [

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shiftpress.gluing as gluing_module
 from shiftpress import (
-    Resolution,
     all_segments,
     check_gluing,
     glue_words,
@@ -10,8 +13,9 @@ from shiftpress import (
     is_traced,
     digraph_diameter,
 )
-from shiftpress.core import is_admissible
-from shiftpress.segments import SegmentClass
+from shiftpress.cli import main
+from shiftpress.core import is_admissible, word_matrix
+from shiftpress.segments import SegmentClass, affix_bounded, prefix_run_decomposition
 from shiftpress.errors import CertificateError
 
 from conftest import random_sft
@@ -19,18 +23,18 @@ from conftest import random_sft
 
 class TestCertificates:
     def test_full2_free_concatenation(self, full2):
-        cert = check_gluing(full2, all_segments(), Resolution(7))
+        cert = check_gluing(full2, all_segments())
         assert cert.tau == 0
         assert all(c == () for c in cert.connectors.values())
 
     def test_golden_single_connector(self, golden):
-        cert = check_gluing(golden, all_segments(), Resolution(7))
+        cert = check_gluing(golden, all_segments())
         assert cert.tau == 1
         assert cert.connector(1, 1) == (0,)
         assert all(cert.connector(a, b) == () for a, b in [(0, 0), (0, 1), (1, 0)])
 
     def test_cycle3_connector_lengths(self, cycle3):
-        cert = check_gluing(cycle3, all_segments(), Resolution(7))
+        cert = check_gluing(cycle3, all_segments())
         assert cert.tau == 2
         for a in range(3):
             for b in range(3):
@@ -38,23 +42,23 @@ class TestCertificates:
 
     def test_tau_vs_diameter(self, golden, cycle3, full2):
         for sys in (golden, cycle3, full2):
-            cert = check_gluing(sys, all_segments(), Resolution(7))
+            cert = check_gluing(sys, all_segments())
             assert cert.tau >= digraph_diameter(sys) - 1
 
     def test_requested_tau_too_small(self, golden):
         with pytest.raises(CertificateError):
-            check_gluing(golden, all_segments(), Resolution(7), tau=0)
+            check_gluing(golden, all_segments(), tau=0)
 
     def test_empty_class_refused(self, golden):
         nothing = SegmentClass(lambda w, n: False, "nothing")
         with pytest.raises(CertificateError, match="no segments"):
-            check_gluing(golden, nothing, Resolution(7))
+            check_gluing(golden, nothing)
 
     def test_randomized_systems(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
             sys = random_sft(rng, int(rng.integers(2, 5)))
-            cert = check_gluing(sys, all_segments(), Resolution(5), seed=seed)
+            cert = check_gluing(sys, all_segments())
             assert cert.tau <= sys.alphabet_size
 
 
@@ -64,7 +68,7 @@ class TestTracing:
         assert trace_times([5], []) == [0]
 
     def test_exact_prefix_tracing(self, golden):
-        cert = check_gluing(golden, all_segments(), Resolution(7))
+        cert = check_gluing(golden, all_segments())
         words = [(0, 0, 1), (1, 0, 1), (0, 1, 0)]
         glued, times, gaps = glue_words(cert, words)
         assert is_admissible(golden, glued)
@@ -82,15 +86,40 @@ class TestTracing:
         assert not is_traced(z, [((1, 1), 2)], [0])
 
     def test_glued_word_admissible_on_random_systems(self):
+        # sequences of 2-8 class segments with lengths in [n0, n0+4]
+        prefix_run_core = affix_bounded(prefix_run_decomposition(symbol=0, cap=2), 0)
         for seed in range(6):
             rng = np.random.default_rng(200 + seed)
             sys = random_sft(rng, int(rng.integers(2, 5)))
-            cert = check_gluing(sys, all_segments(), Resolution(5), seed=seed)
-            from shiftpress.core import word_matrix
+            n0 = 1 + seed % 3
+            for segments in (all_segments(), prefix_run_core):
+                cert = check_gluing(sys, segments, n0=n0)
+                pool = {}
+                for n in range(n0, n0 + 5):
+                    rows = [tuple(row) for row in word_matrix(sys, n).tolist()]
+                    members = [w for w in rows if segments.membership(w, n)]
+                    if members:
+                        pool[n] = members
+                for _ in range(8):
+                    lengths = [int(rng.choice(sorted(pool))) for _ in range(int(rng.integers(2, 9)))]
+                    take = [pool[n][int(rng.integers(len(pool[n])))] for n in lengths]
+                    glued, times, gaps = glue_words(cert, take)
+                    assert is_admissible(sys, glued)
+                    assert times == trace_times(lengths, gaps)
+                    assert is_traced(glued, [(w, len(w)) for w in take], times)
+                    assert all(g <= cert.tau for g in gaps)
 
-            pool = [tuple(int(s) for s in row) for row in word_matrix(sys, 4)]
-            take = [pool[int(i)] for i in rng.integers(0, len(pool), size=5)]
-            glued, times, gaps = glue_words(cert, take)
-            assert is_admissible(sys, glued)
-            assert is_traced(glued, [(w, 4) for w in take], times)
-            assert all(g <= cert.tau for g in gaps)
+    def test_certificate_does_not_glue(self, golden, tmp_path, monkeypatch):
+        # the per-connector check is the whole proof: no sample is glued
+        def broken(*args, **kwargs):
+            raise AssertionError("glue_words called while certifying")
+
+        monkeypatch.setattr(gluing_module, "glue_words", broken)
+        assert check_gluing(golden, all_segments()).tau == 1
+        data = Path(__file__).parent / "data"
+        inputs = ["--system", str(data / "golden.json"), "--potential", str(data / "golden_weighted.json")]
+        out = tmp_path / "out.json"
+        assert main(["check", *inputs, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_pass"]
+        assert main(["construct", *inputs, "--alpha", "0.3", "--eta0", "0.1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certified"]

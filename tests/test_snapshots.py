@@ -34,8 +34,8 @@ with its exit code; regenerate that file from the root of the repository with
 Those cases must reproduce the exit code and every line of the artifact
 but the wall clock.
 
-In the other snapshots the header (version, configuration hash, seed, wall
-clock) is not compared. In a spectrum artifact the stats lines and the rows,
+In the other snapshots the header (version, configuration hash, wall clock)
+is not compared. In a spectrum artifact the stats lines and the rows,
 keyed by (kind, parameter), must agree; numbers within 1e-12, compared as
 the printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
@@ -51,7 +51,7 @@ import pytest
 from shiftpress.cli import main
 
 DATA = Path(__file__).parent / "data"
-HEADER = ("version", "config_hash", "seed", "wallclock")
+HEADER = ("version", "config_hash", "wallclock")
 
 
 def _parse(text):

@@ -21,7 +21,8 @@ from shiftpress import (
 from shiftpress.segments import SegmentClass
 from shiftpress.potentials import birkhoff_batch
 from shiftpress.core import word_matrix
-from shiftpress.errors import ResourceBudgetError
+from shiftpress.errors import PreconditionError, ResourceBudgetError
+from shiftpress.thermo import perron_log
 
 from conftest import random_sft, random_potential
 
@@ -250,6 +251,13 @@ class TestPressureOracle:
         rep = pressure_oracle(Potential.zero(cycle3))
         assert rep.value == pytest.approx(0.0, abs=1e-9)
         assert rep.extras["periodic_fallback"]
+
+    def test_nonconvergent_power_iteration_refused(self):
+        # transfer matrix of golden with phi(00) = phi(10) = -20, phi(01) = 20:
+        # eigenvalues about +1 and -1, so the power iteration never settles
+        L = np.array([[math.exp(-20), math.exp(20)], [math.exp(-20), 0.0]])
+        with pytest.raises(PreconditionError, match=r"last spread .* tol=1e-12 after 50 steps"):
+            perron_log(L, maxiter=50)
 
     @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
     def test_constant_shift(self, golden, c):
