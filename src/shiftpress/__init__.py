@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "ShiftSystem", "Resolution", "count_words", "enumerate_words", "separated_set",
-        "digraph_diameter", "load_system",
+        "ShiftSystem", "Resolution", "count_words", "load_system",
     ),
     "potentials": ("Potential", "birkhoff_sum", "variation", "load_potential"),
     "segments": (
@@ -24,7 +23,7 @@ _EXPORTS = {
     ),
     "thermo": (
         "PressureReport", "partition_function", "pressure_enumerate", "pressure_oracle",
-        "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence", "bowen_bound", "expansivity_report",
+        "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence", "bowen_bound",
     ),
     "measures": (
         "MarkovMeasure", "PeriodicOrbitMeasure", "markov_entropy", "measure_pressure", "spectrum_sample",

@@ -122,21 +122,10 @@ def class_log_weight_sum(
     n: int,
     budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> float:
-    """ln of the sum of e^{Birkhoff(w, n)} over class words of length n.
-
-    Only defined for memory-1 potentials (construction world)."""
-    if phi.memory != 1:
-        raise PreconditionError("class_log_weight_sum expects a memory-1 potential")
-    if seg.kind == "empty":
-        return NEG_INF
-    if seg.kind == "all":
-        return partition_function(phi, seg, n, Resolution(1), None, budget)
-    words = word_matrix(phi.sys, n, budget)
-    member = seg.batch(words, n)
-    if not member.any():
-        return NEG_INF
-    phis = birkhoff_batch(phi, words[member], n)
-    return log_sum_exp(phis.tolist())
+    """ln of the sum of e^{Birkhoff(w, n)} over class words of length n: the
+    partition function at separation level 1, where each word is its own
+    cylinder. Called on memory-1 potentials only (construction world)."""
+    return partition_function(phi, seg, n, Resolution(1), None, budget)
 
 
 _REFUSALS = (InfeasibleError, ResourceBudgetError, PreconditionError)
@@ -289,18 +278,10 @@ class GluedSubshift:
         self.first = words[:, 0].astype(np.intp)
         self.last = words[:, -1].astype(np.intp)
         self.phis = birkhoff_batch(phi, words, self.N) if phis is None else np.asarray(phis, dtype=float)
-        A = sys.alphabet_size
-        # connector data per ordered pair
-        self.conn = {}
-        for a in range(A):
-            for b in range(A):
-                c = cert.connector(a, b)
-                if not all(
-                    sys.transitions[x, y]
-                    for x, y in zip((a,) + c + (b,), c + (b,))
-                ):
-                    raise ConfigError(f"certificate connector for ({a},{b}) is stale")
-                self.conn[(a, b)] = c
+        # the certificate checked its connectors on its own system
+        if not np.array_equal(cert.sys.transitions, sys.transitions):
+            raise ConfigError("the certificate and the potential live on different systems")
+        self.conn = cert.connectors
         self.conn_phi = {
             pair: math.fsum(phi.values_flat[list(c)].tolist()) for pair, c in self.conn.items()
         }

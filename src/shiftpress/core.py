@@ -41,10 +41,6 @@ class Resolution:
     def value(self) -> float:
         return 2.0 ** (-self.level)
 
-    def word_length(self, n: int) -> int:
-        """Length of the cylinder words realizing an (n, 2^-level)-separated set."""
-        return n + self.level - 1
-
 
 class ShiftSystem:
     """Finite-alphabet subshift of finite type.
@@ -72,7 +68,6 @@ class ShiftSystem:
         self.transitions = T
         self.transitions.setflags(write=False)
         self._strongly_connected = None
-        self._diameter = None
 
     @classmethod
     def full_shift(cls, alphabet_size: int) -> "ShiftSystem":
@@ -156,20 +151,6 @@ def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDG
     return kernels.word_matrix(sys.transitions.astype(np.uint8), n)
 
 
-def enumerate_words(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
-    """Yield each admissible word of length n exactly once, lexicographically."""
-    mat = word_matrix(sys, n, budget)
-    for row in mat:
-        yield tuple(int(s) for s in row)
-
-
-def separated_set(sys: ShiftSystem, n: int, eps: Resolution, budget: int | None = DEFAULT_WORD_BUDGET):
-    """A maximal (n, 2^-eps.level)-separated set, realized as words of length n+level-1."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    return set(enumerate_words(sys, eps.word_length(n), budget))
-
-
 def _bfs(adj: np.ndarray, first):
     """Breadth-first search of a boolean digraph from the vertex list `first`.
 
@@ -204,21 +185,6 @@ def graph_period(adj: np.ndarray) -> int:
     reached = depth[u] >= 0
     g = int(np.gcd.reduce(depth[u[reached]] + 1 - depth[v[reached]]))
     return g if g else 1
-
-
-def digraph_diameter(sys: ShiftSystem) -> int:
-    """Max over ordered symbol pairs (a, b) of the shortest nonempty path a -> b.
-
-    A connector word gluing "...a" to "b..." has that length minus one
-    interior symbols; length 0 is permitted exactly when T[a][b].
-    """
-    sys.require_strongly_connected()
-    if sys._diameter is None:
-        T = sys.transitions
-        sys._diameter = max(
-            int(_bfs(T, np.flatnonzero(T[a]))[0].max()) + 1 for a in range(sys.alphabet_size)
-        )
-    return sys._diameter
 
 
 def shortest_connectors(sys: ShiftSystem) -> dict:

@@ -36,6 +36,9 @@ class GluingCertificate:
     connectors: dict
 
     def __post_init__(self):
+        A = self.sys.alphabet_size
+        if set(self.connectors) != {(a, b) for a in range(A) for b in range(A)}:
+            raise CertificateError(f"a certificate needs one connector for each of the {A * A} symbol pairs")
         for (a, b), c in self.connectors.items():
             if len(c) > self.tau:
                 raise CertificateError(

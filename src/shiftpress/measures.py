@@ -108,10 +108,6 @@ class PeriodicOrbitMeasure:
         self.sys = sys
         self.cycle = w
 
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
 
 def markov_entropy(mu: MarkovMeasure) -> float:
     """Entropy rate -sum_a pi_a sum_b Q[ab] ln Q[ab] (0 ln 0 = 0)."""
@@ -138,10 +134,7 @@ def measure_pressure(phi: Potential, mu) -> float:
         raise ConfigError("the measure and the potential live on different systems")
     if isinstance(mu, MarkovMeasure):
         return markov_entropy(mu) + _markov_integral(phi, mu)
-    w = mu.cycle
-    p = len(w)
-    ext = w * (1 + (phi.memory + p - 2) // p)
-    return math.fsum(phi(ext[k:]) for k in range(p)) / p
+    return _cycle_mean(phi.lift, _cycle_lift_chain(phi.lift, mu.cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,8 @@ def gibbs_chain(phi: Potential, tol: float = 1e-13) -> _LiftChain:
 
 
 def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
-    """Counts per lift edge of the steps the cycle takes on lift states."""
+    """Counts per lift edge of the steps the cycle takes on lift states: step
+    k closes the window starting at cycle position k."""
     c = lift.context
     p = len(cycle)
     ext = np.array(cycle * (2 + c // p))
@@ -270,7 +264,13 @@ def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
     # of the destination, so the (src, dst) keys increase along the arrays
     keys = lift.src * V + lift.dst
     edges = np.searchsorted(keys, states * V + np.roll(states, -1))
-    return np.bincount(edges, minlength=len(keys)).astype(float)
+    return np.bincount(edges, minlength=len(keys))
+
+
+def _cycle_mean(lift: _Lift, counts: np.ndarray) -> float:
+    """Mean of phi along a cycle from its lift edge counts, the sum of its
+    window values correctly rounded (so independent of their order)."""
+    return math.fsum(np.repeat(lift.wgt, counts).tolist()) / int(counts.sum())
 
 
 def primitive_cycles(sys: ShiftSystem, max_len: int, budget: int = 2_000_000):
@@ -359,9 +359,10 @@ def spectrum_sample(
     # ~ H(eps) there; the squared ramp equalizes the jump sizes
     ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
     for w in cycles:
+        counts = _cycle_lift_chain(lift, w)
         if len(entries) < max_measures:
             name = "".join(map(str, w))
-            p_cycle = measure_pressure(phi, PeriodicOrbitMeasure(sys, w))
+            p_cycle = _cycle_mean(lift, counts)
             entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
         if len(entries) >= max_measures:
             partial = True
@@ -369,7 +370,7 @@ def spectrum_sample(
             break
         # the whole grid is solved even when the budget keeps only part of
         # it, so a kept entry does not depend on the budget
-        q, pi = _interpolated_chains(chain, _normalized(lift, _cycle_lift_chain(lift, w)), ts)
+        q, pi = _interpolated_chains(chain, _normalized(lift, counts), ts)
         pi_src = pi[:, lift.src]
         entropies = _entropy_rate(pi_src, q).tolist()
         # cumsum adds left to right in edge order, as _LiftChain.integral does

@@ -1,5 +1,5 @@
 """Partition functions, pressure estimators, the transfer-operator oracle,
-potential variation bounds, and the expansivity obstruction report.
+and potential variation bounds.
 
 Two independent routes to pressure are kept side by side:
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ShiftSystem,
     Resolution,
     count_words,
     graph_period,
@@ -67,10 +66,12 @@ class PressureReport:
 
 
 def log_sum_exp(values) -> float:
+    """ln sum e^v over a list or array, summed exactly after shifting by the
+    max; a Python float either way, so a JSON artifact can carry it."""
     vals = [v for v in values if v != NEG_INF]
     if not vals:
         return NEG_INF
-    mx = max(vals)
+    mx = float(max(vals))
     return mx + math.log(math.fsum(math.exp(v - mx) for v in vals))
 
 
@@ -353,7 +354,7 @@ def birkhoff_sup_sequence(phi: Potential, n_max: int = 20):
 
 
 # ---------------------------------------------------------------------------
-# Bowen-property bounds and expansivity
+# Bowen-property bounds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -406,21 +407,3 @@ def bowen_bound(
                 d2 = (grp_max - mem_min)[occupied].max()
                 sampled = max(sampled, float(d1), float(d2))
     return BowenBound(certified=certified, sampled=sampled, exact=False, n_cap=n_cap)
-
-
-@dataclass(frozen=True)
-class ExpansivityReport:
-    h_star: float
-    ne_empty: bool
-    p_exp_bot: float
-
-
-def expansivity_report(sys: ShiftSystem, eps: Resolution) -> ExpansivityReport:
-    """One-sided subshifts are expansive below scale 1: if two points stay
-    within 2^-level (level >= 1) under every shift, their symbols agree
-    everywhere blockwise, so they are equal. The shadowing class of every
-    point is trivial, no point obstructs expansivity, and the obstruction
-    pressure is empty-supremum -inf."""
-    if eps.level < 1:
-        raise ConfigError("resolution level must be >= 1")
-    return ExpansivityReport(h_star=0.0, ne_empty=True, p_exp_bot=NEG_INF)

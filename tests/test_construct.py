@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,20 @@ from shiftpress import (
 from shiftpress import construct as construct_module
 from shiftpress import structure as structure_module
 from shiftpress.construct import GluedSubshift
-from shiftpress.core import word_matrix
-from shiftpress.segments import OrbitDecomposition, empty_segments
-from shiftpress.potentials import birkhoff_batch
+from shiftpress.core import load_system, word_matrix
+from shiftpress.segments import (
+    OrbitDecomposition,
+    affix_bounded,
+    empty_segments,
+    prefix_run_decomposition,
+)
+from shiftpress.potentials import birkhoff_batch, load_potential
+from shiftpress.thermo import log_sum_exp
 from shiftpress.errors import InfeasibleError, ConfigError
+
+from conftest import random_potential, random_sft
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -107,7 +118,48 @@ class TestRanking:
         assert got_cum.tobytes() == cum.tobytes()
 
 
+def reference_class_log_weight_sum(phi, seg, n):
+    """The class weight as class_log_weight_sum enumerated it for a generic
+    class before it became the level-1 partition function: the class words,
+    their Birkhoff sums and one log-sum-exp."""
+    words = word_matrix(phi.sys, n)
+    member = seg.batch(words, n)
+    if not member.any():
+        return -math.inf
+    return log_sum_exp(birkhoff_batch(phi, words[member], n).tolist())
+
+
+class TestClassWeight:
+    def test_partition_route_matches_enumeration(self):
+        golden = load_system(DATA / "golden.json")
+        cases = [(load_potential(golden, DATA / "golden_weighted.json"), 0, range(1, 13))]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sys_ = random_sft(rng, int(rng.integers(2, 5)))
+            cases.append((random_potential(rng, sys_, 1), int(rng.integers(sys_.alphabet_size)), range(1, 7)))
+        for phi, symbol, lengths in cases:
+            dec = prefix_run_decomposition(symbol, 2)
+            for cap in (0, 1, 2, 4):
+                core = affix_bounded(dec, cap)
+                assert core.kind == "generic"
+                for n in lengths:
+                    got = construct_module.class_log_weight_sum(phi, core, n)
+                    assert type(got) is float
+                    assert got == reference_class_log_weight_sum(phi, core, n), (symbol, cap, n)
+
+
 class TestGluedSubshift:
+    def test_certificate_from_another_system_refused(self, full2, golden, cycle3, cert_full2):
+        phi = Potential.zero(golden)
+        for cert in (cert_full2, check_gluing(cycle3, all_segments())):
+            with pytest.raises(ConfigError, match="different systems"):
+                build_glued(phi, [(0, 1, 0)], cert)
+            with pytest.raises(ConfigError, match="different systems"):
+                GluedSubshift(phi, np.array([[0, 1, 0]], dtype=np.uint8), cert)
+        # an equal system held in another object is the same system
+        lam = build_glued(Potential.zero(ShiftSystem.full_shift(2)), [(0, 1, 1, 0)], cert_full2)
+        assert lam.conn == cert_full2.connectors
+
     def test_all_words_recovers_full_shift(self, full2, cert_full2):
         phi = Potential.zero(full2)
         lam = build_glued(phi, word_matrix(full2, 4), cert_full2)

@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftpress import (
-    ShiftSystem,
-    Resolution,
-    count_words,
-    enumerate_words,
-    separated_set,
-    digraph_diameter,
-)
-from shiftpress.core import is_admissible, word_matrix, system_from_dict
+from shiftpress import ShiftSystem, count_words
+from shiftpress.core import is_admissible, shortest_connectors, word_matrix, system_from_dict
 from shiftpress.errors import ConfigError, ResourceBudgetError, StructuralError
 
-from conftest import random_sft
+from conftest import least_path_lengths, random_sft
 
 
 def matrix_power_count(sys, n):
@@ -63,12 +56,17 @@ class TestCountWords:
             count_words(full2, 0)
 
 
+def words_of(sys, n, budget=None):
+    """The rows of word_matrix as tuples, in row order."""
+    return [tuple(row) for row in word_matrix(sys, n, budget).tolist()]
+
+
 class TestEnumerateWords:
     def test_golden_n2(self, golden):
-        assert set(enumerate_words(golden, 2)) == {(0, 0), (0, 1), (1, 0)}
+        assert set(words_of(golden, 2)) == {(0, 0), (0, 1), (1, 0)}
 
     def test_full2_n2(self, full2):
-        assert set(enumerate_words(full2, 2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert set(words_of(full2, 2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_golden_n3_brute_force(self, golden):
         brute = {
@@ -76,35 +74,36 @@ class TestEnumerateWords:
             for w in ((a, b, c) for a in range(2) for b in range(2) for c in range(2))
             if is_admissible(golden, w)
         }
-        assert set(enumerate_words(golden, 3)) == brute
+        assert set(words_of(golden, 3)) == brute
         assert brute == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)}
 
     def test_budget_errors_not_truncates(self, full2):
         with pytest.raises(ResourceBudgetError):
-            list(enumerate_words(full2, 20, budget=100))
+            word_matrix(full2, 20, budget=100)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6), A=st.integers(2, 4), n=st.integers(1, 7))
     def test_sorted_admissible_duplicate_free(self, seed, A, n):
         rng = np.random.default_rng(seed)
         sys = random_sft(rng, A)
-        words = list(enumerate_words(sys, n))
+        words = words_of(sys, n)
         assert len(words) == len(set(words)) == count_words(sys, n)
         assert words == sorted(words)
         assert all(is_admissible(sys, w) for w in words)
 
 
 class TestSeparatedSet:
+    """A maximal (n, 2^-l)-separated set is the set of admissible words of
+    length n + l - 1."""
+
     def test_full2_n1_l1(self, full2):
-        assert separated_set(full2, 1, Resolution(1)) == {(0,), (1,)}
+        assert set(words_of(full2, 1 + 1 - 1)) == {(0,), (1,)}
 
     def test_golden_n2_l2(self, golden):
-        got = separated_set(golden, 2, Resolution(2))
-        assert len(got) == 5
-        assert got == set(enumerate_words(golden, 3))
+        assert count_words(golden, 2 + 2 - 1) == 5
 
     def test_full2_n3_l2_cardinality(self, full2):
-        assert len(separated_set(full2, 3, Resolution(2))) == 16
+        assert count_words(full2, 3 + 2 - 1) == 16
 
     @pytest.mark.parametrize(
         "sysname,n_max,l_max",
@@ -131,25 +130,42 @@ class TestSeparatedSet:
                         if not (dn > 2.0**-l).all():
                             continue
                     chosen = np.vstack([chosen, cand[None, :]])
-                assert chosen.shape[0] == len(separated_set(sys, n, Resolution(l)))
+                assert chosen.shape[0] == count_words(sys, n + l - 1)
+
+
+def connector_path_lengths(sys):
+    """1 + the length of each shortest connector, checked against the
+    matrix-power oracle; returns the oracle's path lengths."""
+    K = least_path_lengths(sys)
+    conn = shortest_connectors(sys)
+    assert len(conn) == sys.alphabet_size**2
+    for (a, b), c in conn.items():
+        assert is_admissible(sys, (a, *c, b))
+        assert K[a, b] == 1 + len(c)
+    return K
 
 
 class TestDiameter:
     def test_full_shift_any_alphabet(self):
         for A in (2, 3, 4, 5):
-            assert digraph_diameter(ShiftSystem.full_shift(A)) == 1
+            assert connector_path_lengths(ShiftSystem.full_shift(A)).max() == 1
 
     def test_golden_bfs(self, golden):
-        assert digraph_diameter(golden) == 2
+        assert connector_path_lengths(golden).max() == 2
 
     def test_cycle3(self, cycle3):
-        assert digraph_diameter(cycle3) == 3
+        assert connector_path_lengths(cycle3).max() == 3
+
+    def test_random_systems(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            connector_path_lengths(random_sft(rng, int(rng.integers(2, 7)), density=0.4))
 
     def test_not_strongly_connected(self):
         # 0 -> 1 one-way only; 1 -> 1 self loop keeps rows/cols non-stranded
         sys = ShiftSystem([[1, 1], [0, 1]])
         with pytest.raises(StructuralError):
-            digraph_diameter(sys)
+            shortest_connectors(sys)
 
 
 class TestSystemLoader:

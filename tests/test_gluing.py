@@ -6,19 +6,19 @@ import pytest
 
 import shiftpress.gluing as gluing_module
 from shiftpress import (
+    GluingCertificate,
     all_segments,
     check_gluing,
     glue_words,
     trace_times,
     is_traced,
-    digraph_diameter,
 )
 from shiftpress.cli import main
 from shiftpress.core import is_admissible, word_matrix
 from shiftpress.segments import SegmentClass, affix_bounded, prefix_run_decomposition
 from shiftpress.errors import CertificateError
 
-from conftest import random_sft
+from conftest import least_path_lengths, random_sft
 
 
 class TestCertificates:
@@ -43,11 +43,16 @@ class TestCertificates:
     def test_tau_vs_diameter(self, golden, cycle3, full2):
         for sys in (golden, cycle3, full2):
             cert = check_gluing(sys, all_segments())
-            assert cert.tau >= digraph_diameter(sys) - 1
+            assert cert.tau == least_path_lengths(sys).max() - 1
 
     def test_requested_tau_too_small(self, golden):
         with pytest.raises(CertificateError):
             check_gluing(golden, all_segments(), tau=0)
+
+    def test_incomplete_connector_table_refused(self, full2):
+        # GluedSubshift reads the connectors of a certificate without checking them again
+        with pytest.raises(CertificateError, match="each of the 4 symbol pairs"):
+            GluingCertificate(sys=full2, n0=1, tau=0, connectors={(0, 0): (), (0, 1): (), (1, 0): ()})
 
     def test_empty_class_refused(self, golden):
         nothing = SegmentClass(lambda w, n: False, "nothing")

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shiftpress import (
     Potential,
+    load_potential,
+    load_system,
     MarkovMeasure,
     PeriodicOrbitMeasure,
     markov_entropy,
@@ -18,6 +21,8 @@ from shiftpress.measures import gibbs_chain, primitive_cycles
 from shiftpress.errors import ConfigError, PreconditionError, StructuralError
 
 from conftest import random_sft, random_potential
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestMarkovEntropy:
@@ -111,7 +116,52 @@ class TestStationary:
                 assert np.abs(pg - _refined_stationary(Q)).max() <= 1e-14
 
 
+def reference_cycle_mean(phi, cycle):
+    """The cycle mean as measure_pressure took it before it read the lift
+    edge counts: phi on each of the p windows of the periodic word, summed
+    exactly."""
+    p = len(cycle)
+    ext = cycle * (1 + (phi.memory + p - 2) // p)
+    return math.fsum(phi(ext[k:]) for k in range(p)) / p
+
+
+def _data_input(system, potential):
+    sys_ = load_system(DATA / f"{system}.json")
+    return sys_, load_potential(sys_, DATA / f"{potential}.json"), 8
+
+
+def _random_lift():
+    """A 6-symbol system with a memory-5 potential: a lift of about 400 states."""
+    rng = np.random.default_rng(0)
+    sys_ = random_sft(rng, 6)
+    return sys_, random_potential(rng, sys_, 5), 3
+
+
 class TestMeasurePressure:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _data_input("full2", "zero"),
+            lambda: _data_input("full2", "full2_mem4"),
+            lambda: _data_input("golden", "golden_mem2"),
+            lambda: _data_input("golden", "golden_weighted"),
+            _random_lift,
+        ],
+        ids=["full2-zero", "full2-full2_mem4", "golden-golden_mem2", "golden-golden_weighted", "random-lift"],
+    )
+    def test_cycle_mean_matches_window_sum(self, make):
+        sys_, phi, cap = make()
+        cycles, truncated = primitive_cycles(sys_, cap)
+        assert truncated is None and cycles
+        want = {c: reference_cycle_mean(phi, c) for c in cycles}
+        for c in cycles:
+            got = measure_pressure(phi, PeriodicOrbitMeasure(sys_, c))
+            assert type(got) is float
+            assert got == want[c], c
+        entries = spectrum_sample(phi, cycle_cap=cap, grid=2).entries
+        got = {e.parameter: e.pressure for e in entries if e.kind == "cycle"}
+        assert got == {"".join(map(str, c)): v for c, v in want.items()}
+
     def test_uniform_is_topological_entropy(self, full2):
         mu = MarkovMeasure.bernoulli(full2, [0.5, 0.5])
         assert measure_pressure(Potential.zero(full2), mu) == pytest.approx(

@@ -25,6 +25,11 @@ of the repository with, for example,
         --system tests/data/full2.json --potential tests/data/zero.json \
         --alpha 0.45 --eta0 0.1 --out tests/data/construct_full2_zero.json
 
+    PYTHONPATH=src python -m shiftpress.cli construct \
+        --system tests/data/golden.json --potential tests/data/golden_weighted.json \
+        --alpha 0.3 --eta0 0.1 --decomposition tests/data/prefix_run.json \
+        --out tests/data/construct_golden_prefix_run.json
+
 The pressure, entropy, pstar and check artifacts of the cases in
 THERMO_CASES are kept together in tests/data/thermo_cli_snapshots.json, each
 with its exit code; regenerate that file from the root of the repository with
@@ -157,19 +162,25 @@ def test_density_snapshot(tmp_path, system, potential, grid, snapshot):
     assert got == want
 
 
+CONSTRUCT_CASES = [
+    ("full2", "zero", "0.45", None, "construct_full2_zero.json"),
+    ("golden", "golden_weighted", "0.3", None, "construct_golden_weighted.json"),
+    # a prefix-run decomposition: generic (predicate-only) core classes
+    ("golden", "golden_weighted", "0.3", "prefix_run", "construct_golden_prefix_run.json"),
+]
+
+
 @pytest.mark.parametrize(
-    "system,potential,alpha,snapshot",
-    [
-        ("full2", "zero", "0.45", "construct_full2_zero.json"),
-        ("golden", "golden_weighted", "0.3", "construct_golden_weighted.json"),
-    ],
+    "system,potential,alpha,decomposition,snapshot", CONSTRUCT_CASES,
+    ids=["-".join(filter(None, case)) for case in CONSTRUCT_CASES],
 )
-def test_construct_snapshot(tmp_path, system, potential, alpha, snapshot):
+def test_construct_snapshot(tmp_path, system, potential, alpha, decomposition, snapshot):
     out = tmp_path / snapshot
+    extra = ["--decomposition", str(DATA / f"{decomposition}.json")] if decomposition else []
     code = main([
         "construct", "--system", str(DATA / f"{system}.json"),
         "--potential", str(DATA / f"{potential}.json"),
-        "--alpha", alpha, "--eta0", "0.1", "--out", str(out),
+        "--alpha", alpha, "--eta0", "0.1", *extra, "--out", str(out),
     ])
     assert code == 0
     got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))

@@ -16,7 +16,6 @@ from shiftpress import (
     birkhoff_sup,
     birkhoff_sup_sequence,
     bowen_bound,
-    expansivity_report,
 )
 from shiftpress.segments import SegmentClass
 from shiftpress.potentials import birkhoff_batch
@@ -338,13 +337,6 @@ class TestBowenAndExpansivity:
         assert not bb.exact
         assert bb.certified == pytest.approx(6 * 1.0)
         assert 0.0 < bb.sampled <= bb.certified + 1e-12
-
-    def test_expansivity_trivial(self, full2, golden):
-        for sys, level in ((full2, 1), (golden, 3), (golden, 1)):
-            rep = expansivity_report(sys, Resolution(level))
-            assert rep.h_star == 0.0
-            assert rep.ne_empty
-            assert rep.p_exp_bot == -math.inf
 
 
 class TestBirkhoffSup:
