@@ -59,14 +59,17 @@ def _emit_json(payload: dict, out: str | None):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
+def _fmt_column(values) -> list:
+    """CSV fields: empty for None, true/false for a bool, .12g for a float."""
+    return [
+        "" if x is None else ("true" if x else "false") if x.__class__ is bool
+        else f"{x:.12g}" if isinstance(x, float) else str(x)
+        for x in values
+    ]
+
+
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return _fmt_column((x,))[0]
 
 
 def _emit_csv(header: dict, columns, rows, out: str | None, stats: dict | None = None):
@@ -74,8 +77,8 @@ def _emit_csv(header: dict, columns, rows, out: str | None, stats: dict | None =
     for k, v in (stats or {}).items():
         lines.append(f"# {k}: {_fmt(v)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # one column at a time, then the fields of each row joined
+    lines += map(",".join, zip(*map(_fmt_column, zip(*rows))))
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -153,17 +156,14 @@ def cmd_spectrum(args) -> int:
     result = spectrum_sample(
         _load_inputs(args), cycle_cap=args.cycle_cap, grid=args.grid, budget=args.budget_words
     )
-    rows = [
-        (e.kind, e.parameter, e.entropy, e.integral, e.pressure)
-        for e in result.entries
-    ]
     stats = {
         "floor": result.floor,
         "ceiling": result.ceiling,
         "max_gap": result.max_gap,
         "partial": result.partial,
     }
-    _emit_csv(_header(args), ["kind", "parameter", "entropy", "integral", "pressure"], rows, args.out, stats)
+    # each entry is a (kind, parameter, entropy, integral, pressure) row
+    _emit_csv(_header(args), ["kind", "parameter", "entropy", "integral", "pressure"], result.entries, args.out, stats)
     return EXIT_OK
 
 
@@ -344,6 +344,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.budget_words < 1:
+            raise ConfigError(f"--budget-words must be >= 1, got {args.budget_words}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

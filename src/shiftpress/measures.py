@@ -8,7 +8,8 @@ the Gibbs-type chain built from the weighted Perron right eigenvector
 between the two. A chain on the transfer lift is its edge probabilities,
 aligned with the lift's edge arrays. The stationary vectors of the Gibbs
 chain and of a `MarkovMeasure` come from one exact linear solve; those of
-the interpolations are low-rank updates of the Gibbs solve.
+the interpolations are low-rank updates of the Gibbs solve, taken in one
+batch per number of lift states the cycles visit, not cycle by cycle.
 
 Every entry point takes the potential alone and reads its system from it;
 `measure_pressure` refuses a measure that lives on another system.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
 from .errors import ConfigError, PreconditionError, StructuralError
 
 MERGE_TOL = 1e-12
+_BLOCK_ROWS = 8192  # words per rotation comparison in primitive_cycles
+_CHUNK = 1 << 14  # (cycle, grid, edge) elements per interpolation batch; it bounds the batch temporaries
 NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
 
 
@@ -134,7 +138,7 @@ def measure_pressure(phi: Potential, mu) -> float:
         raise ConfigError("the measure and the potential live on different systems")
     if isinstance(mu, MarkovMeasure):
         return markov_entropy(mu) + _markov_integral(phi, mu)
-    return _cycle_mean(phi.lift, _cycle_lift_chain(phi.lift, mu.cycle))
+    return _cycle_means(phi.lift, _cycle_edges(phi.lift, np.array([mu.cycle])))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +183,10 @@ class _LiftChain:
 
 
 def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:
-    """Edge weights, (E,) or (G, E), divided by the total of their source
-    state (rows with no weight stay zero)."""
+    """Edge weights, (..., E), divided by the total of their source state
+    (rows with no weight stay zero)."""
     V = lift.n_states
-    w = np.atleast_2d(weights)
+    w = weights.reshape(-1, weights.shape[-1])
     # one bincount over all chains adds each row's edges in edge order
     keys = lift.src + V * np.arange(len(w))[:, None]
     rows = np.bincount(keys.ravel(), weights=w.ravel(), minlength=w.shape[0] * V)
@@ -190,51 +194,62 @@ def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:
     return (w / rows[:, lift.src]).reshape(weights.shape)
 
 
-def _interpolated_chains(gibbs: _LiftChain, q_cycle: np.ndarray, ts: np.ndarray):
-    """Edge probabilities q (G, E) and stationary vectors pi (G, V) of the
-    chains normalize((1 - t) q_gibbs + t q_cycle) for the G values t in ts.
+def _interpolated_chains(gibbs: _LiftChain, q_cycles: np.ndarray, ts: np.ndarray):
+    """Edge probabilities q (n, G, E) and stationary vectors pi (n, G, V) of
+    the chains normalize((1 - t) q_gibbs + t q_cycle) for the G values t in
+    ts, toward each of n cycles (q_cycles, (n, E)) that visit the same number
+    s of lift states.
 
-    Such a chain differs from the Gibbs chain only in the rows of the p
+    Such a chain differs from the Gibbs chain only in the rows of the s
     states S the cycle visits, so its bordered matrix is M_t = M_0 + t U E_S^T:
     U holds those rows' change q_cycle - q_gibbs (bordered row zeroed) and
     E_S selects the states of S. With Z = M_0^-1 U the Woodbury identity
     (Hager, SIAM Review 1989) solves M_t x = b as
 
-        x = y - t Z (I_p + t Z[S])^-1 y[S],   y = M_0^-1 b.
+        x = y - t Z (I_s + t Z[S])^-1 y[S],   y = M_0^-1 b.
 
     The other rows of the exact chain differ from the Gibbs rows in the last
     ulp, and near t = 1 the update loses about two digits, so the solution
     is refined once: the residual of the exact chain's bordered system,
     taken on the lift edges in longdouble, is solved with the same operator.
+    Every product is stacked over the cycles, one cycle per 2-D slice, so a
+    cycle's chains do not depend on the others in the batch.
     """
     lift = gibbs.lift
     V = lift.n_states
-    q = _normalized(lift, (1.0 - ts)[:, None] * gibbs.q + ts[:, None] * q_cycle)
+    n = len(q_cycles)
+    q = _normalized(lift, (1.0 - ts)[:, None] * gibbs.q + ts[:, None] * q_cycles[:, None])
 
-    visited = np.zeros(V, dtype=bool)
-    visited[lift.src[q_cycle > 0]] = True
-    S = np.flatnonzero(visited)
-    out = visited[lift.src]
-    U = np.zeros((V, len(S)))
-    U[lift.dst[out], np.searchsorted(S, lift.src[out])] = (q_cycle - gibbs.q)[out]
-    U[-1] = 0.0
+    visited = np.zeros((n, V), dtype=bool)
+    c, e = np.nonzero(q_cycles > 0)
+    visited[c, lift.src[e]] = True
+    S = np.nonzero(visited)[1].reshape(n, -1)
+    s = S.shape[1]
+    slot = np.cumsum(visited, axis=1) - 1  # column of each visited state in S
+    c, e = np.nonzero(visited[:, lift.src])
+    U = np.zeros((n, V, s))
+    U[c, lift.dst[e], slot[c, lift.src[e]]] = q_cycles[c, e] - gibbs.q[e]
+    U[:, -1] = 0.0
     inverse = gibbs.bordered_inverse
     Z = inverse @ U
+    cycle = np.arange(n)[:, None]
     try:
-        K = np.linalg.inv(np.eye(len(S)) + ts[:, None, None] * Z[S])
+        K = np.linalg.inv(np.eye(s) + ts[:, None, None] * Z[cycle, S][:, None])
     except np.linalg.LinAlgError:
         raise StructuralError(NOT_UNIQUE) from None
+    Zt = Z.transpose(0, 2, 1)
 
     def solve(y):
-        """M_t^-1 b for the rows y = M_0^-1 b of a (G, V) array."""
-        return y - ts[:, None] * (np.einsum("gij,gj->gi", K, y[:, S]) @ Z.T)
+        """M_t^-1 b for the rows y = M_0^-1 b of an (n, G, V) array."""
+        ys = y[cycle[:, :, None], np.arange(len(ts))[:, None], S[:, None]]
+        return y - ts[:, None] * (np.einsum("cgij,cgj->cgi", K, ys) @ Zt)
 
-    pi = solve(np.broadcast_to(gibbs.pi, (len(ts), V)))
+    pi = solve(np.broadcast_to(gibbs.pi, (n, len(ts), V)))
     exact = pi.astype(np.longdouble)
     residual = exact.copy()
     g = np.arange(len(ts))[:, None]
-    np.subtract.at(residual, (g, lift.dst), q * exact[:, lift.src])
-    residual[:, -1] = 1.0 - exact.sum(axis=1)
+    np.subtract.at(residual, (cycle[:, :, None], g, lift.dst), q * exact[..., lift.src])
+    residual[..., -1] = 1.0 - exact.sum(axis=-1)
     return q, pi + solve(residual.astype(float) @ inverse.T)
 
 
@@ -250,31 +265,37 @@ def gibbs_chain(phi: Potential, tol: float = 1e-13) -> _LiftChain:
     return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[lift.dst] / right[lift.src])
 
 
-def _cycle_lift_chain(lift: _Lift, cycle: tuple) -> np.ndarray:
-    """Counts per lift edge of the steps the cycle takes on lift states: step
-    k closes the window starting at cycle position k."""
+def _cycle_edges(lift: _Lift, cycles: np.ndarray) -> np.ndarray:
+    """Lift edge of every step of n cycles of one length p, (n, p): step k
+    closes the window starting at cycle position k."""
     c = lift.context
-    p = len(cycle)
-    ext = np.array(cycle * (2 + c // p))
-    V = lift.n_states
+    n, p = cycles.shape
+    ext = cycles[:, np.arange(p + c) % p]
     # the state at step k is the one whose code is the base-A value of ext[k : k + c]
-    codes = np.correlate(ext, lift.alphabet_size ** np.arange(c - 1, -1, -1), "valid")[:p]
+    codes = np.zeros((n, p + 1), dtype=np.int64)
+    for j in range(c):
+        codes = codes * lift.alphabet_size + ext[:, j : j + p + 1]
     states = np.searchsorted(lift.codes, codes)
     # edges are ordered by source, then by symbol, which is the last letter
     # of the destination, so the (src, dst) keys increase along the arrays
-    keys = lift.src * V + lift.dst
-    edges = np.searchsorted(keys, states * V + np.roll(states, -1))
-    return np.bincount(edges, minlength=len(keys))
+    V = lift.n_states
+    return np.searchsorted(lift.src * V + lift.dst, states[:, :-1] * V + states[:, 1:])
 
 
-def _cycle_mean(lift: _Lift, counts: np.ndarray) -> float:
-    """Mean of phi along a cycle from its lift edge counts, the sum of its
-    window values correctly rounded (so independent of their order)."""
-    return math.fsum(np.repeat(lift.wgt, counts).tolist()) / int(counts.sum())
+def _cycle_means(lift: _Lift, edges: np.ndarray) -> list:
+    """Mean of phi along each cycle from its lift edges, (n, p): the sum of
+    its window values correctly rounded (so independent of their order)."""
+    return [math.fsum(row) / edges.shape[1] for row in lift.wgt[edges].tolist()]
 
 
 def primitive_cycles(sys: ShiftSystem, max_len: int, budget: int = 2_000_000):
-    """All primitive cycles up to the length cap, canonical rotation only.
+    """All primitive cycles up to the length cap, canonical rotation only, as
+    one (count, p) uint8 matrix per length p, rows in lexicographic order.
+
+    The canonical rotation is the Lyndon word: a wrap-admissible word is kept
+    exactly when it is strictly smaller than each of its other rotations,
+    which also rules out powers of shorter words (Duval, J. Algorithms 1983).
+    Rotations are compared symbol by symbol, in blocks of _BLOCK_ROWS rows.
 
     Returns (cycles, truncated): truncated is the first length whose word
     count exceeded the budget, or None.
@@ -284,25 +305,57 @@ def primitive_cycles(sys: ShiftSystem, max_len: int, budget: int = 2_000_000):
         if count_words(sys, p) > budget:
             return cycles, p
         words = word_matrix(sys, p, budget)
-        wrap_ok = sys.transitions[words[:, -1].astype(np.intp), words[:, 0].astype(np.intp)]
-        for row in words[wrap_ok]:
-            w = tuple(int(s) for s in row)
-            rots = [w[k:] + w[:k] for k in range(p)]
-            if w != min(rots):
-                continue
-            if any(p % d == 0 and w == w[:d] * (p // d) for d in range(1, p)):
-                continue
-            cycles.append(w)
+        words = words[sys.transitions[words[:, -1], words[:, 0]]]
+        keep = np.ones(len(words), dtype=bool)
+        for start in range(0, len(words), _BLOCK_ROWS):
+            block = words[start : start + _BLOCK_ROWS]
+            rows = np.arange(len(block))
+            for k in range(1, p):
+                rotated = np.roll(block, -k, axis=1)
+                differ = block != rotated
+                first = differ.argmax(axis=1)  # the first differing symbol
+                keep[start : start + len(block)] &= differ[rows, first] & (
+                    block[rows, first] < rotated[rows, first]
+                )
+        cycles.append(words[keep])
     return cycles, None
 
 
-@dataclass
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     kind: str
     parameter: str
     entropy: float
     integral: float
     pressure: float
+
+
+def _interpolation_terms(chain: _LiftChain, edges: list, n: int, ts: np.ndarray):
+    """Entropies and integrals, (n, G), of the interpolations toward the first
+    n cycles of the per-length edge arrays `edges`.
+
+    The cycles are batched by the number of lift states they visit, in
+    chunks of at most _CHUNK (cycle, grid, edge) elements."""
+    lift = chain.lift
+    E = len(lift.src)
+    visits = np.concatenate([1 + (np.diff(np.sort(lift.src[e]), axis=1) != 0).sum(axis=1) for e in edges])
+    # one row of steps per cycle, padded with the dummy edge E
+    cap = max(e.shape[1] for e in edges)
+    steps = np.concatenate([np.pad(e, ((0, 0), (0, cap - e.shape[1])), constant_values=E) for e in edges])
+    entropies = np.empty((n, len(ts)))
+    integrals = np.empty((n, len(ts)))
+    size = max(1, _CHUNK // (len(ts) * E))
+    for s in range(1, cap + 1):
+        group = np.flatnonzero(visits[:n] == s)
+        for start in range(0, len(group), size):
+            ids = group[start : start + size]
+            keys = steps[ids] + (E + 1) * np.arange(len(ids))[:, None]
+            counts = np.bincount(keys.ravel(), minlength=len(ids) * (E + 1)).reshape(-1, E + 1)
+            q, pi = _interpolated_chains(chain, _normalized(lift, counts[:, :E]), ts)
+            pi_src = pi[..., lift.src]
+            entropies[ids] = _entropy_rate(pi_src, q)
+            # cumsum adds left to right in edge order, as _LiftChain.integral does
+            integrals[ids] = np.cumsum(pi_src * q * lift.wgt, axis=-1)[..., -1]
+    return entropies, integrals
 
 
 @dataclass
@@ -345,49 +398,71 @@ def spectrum_sample(
     floor = pressure_floor(phi)
     ceiling = pressure_oracle(phi).value
 
+    # uniform steps toward the deterministic end produce pressure jumps
+    # ~ H(eps) there; the squared ramp equalizes the jump sizes
+    ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
+    # entries come in generation order: the Gibbs chain, then each cycle
+    # followed by its grid; the budget keeps a prefix of that order
+    per = 1 + len(ts)
+    room = max_measures - min(max(max_measures, 0), 1)
+
     chain = gibbs_chain(phi)
+    if len(ts) and cycle_cap and room > 1:
+        # the interpolations need the inverse; its (V, V) temporaries reuse
+        # the space the Gibbs solve has just freed
+        chain.bordered_inverse
     entropy, integral = chain.entropy(), chain.integral()
-    entries = [SpectrumEntry("gibbs", "", entropy, integral, entropy + integral)][:max_measures]
+    lift = chain.lift
 
     cycles, truncated_at = primitive_cycles(sys, cycle_cap, budget)
     if truncated_at is not None:
         partial = True
         notes.append(f"cycle enumeration stopped before length {truncated_at} (budget)")
+    n_cycles = sum(map(len, cycles))
+    if n_cycles and n_cycles * per >= room:
+        partial = True
+        stage = "cycle sweep" if room <= 0 or (room - 1) % per == 0 else "interpolation"
+        notes.append(f"measure count budget reached during {stage}")
+    # cycle k keeps its entry when k * per < room and is solved when
+    # k * per + 1 < room: the whole grid, even when the budget keeps only
+    # part of it, so a kept entry does not depend on the budget
+    listed = min(n_cycles, max(0, -(-room // per)))
+    solved = min(n_cycles, max(0, -(-(room - 1) // per))) if len(ts) else 0
 
-    lift = chain.lift
-    # uniform steps toward the deterministic end produce pressure jumps
-    # ~ H(eps) there; the squared ramp equalizes the jump sizes
-    ts = 1.0 - (1.0 - np.arange(1, grid) / grid) ** 2
-    for w in cycles:
-        counts = _cycle_lift_chain(lift, w)
-        if len(entries) < max_measures:
-            name = "".join(map(str, w))
-            p_cycle = _cycle_mean(lift, counts)
-            entries.append(SpectrumEntry("cycle", name, 0.0, p_cycle, p_cycle))
-        if len(entries) >= max_measures:
-            partial = True
-            notes.append("measure count budget reached during cycle sweep")
-            break
-        # the whole grid is solved even when the budget keeps only part of
-        # it, so a kept entry does not depend on the budget
-        q, pi = _interpolated_chains(chain, _normalized(lift, counts), ts)
-        pi_src = pi[:, lift.src]
-        entropies = _entropy_rate(pi_src, q).tolist()
-        # cumsum adds left to right in edge order, as _LiftChain.integral does
-        integrals = np.cumsum(pi_src * q * lift.wgt, axis=1)[:, -1].tolist()
-        room = max_measures - len(entries)
-        for t, h, i in zip(ts[:room], entropies, integrals):
-            entries.append(SpectrumEntry("interp", f"{name}:{t:.6f}", h, i, h + i))
-        if len(entries) >= max_measures:
-            partial = True
-            notes.append("measure count budget reached during interpolation")
-            break
+    words = []
+    for block in cycles:
+        words.append(block[: listed - sum(map(len, words))])
+    edges = [_cycle_edges(lift, w) for w in words if len(w)]
+    names = ["".join(map(str, row)) for w in words for row in w.tolist()]
+    means = np.array([m for e in edges for m in _cycle_means(lift, e)])
 
-    entries.sort(key=lambda e: (e.pressure, e.kind, e.parameter))
+    entropies = np.zeros((listed, per))
+    integrals = np.zeros((listed, per))
+    if solved:
+        entropies[:solved, 1:], integrals[:solved, 1:] = _interpolation_terms(chain, edges, solved, ts)
+    integrals[:, 0] = means
+    pressures = entropies + integrals
+    pressures[:, 0] = means  # 0.0 + x is not x for x = -0.0
+
+    # sort by (pressure, kind, parameter); kinds are ranked by name
+    rank = np.concatenate(([1], np.tile([0] + [2] * len(ts), listed)))
+    suffixes = ["", *(f":{t:.6f}" for t in ts)]
+    params = [""] + [name + sfx for name in names for sfx in suffixes]
+    columns = [
+        np.concatenate(([x], a.ravel()))[: max(max_measures, 0)]
+        for x, a in ((entropy, entropies), (integral, integrals), (entropy + integral, pressures))
+    ]
+    kept = len(columns[0])
+    order = np.lexsort((np.array(params[:kept], dtype=bytes), rank[:kept], columns[2]))
+    kinds = ("cycle", "gibbs", "interp")
+    columns = [c[order].tolist() for c in columns]
+    entries = list(map(SpectrumEntry._make, zip(
+        [kinds[k] for k in rank[order].tolist()], [params[k] for k in order.tolist()], *columns
+    )))
     values = []
-    for e in entries:
-        if not values or e.pressure - values[-1] > MERGE_TOL:
-            values.append(e.pressure)
+    for v in columns[2]:
+        if not values or v - values[-1] > MERGE_TOL:
+            values.append(v)
 
     anchors = sorted(set(values) | {floor, ceiling})
     inside = [v for v in anchors if floor - 1e-12 <= v <= ceiling + 1e-12]

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from shiftpress.cli import main
+from shiftpress.cli import _fmt_column, main
+
+import spectrum_reference as ref
 
 
 @pytest.fixture
@@ -190,6 +192,27 @@ class TestConstructAndDensity:
         err = capsys.readouterr().err
         assert err == f"config error: --n-cap must be >= 2, got {n_cap}\n"
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("pressure", ("--potential", "zero")),
+            ("entropy", ()),
+            ("pstar", ("--potential", "zero")),
+            ("spectrum", ("--potential", "zero", "--cycle-cap", "3", "--grid", "3")),
+            ("check", ("--potential", "zero")),
+            ("construct", ("--potential", "zero", "--alpha", "0.35", "--eta0", "0.1")),
+            ("density", ("--potential", "zero", "--grid", "2", "--eta0", "0.1")),
+            ("verify-bounds", ("--potential", "zero", "--alpha", "0.12", "--eta0", "0.1")),
+        ],
+    )
+    def test_budget_words_below_one_exit2(self, files, capsys, command, flags, budget):
+        flags = [str(files[f]) if f in files else f for f in flags]
+        code, text = run(files, command, "--system", str(files["full2"]), *flags, "--budget-words", budget)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: --budget-words must be >= 1, got {budget}\n"
+
     def test_density_rows(self, files):
         code, text = run(
             files, "density", "--system", str(files["full2"]), "--potential", str(files["zero"]),
@@ -349,3 +372,11 @@ class TestOneLiftPerPotential:
         assert main([*args, "--out", str(tmp_path / "out")]) == 0
         assert built
         assert len({id(phi) for phi in built}) == len(built)
+
+
+def test_csv_columns_format_like_single_values():
+    """A column formatted at once gives the fields the per-value writer gave."""
+    import numpy as np
+
+    values = [None, True, False, 0, 7, 0.1, -0.0, 1e300, float("nan"), np.float64(2 / 3), "x:0.5", np.bool_(True)]
+    assert _fmt_column(values) == [ref._fmt(v) for v in values]

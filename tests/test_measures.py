@@ -6,6 +6,7 @@ import pytest
 
 from shiftpress import (
     Potential,
+    ShiftSystem,
     load_potential,
     load_system,
     MarkovMeasure,
@@ -20,9 +21,16 @@ from shiftpress import measures
 from shiftpress.measures import gibbs_chain, primitive_cycles
 from shiftpress.errors import ConfigError, PreconditionError, StructuralError
 
+import spectrum_reference as ref
 from conftest import random_sft, random_potential
 
 DATA = Path(__file__).parent / "data"
+
+
+def cycle_tuples(sys, cap):
+    """The cycles of primitive_cycles as tuples, in its order."""
+    blocks, _ = primitive_cycles(sys, cap)
+    return [tuple(row) for block in blocks for row in block.tolist()]
 
 
 class TestMarkovEntropy:
@@ -74,12 +82,12 @@ class TestStationary:
         interpolate = measures._interpolated_chains
         solved = []
 
-        def record(gibbs, q_cycle, ts):
+        def record(gibbs, q_cycles, ts):
             if not solved:
                 solved.append((gibbs.matrix(), gibbs.pi))
-            q, pi = interpolate(gibbs, q_cycle, ts)
+            q, pi = interpolate(gibbs, q_cycles, ts)
             lift = gibbs.lift
-            for qg, pg in zip(q, pi):
+            for qg, pg in zip(q.reshape(-1, q.shape[-1]), pi.reshape(-1, pi.shape[-1])):
                 Q = np.zeros_like(solved[0][0])
                 Q[lift.src, lift.dst] = qg
                 solved.append((Q, pg))
@@ -98,19 +106,22 @@ class TestStationary:
     def test_near_deterministic_chains_refined(self):
         """Grid points up to t = 0.9996 on a 78-state lift: every
         interpolated chain is within 1e-14 of a refined solve, which the
-        rank-p update alone misses by up to 3e-14."""
+        rank-s update alone misses by up to 3e-14. The cycles are solved in
+        one batch per number of visited lift states."""
         rng = np.random.default_rng(2)
         sys = random_sft(rng, 5)
         phi = random_potential(rng, sys, 4, 0.0, 3.0)
         gibbs = gibbs_chain(phi)
         lift = gibbs.lift
-        cycles, _ = primitive_cycles(sys, 3)
+        cycles = cycle_tuples(sys, 3)
         ts = 1.0 - (1.0 - np.arange(1, 50) / 50) ** 2
         assert lift.n_states == 78 and len(cycles) * len(ts) == 1372
-        for w in cycles:
-            q_cycle = measures._normalized(lift, measures._cycle_lift_chain(lift, w))
-            q, pi = measures._interpolated_chains(gibbs, q_cycle, ts)
-            for qg, pg in zip(q, pi):
+        q_cycles = measures._normalized(lift, np.array([ref.cycle_lift_counts(lift, w) for w in cycles]))
+        visits = np.array([len(set(lift.src[q > 0].tolist())) for q in q_cycles])
+        assert set(visits.tolist()) == {1, 2, 3}
+        for s in (1, 2, 3):
+            q, pi = measures._interpolated_chains(gibbs, q_cycles[visits == s], ts)
+            for qg, pg in zip(q.reshape(-1, q.shape[-1]), pi.reshape(-1, 78)):
                 Q = np.zeros((78, 78))
                 Q[lift.src, lift.dst] = qg
                 assert np.abs(pg - _refined_stationary(Q)).max() <= 1e-14
@@ -151,8 +162,9 @@ class TestMeasurePressure:
     )
     def test_cycle_mean_matches_window_sum(self, make):
         sys_, phi, cap = make()
-        cycles, truncated = primitive_cycles(sys_, cap)
-        assert truncated is None and cycles
+        assert primitive_cycles(sys_, cap)[1] is None
+        cycles = cycle_tuples(sys_, cap)
+        assert cycles
         want = {c: reference_cycle_mean(phi, c) for c in cycles}
         for c in cycles:
             got = measure_pressure(phi, PeriodicOrbitMeasure(sys_, c))
@@ -213,18 +225,50 @@ class TestMeasurePressure:
 
 class TestPrimitiveCycles:
     def test_full2_counts(self, full2):
-        cycles, truncated = primitive_cycles(full2, 4)
+        blocks, truncated = primitive_cycles(full2, 4)
         assert truncated is None
-        by_len = {}
-        for c in cycles:
-            by_len.setdefault(len(c), []).append(c)
         # necklace counts over 2 symbols: 2, 1, 2, 3
-        assert [len(by_len.get(p, [])) for p in (1, 2, 3, 4)] == [2, 1, 2, 3]
+        assert [block.shape for block in blocks] == [(2, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_golden_excludes_forbidden(self, golden):
-        cycles, _ = primitive_cycles(golden, 3)
+        cycles = cycle_tuples(golden, 3)
         assert (1,) not in cycles
         assert (0,) in cycles and (0, 1) in cycles
+
+    @pytest.mark.parametrize("name", ["full2", "full3", "golden", "cycle3", *(f"random{k}" for k in range(10))])
+    def test_matches_rotation_lists(self, request, name):
+        """Every cap from 1 to 12 gives the cycles of the rotation-list
+        reference, in its order."""
+        if name.startswith("random"):
+            rng = np.random.default_rng(int(name[6:]))
+            sys = random_sft(rng, int(rng.integers(2, 4)))
+        else:
+            sys = request.getfixturevalue(name)
+        want, truncated = ref.primitive_cycles(sys, 12)
+        assert truncated is None
+        for cap in range(1, 13):
+            assert cycle_tuples(sys, cap) == [w for w in want if len(w) <= cap], cap
+
+    def test_many_symbols(self):
+        """44 symbols at length 12, where base-44 codes overflow int64: a ring
+        i -> i + 1 with chords i -> i - 7 and i -> i - 4 from some symbols."""
+        A = 44
+        T = np.zeros((A, A), dtype=bool)
+        ring = np.arange(A)
+        T[ring, (ring + 1) % A] = True
+        T[ring[::3], (ring[::3] - 7) % A] = True
+        T[ring[1::4], (ring[1::4] - 4) % A] = True
+        sys = ShiftSystem(T)
+        want, _ = ref.primitive_cycles(sys, 12)
+        assert A ** 12 > np.iinfo(np.int64).max
+        assert max(max(w) for w in want) >= 39 and {len(w) for w in want} == {5, 8, 10, 11, 12}
+        assert cycle_tuples(sys, 12) == want
+
+    def test_budget_truncates_at_the_same_length(self, full3):
+        blocks, truncated = primitive_cycles(full3, 12, budget=100)
+        want, want_truncated = ref.primitive_cycles(full3, 12, budget=100)
+        assert truncated == want_truncated == 5
+        assert [tuple(row) for block in blocks for row in block.tolist()] == want
 
 
 class TestSpectrum:
@@ -283,9 +327,8 @@ class TestSpectrum:
         phi = random_potential(np.random.default_rng(5), full2, 4)
         whole = spectrum_sample(phi, cycle_cap=4, grid=6)
         by_key = {(e.kind, e.parameter): e for e in whole.entries}
-        cycles, _ = primitive_cycles(full2, 4)
         order = [("gibbs", "")]
-        for w in cycles:
+        for w in cycle_tuples(full2, 4):
             name = "".join(map(str, w))
             grid = sorted(
                 (key for key in by_key if key[1].startswith(name + ":")),
@@ -309,7 +352,7 @@ class TestSpectrum:
         whole = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4)
         res = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4, max_measures=k)
         assert len(res.entries) <= k and res.partial
-        first_cycle = "".join(map(str, primitive_cycles(full2, 3)[0][0]))
+        first_cycle = "".join(map(str, cycle_tuples(full2, 3)[0]))
         expected = [("gibbs", ""), ("cycle", first_cycle)][:k]
         assert sorted((e.kind, e.parameter) for e in res.entries) == sorted(expected)
         assert all(e in whole.entries for e in res.entries)
@@ -317,3 +360,84 @@ class TestSpectrum:
     def test_budget_flags_partial(self, full3):
         res = spectrum_sample(Potential.zero(full3), cycle_cap=12, grid=3, budget=100)
         assert res.partial
+
+
+SNAPSHOT_INPUTS = [("full2", "zero", 6, 6), ("golden", "golden_mem2", 6, 6), ("full2", "full2_mem4", 4, 50)]
+
+
+class TestPerCycleRoute:
+    """The batched spectrum against the per-cycle reference route."""
+
+    @pytest.mark.parametrize("system,potential,cap,grid", SNAPSHOT_INPUTS,
+                             ids=[f"{s}-{p}" for s, p, _, _ in SNAPSHOT_INPUTS])
+    def test_snapshot_inputs_bitwise(self, system, potential, cap, grid):
+        _, phi, _ = _data_input(system, potential)
+        res = spectrum_sample(phi, cycle_cap=cap, grid=grid)
+        want, partial, notes = ref.spectrum_entries(phi, cap, grid)
+        assert list(map(tuple, res.entries)) == want
+        assert (res.partial, res.notes) == (partial, notes)
+
+    @pytest.mark.parametrize("chunk", [1, 500, 1 << 20])
+    def test_chunk_size_does_not_change_entries(self, monkeypatch, chunk):
+        """One cycle per batch, several batches per group, one batch per group."""
+        _, phi, _ = _data_input("golden", "golden_mem2")
+        want, _, _ = ref.spectrum_entries(phi, 8, 20)
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+        assert list(map(tuple, spectrum_sample(phi, cycle_cap=8, grid=20).entries)) == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_inputs_within_1e15(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        sys = random_sft(rng, int(rng.integers(2, 6)))
+        phi = random_potential(rng, sys, int(rng.integers(1, 4)))
+        res = spectrum_sample(phi, cycle_cap=5, grid=8)
+        want, _, _ = ref.spectrum_entries(phi, 5, 8)
+        assert [e[:2] for e in res.entries] == [w[:2] for w in want]
+        assert max(abs(a - b) for e, w in zip(res.entries, want) for a, b in zip(e[2:], w[2:])) <= 1e-15
+
+    def test_cut_in_a_later_group(self, monkeypatch):
+        """On a 400-state lift the cycles visit 1, 2 or 3 lift states, one
+        batch each. A budget cut inside the 2- and 3-state batches keeps the
+        reference entries, and no cycle past the cut is solved."""
+        sys_, phi, cap = _random_lift()
+        solve = measures._interpolated_chains
+        solved = []
+
+        def count(gibbs, q_cycles, ts):
+            solved.append(len(q_cycles))
+            return solve(gibbs, q_cycles, ts)
+
+        monkeypatch.setattr(measures, "_interpolated_chains", count)
+        lengths = [len(w) for w in cycle_tuples(sys_, cap)]
+        assert lengths.index(2) < lengths.index(3) < len(lengths)
+        per = 4  # a cycle entry and its 3 grid points
+        for k in (lengths.index(2) + 3, lengths.index(3) + 1):
+            for budget in (1 + k * per + 1, 1 + k * per + 3):
+                solved.clear()
+                res = spectrum_sample(phi, cycle_cap=cap, grid=per, max_measures=budget)
+                want, partial, notes = ref.spectrum_entries(phi, cap, per, max_measures=budget)
+                assert list(map(tuple, res.entries)) == want
+                assert (res.partial, res.notes) == (partial, notes) and partial
+                # cycle k's entry is kept; its grid points only with room after it
+                assert sum(solved) == k + (budget > 1 + k * per + 1)
+
+    @pytest.mark.parametrize(
+        "system,potential,cap,grid",
+        [("full2", "zero", 6, 1), ("full2", "full2_mem4", 4, 1), ("full2", "zero", 0, 6),
+         ("golden", "golden_mem2", 0, 6), ("golden", "golden_mem2", 6, 6), ("golden", "golden_mem2", 6, 50)],
+    )
+    def test_cli_rows_match(self, tmp_path, system, potential, cap, grid):
+        """The CSV rows and the partial flag of `spectrum`, as the per-cycle
+        route and the per-value writer print them."""
+        from shiftpress.cli import main
+
+        _, phi, _ = _data_input(system, potential)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--system", str(DATA / f"{system}.json"),
+                     "--potential", str(DATA / f"{potential}.json"),
+                     "--cycle-cap", str(cap), "--grid", str(grid), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = lines[lines.index("kind,parameter,entropy,integral,pressure") + 1:]
+        want, partial, _ = ref.spectrum_entries(phi, cap, grid)
+        assert rows == ref.csv_rows(want)
+        assert f"# partial: {ref._fmt(partial)}" in lines
