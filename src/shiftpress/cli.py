@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import Resolution, load_system
+from .core import DEFAULT_WORD_BUDGET, Resolution, load_system
 from .potentials import Potential, load_potential
 from .errors import ConfigError, ShiftPressError
 
@@ -92,12 +92,12 @@ def _construct_config(args):
     from .structure import ConstructConfig
 
     cfg = ConstructConfig(
-        level_eps=args.res_eps,
         level_gamma=args.res_gamma,
         level_delta=args.res_delta,
         budget=args.budget_words,
     )
-    if args.n_cap is not None:
+    # `check` has no --n-cap: the structure conditions search no word length
+    if getattr(args, "n_cap", None) is not None:
         if args.n_cap < 2:
             raise ConfigError(f"--n-cap must be >= 2, got {args.n_cap}")
         cfg.n_cap = args.n_cap
@@ -144,7 +144,7 @@ def cmd_pstar(args) -> int:
     payload = {
         "header": _header(args),
         "value": value,
-        "finite_means": birkhoff_sup_sequence(phi, 20),
+        "finite_means": birkhoff_sup_sequence(phi),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -273,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
         if potential:
             p.add_argument("--potential", required=True, help="potential JSON")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--budget-words", type=int, default=20_000_000, dest="budget_words")
+        p.add_argument("--budget-words", type=int, default=DEFAULT_WORD_BUDGET, dest="budget_words")
 
-    def construct_flags(p):
+    def construct_flags(p, n_cap=True):
         p.add_argument("--decomposition", default=None, help="decomposition JSON (default: trivial)")
-        p.add_argument("--res-eps", type=int, default=1, dest="res_eps")
         p.add_argument("--res-gamma", type=int, default=5, dest="res_gamma")
         p.add_argument("--res-delta", type=int, default=7, dest="res_delta")
-        p.add_argument("--n-cap", type=int, default=None, dest="n_cap")
+        if n_cap:
+            p.add_argument("--n-cap", type=int, default=None, dest="n_cap")
 
     p = sub.add_parser("pressure", help="finite-range estimate and eigenvalue oracle")
     common(p)
@@ -306,9 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=20)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("check", help="evaluate the five structure conditions")
+    # no abbreviations, so --n-cap, which `check` does not have, is not read as --n-cap-check
+    p = sub.add_parser("check", help="evaluate the five structure conditions", allow_abbrev=False)
     common(p)
-    construct_flags(p)
+    construct_flags(p, n_cap=False)
     p.add_argument("--n-cap-check", type=int, default=10, dest="n_cap_check")
     p.set_defaults(func=cmd_check)
 

@@ -42,7 +42,6 @@ from .thermo import (
     pressure_oracle,
     pressure_floor,
     birkhoff_sup,
-    bowen_bound,
     log_sum_exp,
     NEG_INF,
 )
@@ -248,6 +247,10 @@ def select_words(
 
 RENEWAL_TOL = 1e-13
 COUNTING_N = range(2, 9)  # block counts the exhaustive counting-bound check accepts
+COUNTING_CLASSES = 2_000_000  # K^n classes the counting-bound check enumerates at most
+DIGRAPH_MAX_EDGES = 20_000  # a larger presentation is reported as a size summary
+AFFIX_CAPS = (0, 1, 2, 4)  # affix caps scanned for a glued core, in order
+C0_N_CAP = 10  # word lengths the partition floor of the core is fitted over
 
 
 class GluedSubshift:
@@ -315,12 +318,12 @@ class GluedSubshift:
                         B[a, a2] += math.exp(min(base + logW[b, a2], 700.0))
         return B
 
-    def log_pressure(self, tol: float = RENEWAL_TOL):
+    def log_pressure(self):
         """ln of the dominant presentation eigenvalue via the renewal equation.
 
         The spectral radius of the junction-to-junction transfer with rate
         discount e^{-s per step} is strictly decreasing in s and crosses 1
-        exactly at s = ln lambda; bisection pins it to `tol`.
+        exactly at s = ln lambda; bisection pins it to RENEWAL_TOL.
         """
         logW = self._pair_log_weight()
 
@@ -339,7 +342,7 @@ class GluedSubshift:
             hi += 2.0
         if not (rho(lo) > 1.0 > rho(hi)):
             raise PreconditionError("failed to bracket the presentation eigenvalue")
-        while hi - lo > tol:
+        while hi - lo > RENEWAL_TOL:
             mid = 0.5 * (lo + hi)
             if rho(mid) >= 1.0:
                 lo = mid
@@ -569,11 +572,12 @@ class GluedSubshift:
         )
         return self.K * (self.N - 1) + chain_edges + enter_edges + exit_edges + direct
 
-    def explicit_digraph(self, max_edges: int = 20_000):
-        """Vertex/edge lists of the presentation, or a size summary if the
-        quadratic boundary fan-out would be unreasonable to emit."""
+    def explicit_digraph(self):
+        """Vertex/edge lists of the presentation, or a size summary past
+        DIGRAPH_MAX_EDGES edges, where the quadratic boundary fan-out would
+        be unreasonable to emit."""
         n_edges = self.edge_count()
-        if n_edges > max_edges:
+        if n_edges > DIGRAPH_MAX_EDGES:
             return {
                 "summary": True,
                 "vertices": self.vertex_count(),
@@ -664,7 +668,7 @@ class ConstructionResult:
             return [tuple(int(s) for s in row) for row in self.subsystem.words]
         return [self.recoding.project_word(tuple(int(s) for s in row)) for row in self.subsystem.words]
 
-    def to_dict(self, digraph_max_edges: int = 20_000):
+    def to_dict(self):
         return {
             "params": self.params,
             "certified": self.certified,
@@ -673,17 +677,17 @@ class ConstructionResult:
             "lower": self.lower.to_dict(),
             "upper": self.upper.to_dict(),
             "words": [word_str(w) for w in self.base_words()],
-            "presentation": self.subsystem.explicit_digraph(digraph_max_edges),
+            "presentation": self.subsystem.explicit_digraph(),
         }
 
 
-def _measure_partition_floor(phi, core, pressure, gamma_res, n_cap, budget):
+def _measure_partition_floor(phi, core, pressure, gamma_res, budget):
     """Fit of the partition-function floor on the core class: the least
-    ln Theta(n) - n * pressure over the sampled range and the n attaining it."""
+    ln Theta(n) - n * pressure over n = 2..C0_N_CAP and the n attaining it."""
     two_gamma = Resolution(gamma_res.level - 1)
     best = math.inf
     best_n = None
-    for n in range(2, n_cap + 1):
+    for n in range(2, C0_N_CAP + 1):
         lt = partition_function(phi, core, n, two_gamma, None, budget)
         if lt == NEG_INF:
             return NEG_INF, None
@@ -697,13 +701,13 @@ def _measure_partition_floor(phi, core, pressure, gamma_res, n_cap, budget):
 class Preparation:
     """The alpha-independent part of the construction, shared by every alpha of
     a sweep: the memory-1 recoding and normalization shift, the pressure
-    interval, the affix-cap scan with its partition floor, the Bowen bound,
-    and the per-N core data. Each stage runs when an alpha first reaches it;
-    construct() is the per-alpha step."""
+    interval, the affix-cap scan with its partition floor, and the per-N core
+    data. Each stage runs when an alpha first reaches it; construct() is the
+    per-alpha step."""
 
     def __init__(self, phi: Potential, dec: OrbitDecomposition, config: ConstructConfig | None = None):
         self.config = config or ConstructConfig()
-        _eps_res, self.gamma_res, self.delta_res = self.config.resolutions()
+        self.gamma_res, self.delta_res = self.config.resolutions()
         self._inputs = (phi, dec)
         self._memo = {}
 
@@ -717,25 +721,22 @@ class Preparation:
     def _scan_caps(self):
         # affix cap scan: the partition floor on the bounded core must stay positive
         config = self.config
-        for cap in config.affix_caps:
+        for cap in AFFIX_CAPS:
             core = affix_bounded(self.dec, cap)
             try:
                 cert = check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
-            log_c0, n1 = _measure_partition_floor(
-                self.phi, core, self.pressure, self.gamma_res, config.c0_n_cap, config.budget
-            )
+            log_c0, n1 = _measure_partition_floor(self.phi, core, self.pressure, self.gamma_res, config.budget)
             if log_c0 != NEG_INF:
                 break
         else:
             raise InfeasibleError(
                 "no affix cap yields a glued core with positive partition floor",
-                diagnostics=[("affix caps scanned", config.affix_caps, None)],
+                diagnostics=[("affix caps scanned", AFFIX_CAPS, None)],
             )
         self.cap, self.core, self.cert, self.log_c0, self.n1 = cap, core, cert, log_c0, n1
         self.core_words = CoreWords(self.phi, core, config.budget)
-        self.core_bowen = bowen_bound(self.phi, self.dec.core_class, self.delta_res).certified
         tau = cert.tau
         self.log_sep_gap = (
             math.log(tau) + math.log(float(count_words(self.phi.sys, tau + self.delta_res.level - 1)))
@@ -770,7 +771,7 @@ class Preparation:
         config, phi_n, cap, cert, log_c0, n1 = self.config, self.phi, self.cap, self.cert, self.log_c0, self.n1
         tau = cert.tau
         var_phi = phi_n.spread
-        core_bowen, log_sep_gap = self.core_bowen, self.log_sep_gap
+        log_sep_gap = self.log_sep_gap
 
         n_log = []
         chosen_n = None
@@ -793,11 +794,13 @@ class Preparation:
                     N > alpha_n * tau / eta,
                     note="vacuous when tau = 0" if tau == 0 else "",
                 ),
+                # core_bowen is 0: the Bowen bound of the recoded potential, of
+                # memory 1, vanishes at every level >= 1, and delta >= 7
                 Inequality(
                     "N*eta > core_bowen + 2*cap*var(phi)",
                     N * eta,
-                    core_bowen + 2 * cap * var_phi,
-                    N * eta > core_bowen + 2 * cap * var_phi,
+                    2 * cap * var_phi,
+                    N * eta > 2 * cap * var_phi,
                 ),
                 Inequality(
                     "N*eta > tau*max(phi)",
@@ -944,7 +947,6 @@ def verify_counting_bound(
     n: int,
     delta: Resolution | None = None,
     eta: float | None = None,
-    class_budget: int = 2_000_000,
 ) -> CountingBoundResult:
     """Exhaustive per-class separated-point count against the gap-choice bound.
 
@@ -959,8 +961,8 @@ def verify_counting_bound(
     if n not in COUNTING_N:
         raise PreconditionError("counting-bound verification is exhaustive; use 2 <= n <= 8")
     K, N = glued.K, glued.N
-    if K**n > class_budget:
-        raise ResourceBudgetError(f"{K}^{n} classes exceed the class budget {class_budget}", n=n)
+    if K**n > COUNTING_CLASSES:
+        raise ResourceBudgetError(f"{K}^{n} classes exceed the class budget {COUNTING_CLASSES}", n=n)
     delta = delta or Resolution(glued.params.get("level_delta", 7))
     eta = eta if eta is not None else float(glued.params.get("eta", 0.0))
     tau = glued.tau

@@ -92,39 +92,26 @@ def is_traced(z, segments, times) -> bool:
     return True
 
 
-def check_gluing(
-    sys: ShiftSystem,
-    core_class: SegmentClass,
-    *,
-    n0: int = 1,
-    tau: int | None = None,
-) -> GluingCertificate:
+def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> GluingCertificate:
     """Build the gluing certificate of a segment class.
 
     Connectors come from BFS shortest paths (lexicographically least among
     shortest); the certificate checks each of them once, which proves every
-    glued word admissible and exactly traced. The class must have a segment
-    with length in [n0, n0+4], or the certificate is refused.
+    glued word admissible and exactly traced. It has N0 = 1 and tau = its
+    longest connector. The class must have a segment with length in [1, 5],
+    or the certificate is refused.
     """
     sys.require_strongly_connected()
     connectors = shortest_connectors(sys)
-    max_len = max(len(c) for c in connectors.values())
-    if tau is None:
-        tau = max_len
-    elif tau < max_len:
-        raise CertificateError(
-            f"requested tau={tau} below required connector length {max_len}"
-        )
-    if n0 < 1:
-        raise ConfigError(f"N0 must be >= 1, got {n0}")
-    cert = GluingCertificate(sys=sys, n0=n0, tau=tau, connectors=connectors)
+    tau = max(len(c) for c in connectors.values())
+    cert = GluingCertificate(sys=sys, n0=1, tau=tau, connectors=connectors)
     if not any(
         core_class.membership(row, length)
-        for length in range(n0, n0 + 5)
+        for length in range(1, 6)
         for row in map(tuple, word_matrix(sys, length).tolist())
     ):
         raise CertificateError(
             f"class {core_class.description!r} has no segments with lengths in "
-            f"[{n0}, {n0 + 4}]; cannot verify gluing"
+            "[1, 5]; cannot verify gluing"
         )
     return cert

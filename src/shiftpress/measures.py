@@ -30,6 +30,8 @@ from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
 from .errors import ConfigError, PreconditionError, StructuralError
 
 MERGE_TOL = 1e-12
+GIBBS_TOL = 1e-13  # settling of the Perron vector the Gibbs chain is built from
+MAX_MEASURES = 50_000  # spectrum entries kept; past it the result is partial
 _BLOCK_ROWS = 8192  # words per rotation comparison in primitive_cycles
 _CHUNK = 1 << 14  # (cycle, grid, edge) elements per interpolation batch; it bounds the batch temporaries
 NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
@@ -253,12 +255,12 @@ def _interpolated_chains(gibbs: _LiftChain, q_cycles: np.ndarray, ts: np.ndarray
     return q, pi + solve(residual.astype(float) @ inverse.T)
 
 
-def gibbs_chain(phi: Potential, tol: float = 1e-13) -> _LiftChain:
+def gibbs_chain(phi: Potential) -> _LiftChain:
     """Chain with q(i -> j) proportional to exp(phi) right[j] / right[i] for
     the weighted Perron right eigenvector; the row normalization divides by
     the eigenvalue. Its pressure equals the topological pressure (exactly
     for the lift, to eigen-precision here)."""
-    _, right, _ = transfer_spectrum(phi, tol=tol)
+    _, right, _ = transfer_spectrum(phi, tol=GIBBS_TOL)
     if not (right > 0).all():
         raise PreconditionError("the Perron vector underflows to 0: the potential's values spread too widely")
     lift = phi.lift
@@ -373,7 +375,6 @@ def spectrum_sample(
     phi: Potential,
     cycle_cap: int = 8,
     grid: int = 20,
-    max_measures: int = 50_000,
     budget: int = 2_000_000,
 ) -> SpectrumResult:
     """Sample the ergodic pressure spectrum.
@@ -382,7 +383,8 @@ def spectrum_sample(
     row-renormalized interpolation from the Gibbs chain toward each cycle's
     empirical chain over a `grid`-point parameter grid in [0, 1). Pressures
     within 1e-12 are merged in the deduplicated value list. Exceeding a
-    budget flags the result as partial rather than failing.
+    budget (the cycle word budget, or MAX_MEASURES entries) flags the result
+    as partial rather than failing.
     """
     sys = phi.sys
     sys.require_strongly_connected()
@@ -393,7 +395,7 @@ def spectrum_sample(
     if grid < 1:
         raise ConfigError(f"grid must be >= 1, got {grid}")
     notes = []
-    partial = max_measures < 1  # no room even for the Gibbs entry
+    partial = MAX_MEASURES < 1  # no room even for the Gibbs entry
 
     floor = pressure_floor(phi)
     ceiling = pressure_oracle(phi).value
@@ -404,7 +406,7 @@ def spectrum_sample(
     # entries come in generation order: the Gibbs chain, then each cycle
     # followed by its grid; the budget keeps a prefix of that order
     per = 1 + len(ts)
-    room = max_measures - min(max(max_measures, 0), 1)
+    room = MAX_MEASURES - min(MAX_MEASURES, 1)
 
     chain = gibbs_chain(phi)
     if len(ts) and cycle_cap and room > 1:
@@ -449,7 +451,7 @@ def spectrum_sample(
     suffixes = ["", *(f":{t:.6f}" for t in ts)]
     params = [""] + [name + sfx for name in names for sfx in suffixes]
     columns = [
-        np.concatenate(([x], a.ravel()))[: max(max_measures, 0)]
+        np.concatenate(([x], a.ravel()))[:MAX_MEASURES]
         for x, a in ((entropy, entropies), (integral, integrals), (entropy + integral, pressures))
     ]
     kept = len(columns[0])

@@ -26,28 +26,26 @@ from .errors import CertificateError, ConfigError
 
 @dataclass
 class ConstructConfig:
-    """Tunable knobs of the construction driver."""
+    """Tunable knobs of the construction driver.
 
-    level_eps: int = 1
+    The scale eps of the structure conditions has no knob: gluing here is
+    exact, so no condition depends on it, and it stays at level 1."""
+
     level_gamma: int = 5
     level_delta: int = 7
     n_cap: int = 24
-    c0_n_cap: int = 10
-    affix_caps: tuple = (0, 1, 2, 4)
     budget: int = 6_000_000
 
     def resolutions(self):
-        if not (self.level_gamma >= self.level_eps + 4 and self.level_delta >= self.level_gamma + 2):
+        """(gamma, delta), once their ordering holds."""
+        if not (self.level_gamma >= 5 and self.level_delta >= self.level_gamma + 2):
             raise ConfigError(
-                "resolution levels must satisfy gamma >= eps + 4 and delta >= gamma + 2 "
-                f"(got eps={self.level_eps}, gamma={self.level_gamma}, delta={self.level_delta}); "
-                "this is the dyadic form of the strict scale ordering 16*delta < 8*gamma < eps"
+                "resolution levels must satisfy gamma >= 5 and delta >= gamma + 2 "
+                f"(got gamma={self.level_gamma}, delta={self.level_delta}); "
+                "this is the dyadic form of the strict scale ordering 16*delta < 8*gamma < eps "
+                "at eps = 1"
             )
-        return (
-            Resolution(self.level_eps),
-            Resolution(self.level_gamma),
-            Resolution(self.level_delta),
-        )
+        return Resolution(self.level_gamma), Resolution(self.level_delta)
 
 
 @dataclass
@@ -107,7 +105,7 @@ def check_structure_conditions(
     complement and of the affix classes, the Bowen bound on the core, and
     the expansivity obstruction."""
     config = config or ConstructConfig()
-    _eps_res, gamma_res, _delta_res = config.resolutions()
+    gamma_res, _delta_res = config.resolutions()
     sys = phi.sys
     sys.require_strongly_connected()
     pressure = pressure_oracle(phi).value
@@ -148,7 +146,7 @@ def check_structure_conditions(
     )
 
     # (4) Bowen bound on the core at 3*gamma
-    bb = bowen_bound(phi, dec.core_class, three_gamma)
+    bb = bowen_bound(phi, dec.core_class, three_gamma, config.budget)
     if bb.exact:
         conditions.append(ConditionReport("bowen_on_core", "pass", math.inf, {"certified": 0.0}))
     else:

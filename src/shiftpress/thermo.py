@@ -36,6 +36,10 @@ from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from . import kernels
 
 NEG_INF = float("-inf")
+ORACLE_TOL = 1e-12  # settling of the log Rayleigh quotient in pressure_oracle
+PERRON_MAXITER = 10**6  # power-iteration steps before perron_log refuses
+FINITE_MEANS_N = 20  # finite-n means next to the pressure floor in `pstar`
+BOWEN_N_CAP = 6  # segment lengths the Bowen bound samples
 
 
 @dataclass
@@ -85,14 +89,14 @@ def _row_group_ids(mat: np.ndarray):
     return int(ids[-1]) + 1, ids
 
 
-def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
+def perron_log(L: np.ndarray, tol: float = ORACLE_TOL):
     """ln of the dominant eigenvalue of a nonnegative matrix with strongly
     connected support, by power iteration from the all-ones vector.
 
     Periodic support is handled by iterating the period-th power, which is
     primitive on each cyclic class; the report flags it. Returns
     (log_lambda, right_vector, info dict); refuses when the log Rayleigh
-    quotients have not settled within tol after maxiter steps.
+    quotients have not settled within tol after PERRON_MAXITER steps.
     """
     V = L.shape[0]
     period = graph_period(L > 0)
@@ -100,7 +104,7 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
     prev = None
     spread = math.inf
     steps = 0
-    max_outer = max(2, maxiter // max(period, 1))
+    max_outer = max(2, PERRON_MAXITER // max(period, 1))
     for _ in range(max_outer):
         y = x
         for _ in range(period):
@@ -132,7 +136,7 @@ def perron_log(L: np.ndarray, tol: float = 1e-12, maxiter: int = 10**6):
     return log_lam, x, info
 
 
-def transfer_spectrum(phi: Potential, tol: float = 1e-12):
+def transfer_spectrum(phi: Potential, tol: float = ORACLE_TOL):
     """(log lambda, right eigvec, info) of the weighted lift phi.lift."""
     phi.sys.require_strongly_connected()
     shift = phi.max_value
@@ -267,7 +271,8 @@ def pressure_enumerate(
     range: the partition function is submultiplicative for finite-memory
     potentials, so every sampled quotient upper-bounds the limiting growth
     rate and the least one is the tightest finite-n proxy. It also makes
-    the estimate monotonically improve as n_max grows.
+    the estimate monotonically improve as n_max grows. A class with no words
+    at any length of the top half has estimate -inf.
     """
     n_min, n_max = n_range
     if n_min < 2 or n_max < n_min:
@@ -277,15 +282,15 @@ def pressure_enumerate(
     for n in ns:
         logtheta = partition_function(phi, seg, n, delta, eps, budget)
         seq.append(logtheta / n if logtheta != NEG_INF else NEG_INF)
-    value = min(a for a in seq if a != NEG_INF) if any(a != NEG_INF for a in seq) else NEG_INF
     top = seq[len(seq) // 2 :]
     finite_top = [a for a in top if a != NEG_INF]
-    if value == NEG_INF:
-        error = 0.0
-    elif len(finite_top) == len(top):
-        error = max(finite_top) - min(finite_top)
+    if not finite_top:
+        # no class word at any length of the top half: the class has no
+        # long words, so its growth rate is -inf, whatever short words gave
+        value, error = NEG_INF, 0.0
     else:
-        error = math.inf
+        value = min(a for a in seq if a != NEG_INF)
+        error = max(finite_top) - min(finite_top) if len(finite_top) == len(top) else math.inf
     return PressureReport(
         value=value,
         method="enumeration",
@@ -300,13 +305,13 @@ def pressure_enumerate(
     )
 
 
-def pressure_oracle(phi: Potential, tol: float = 1e-12) -> PressureReport:
+def pressure_oracle(phi: Potential) -> PressureReport:
     """Topological pressure as ln of the dominant transfer eigenvalue."""
-    log_lam, _, info = transfer_spectrum(phi, tol=tol)
+    log_lam, _, info = transfer_spectrum(phi)
     return PressureReport(
         value=log_lam,
         method="oracle",
-        params={"memory": phi.memory, "states": phi.lift.n_states, "tol": tol},
+        params={"memory": phi.memory, "states": phi.lift.n_states, "tol": ORACLE_TOL},
         error_bound=info["residual"],
         extras=info,
     )
@@ -347,10 +352,10 @@ def birkhoff_sup(phi: Potential, n: int) -> float:
     return _birkhoff_sups(phi, n)[-1]
 
 
-def birkhoff_sup_sequence(phi: Potential, n_max: int = 20):
-    """The finite-n means sup_x (1/n) Phi(x, n), n = 1..n_max, reported next to
-    the cycle value so a liminf/limit discrepancy would be visible."""
-    return [v / n for n, v in enumerate(_birkhoff_sups(phi, n_max), 1)]
+def birkhoff_sup_sequence(phi: Potential):
+    """The finite-n means sup_x (1/n) Phi(x, n), n = 1..FINITE_MEANS_N, reported
+    next to the cycle value so a liminf/limit discrepancy would be visible."""
+    return [v / n for n, v in enumerate(_birkhoff_sups(phi, FINITE_MEANS_N), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +365,29 @@ def birkhoff_sup_sequence(phi: Potential, n_max: int = 20):
 @dataclass(frozen=True)
 class BowenBound:
     """Certified upper bound for the Birkhoff-sum variation over (n, eps)-balls
-    on a segment class (segments up to n_cap), plus the exhaustively sampled
-    maximum as a lower estimate. exact marks the locally-constant case where
-    the bound is identically zero."""
+    on a segment class (segments up to BOWEN_N_CAP), plus the exhaustively
+    sampled maximum as a lower estimate. exact marks the locally-constant
+    case where the bound is identically zero."""
 
     certified: float
     sampled: float
     exact: bool
-    n_cap: int
 
 
 def bowen_bound(
     phi: Potential,
     seg: SegmentClass,
     eps: Resolution,
-    n_cap: int = 6,
     budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> BowenBound:
     if eps.level >= phi.memory:
-        return BowenBound(certified=0.0, sampled=0.0, exact=True, n_cap=n_cap)
+        return BowenBound(certified=0.0, sampled=0.0, exact=True)
     var = variation(phi, eps)
-    certified = n_cap * var
+    certified = BOWEN_N_CAP * var
     sampled = 0.0
     if seg.kind != "empty":
         m = phi.memory
-        for n in range(1, n_cap + 1):
+        for n in range(1, BOWEN_N_CAP + 1):
             L = n + max(m, eps.level) - 1
             words = word_matrix(phi.sys, L, budget)
             phis = birkhoff_batch(phi, words, n)
@@ -406,4 +409,4 @@ def bowen_bound(
                 d1 = (mem_max - grp_min)[occupied].max()
                 d2 = (grp_max - mem_min)[occupied].max()
                 sampled = max(sampled, float(d1), float(d2))
-    return BowenBound(certified=certified, sampled=sampled, exact=False, n_cap=n_cap)
+    return BowenBound(certified=certified, sampled=sampled, exact=False)

@@ -334,6 +334,74 @@ class TestConstructAndDensity:
         assert code == 2 and text == ""
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("construct", ("--alpha", "0.35", "--eta0", "0.1", "--res-eps", "1")),
+            ("density", ("--grid", "2", "--eta0", "0.1", "--res-eps", "1")),
+            ("verify-bounds", ("--alpha", "0.12", "--eta0", "0.1", "--res-eps", "1")),
+            ("check", ("--res-eps", "1")),
+            # not an abbreviation of --n-cap-check
+            ("check", ("--n-cap", "3")),
+        ],
+    )
+    def test_removed_settings_exit2(self, files, capsys, command, flags):
+        code, text = run(files, command, "--system", str(files["full2"]), "--potential", str(files["zero"]), *flags)
+        assert code == 2 and text == ""
+        assert f"unrecognized arguments: {' '.join(flags[-2:])}" in capsys.readouterr().err
+
+    def test_check_keeps_the_word_budget_in_the_bowen_bound(self, files, capsys):
+        # memory 5 on the full 2-shift: the Bowen bound at 3*gamma (level 4)
+        # samples words of length n + 4, 128 of them at n = 3
+        table = {format(i, "05b"): 0.01 * i for i in range(32)}
+        mem5 = files["tmp"] / "mem5.json"
+        mem5.write_text(json.dumps({"memory": 5, "table": table}))
+        code, text = run(
+            files, "check", "--system", str(files["full2"]), "--potential", str(mem5), "--budget-words", "100",
+        )
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err == "computation error: enumerating 128 words of length 7 exceeds the budget of 100\n"
+
+
+# the option strings of each subcommand; a flag that nothing reads shows up here
+FLAGS = {
+    "pressure": {"--budget-words", "--n-max", "--n-min", "--out", "--potential", "--res-delta", "--system"},
+    "entropy": {"--budget-words", "--n-max", "--n-min", "--out", "--res-delta", "--system"},
+    "pstar": {"--budget-words", "--out", "--potential", "--system"},
+    "spectrum": {"--budget-words", "--cycle-cap", "--grid", "--out", "--potential", "--system"},
+    "check": {
+        "--budget-words", "--decomposition", "--n-cap-check", "--out", "--potential", "--res-delta",
+        "--res-gamma", "--system",
+    },
+    "construct": {
+        "--alpha", "--budget-words", "--decomposition", "--eta0", "--n-cap", "--out", "--potential",
+        "--res-delta", "--res-gamma", "--system",
+    },
+    "density": {
+        "--budget-words", "--decomposition", "--eta0", "--grid", "--margin", "--n-cap", "--out",
+        "--potential", "--res-delta", "--res-gamma", "--system",
+    },
+    "verify-bounds": {
+        "--alpha", "--budget-words", "--decomposition", "--eta0", "--n-cap", "--n-list", "--out",
+        "--potential", "--res-delta", "--res-gamma", "--system",
+    },
+}
+
+
+def test_subcommand_flags_pinned():
+    import argparse
+
+    from shiftpress.cli import build_parser
+    from shiftpress.core import DEFAULT_WORD_BUDGET
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices.keys() == FLAGS.keys()
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS[command], command
+        assert parser.get_default("budget_words") == DEFAULT_WORD_BUDGET
+
 
 class TestOneLiftPerPotential:
     DATA = Path(__file__).parent / "data"

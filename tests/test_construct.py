@@ -262,7 +262,7 @@ class TestGluedSubshift:
         phi = Potential.from_symbol_values(golden, [0.2, 0.65])
         pool = [tuple(int(s) for s in r) for r in word_matrix(golden, 4)]
         lam = build_glued(phi, pool[:5], cert_golden)
-        dig = lam.explicit_digraph(max_edges=10_000)
+        dig = lam.explicit_digraph()
         assert not dig["summary"]
         V = len(dig["vertices"])
         M = np.zeros((V, V))
@@ -508,7 +508,7 @@ class TestStructureConditions:
 
     def test_resolution_ordering_enforced(self):
         with pytest.raises(ConfigError, match="gamma"):
-            ConstructConfig(level_eps=1, level_gamma=3, level_delta=7).resolutions()
+            ConstructConfig(level_gamma=3, level_delta=7).resolutions()
 
 
 class TestConstructIntermediate:
@@ -727,7 +727,7 @@ class TestPreparation:
                 prep.construct(alpha, 0.1)
             refusals.append(info.value)
         assert refusals[0] is refusals[1]
-        assert len(floors) == len(ConstructConfig().affix_caps)
+        assert len(floors) == len(construct_module.AFFIX_CAPS)
         with pytest.raises(InfeasibleError, match="strictly between"):
             prep.construct(0.8, 0.1)
 

@@ -321,7 +321,7 @@ class TestSpectrum:
         assert res.floor == pytest.approx(0.0, abs=1e-12)
         assert res.ceiling == pytest.approx(math.log(2), abs=1e-9)
 
-    def test_measure_budget_across_the_batch(self, full2):
+    def test_measure_budget_across_the_batch(self, full2, monkeypatch):
         """A budget ending on a cycle entry, inside a cycle's grid and at
         its end keeps the first entries in generation order, unchanged."""
         phi = random_potential(np.random.default_rng(5), full2, 4)
@@ -338,7 +338,8 @@ class TestSpectrum:
         assert len(order) == len(by_key) == 1 + 8 * 6
         # gibbs, then 0 and its 5 grid points, then 1 and its grid points
         for k, stage in ((8, "cycle sweep"), (10, "interpolation"), (13, "interpolation")):
-            res = spectrum_sample(phi, cycle_cap=4, grid=6, max_measures=k)
+            monkeypatch.setattr(measures, "MAX_MEASURES", k)
+            res = spectrum_sample(phi, cycle_cap=4, grid=6)
             assert len(res.entries) == k and res.partial
             assert res.notes == [f"measure count budget reached during {stage}"]
             assert {(e.kind, e.parameter) for e in res.entries} == set(order[:k])
@@ -346,11 +347,12 @@ class TestSpectrum:
                 assert e == by_key[(e.kind, e.parameter)]
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_small_measure_budget_is_kept(self, full2, k):
+    def test_small_measure_budget_is_kept(self, full2, monkeypatch, k):
         """A budget below the Gibbs entry plus one cycle entry is not
         overshot: the Gibbs entry and the first cycle count against it."""
         whole = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4)
-        res = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4, max_measures=k)
+        monkeypatch.setattr(measures, "MAX_MEASURES", k)
+        res = spectrum_sample(Potential.zero(full2), cycle_cap=3, grid=4)
         assert len(res.entries) <= k and res.partial
         first_cycle = "".join(map(str, cycle_tuples(full2, 3)[0]))
         expected = [("gibbs", ""), ("cycle", first_cycle)][:k]
@@ -414,7 +416,8 @@ class TestPerCycleRoute:
         for k in (lengths.index(2) + 3, lengths.index(3) + 1):
             for budget in (1 + k * per + 1, 1 + k * per + 3):
                 solved.clear()
-                res = spectrum_sample(phi, cycle_cap=cap, grid=per, max_measures=budget)
+                monkeypatch.setattr(measures, "MAX_MEASURES", budget)
+                res = spectrum_sample(phi, cycle_cap=cap, grid=per)
                 want, partial, notes = ref.spectrum_entries(phi, cap, per, max_measures=budget)
                 assert list(map(tuple, res.entries)) == want
                 assert (res.partial, res.notes) == (partial, notes) and partial

@@ -21,6 +21,11 @@ of the repository with, for example,
         --system tests/data/golden.json --potential tests/data/golden_weighted.json \
         --grid 3 --eta0 0.1 --out tests/data/density_golden_weighted.csv
 
+    PYTHONPATH=src python -m shiftpress.cli density \
+        --system tests/data/golden.json --potential tests/data/golden_weighted.json \
+        --grid 3 --eta0 0.1 --decomposition tests/data/prefix_run.json \
+        --out tests/data/density_golden_prefix_run.csv
+
     PYTHONPATH=src python -m shiftpress.cli construct \
         --system tests/data/full2.json --potential tests/data/zero.json \
         --alpha 0.45 --eta0 0.1 --out tests/data/construct_full2_zero.json
@@ -136,22 +141,28 @@ def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
     assert got == want
 
 
+DENSITY_CASES = [
+    ("full2", "zero", "8", None, "density_full2_zero.csv"),
+    # N differs between the alpha values
+    ("golden", "golden_weighted", "3", None, "density_golden_weighted.csv"),
+    # recoded to memory 1; every row is refused
+    ("golden", "golden_mem2", "3", None, "density_golden_mem2.csv"),
+    # affix classes with no segments longer than 2: the structure check passes
+    ("golden", "golden_weighted", "3", "prefix_run", "density_golden_prefix_run.csv"),
+]
+
+
 @pytest.mark.parametrize(
-    "system,potential,grid,snapshot",
-    [
-        ("full2", "zero", "8", "density_full2_zero.csv"),
-        # N differs between the alpha values
-        ("golden", "golden_weighted", "3", "density_golden_weighted.csv"),
-        # recoded to memory 1; every row is refused
-        ("golden", "golden_mem2", "3", "density_golden_mem2.csv"),
-    ],
+    "system,potential,grid,decomposition,snapshot", DENSITY_CASES,
+    ids=["-".join(filter(None, case)) for case in DENSITY_CASES],
 )
-def test_density_snapshot(tmp_path, system, potential, grid, snapshot):
+def test_density_snapshot(tmp_path, system, potential, grid, decomposition, snapshot):
     out = tmp_path / snapshot
+    extra = ["--decomposition", str(DATA / f"{decomposition}.json")] if decomposition else []
     code = main([
         "density", "--system", str(DATA / f"{system}.json"),
         "--potential", str(DATA / f"{potential}.json"),
-        "--grid", grid, "--eta0", "0.1", "--out", str(out),
+        "--grid", grid, "--eta0", "0.1", *extra, "--out", str(out),
     ])
     assert code == 0
     header = tuple(f"# {key}: " for key in HEADER)

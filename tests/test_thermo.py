@@ -17,10 +17,11 @@ from shiftpress import (
     birkhoff_sup_sequence,
     bowen_bound,
 )
-from shiftpress.segments import SegmentClass
+from shiftpress.segments import SegmentClass, prefix_run_decomposition, union
 from shiftpress.potentials import birkhoff_batch
 from shiftpress.core import word_matrix
 from shiftpress.errors import PreconditionError, ResourceBudgetError
+from shiftpress import thermo
 from shiftpress.thermo import perron_log
 
 from conftest import random_sft, random_potential
@@ -182,6 +183,25 @@ class TestPressureEnumerate:
             gaps.append(abs(rep.value - oracle))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
+    def test_no_words_in_the_top_half_is_minus_infinity(self, golden):
+        """The prefix-run affix classes of `check`: segments up to length 2
+        only, so every quotient but the first is -inf. The short words do not
+        give the class a finite growth rate."""
+        phi = Potential.from_symbol_values(golden, [0.0, 0.1])
+        dec = prefix_run_decomposition(symbol=0, cap=2)
+        affix = union(dec.prefix_class, dec.suffix_class)
+        rep = pressure_enumerate(phi, affix, Resolution(5), Resolution(4), (2, 10))
+        assert rep.extras["sequence"][0] > pressure_oracle(phi).value
+        assert rep.extras["sequence"][1:] == [-math.inf] * 8
+        assert rep.value == -math.inf and rep.error_bound == 0.0
+
+    def test_words_in_part_of_the_top_half_stay_finite(self, golden):
+        short = SegmentClass(lambda w, n: n <= 7, "length <= 7")
+        rep = pressure_enumerate(Potential.zero(golden), short, Resolution(1), None, (2, 10))
+        seq = rep.extras["sequence"]
+        assert seq[6:] == [-math.inf] * 3
+        assert rep.value == min(seq[:6]) and rep.error_bound == math.inf
+
 
 class TestRowGroups:
     def test_ids_match_unique_inverse(self):
@@ -251,12 +271,13 @@ class TestPressureOracle:
         assert rep.value == pytest.approx(0.0, abs=1e-9)
         assert rep.extras["periodic_fallback"]
 
-    def test_nonconvergent_power_iteration_refused(self):
+    def test_nonconvergent_power_iteration_refused(self, monkeypatch):
         # transfer matrix of golden with phi(00) = phi(10) = -20, phi(01) = 20:
         # eigenvalues about +1 and -1, so the power iteration never settles
         L = np.array([[math.exp(-20), math.exp(20)], [math.exp(-20), 0.0]])
+        monkeypatch.setattr(thermo, "PERRON_MAXITER", 50)
         with pytest.raises(PreconditionError, match=r"last spread .* tol=1e-12 after 50 steps"):
-            perron_log(L, maxiter=50)
+            perron_log(L)
 
     @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
     def test_constant_shift(self, golden, c):
@@ -308,8 +329,8 @@ class TestPressureFloor:
 
     def test_finite_sequence_reported(self, golden):
         phi = Potential.from_symbol_values(golden, [0.0, 1.0])
-        seq = birkhoff_sup_sequence(phi, 12)
-        assert len(seq) == 12
+        seq = birkhoff_sup_sequence(phi)
+        assert len(seq) == 20
         # finite means bound the cycle value from above and approach it
         assert all(a >= 0.5 - 1e-12 for a in seq)
         assert seq[-1] < seq[0] + 1e-12
@@ -333,7 +354,7 @@ class TestBowenAndExpansivity:
 
     def test_coarse_scale_bound_and_sample(self, full2):
         phi = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.0})
-        bb = bowen_bound(phi, all_segments(), Resolution(1), n_cap=6)
+        bb = bowen_bound(phi, all_segments(), Resolution(1))
         assert not bb.exact
         assert bb.certified == pytest.approx(6 * 1.0)
         assert 0.0 < bb.sampled <= bb.certified + 1e-12
