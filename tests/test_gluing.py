@@ -45,6 +45,11 @@ class TestCertificates:
             cert = check_gluing(sys, all_segments())
             assert cert.tau == least_path_lengths(sys).max() - 1
 
+    def test_connector_longer_than_tau_refused(self, golden):
+        # golden joins 1 to 1 through the connector 0, so tau = 0 is too small
+        with pytest.raises(CertificateError, match=r"connector for \(1,1\) has length 1 > tau=0"):
+            GluingCertificate(sys=golden, n0=1, tau=0, connectors=check_gluing(golden, all_segments()).connectors)
+
     def test_incomplete_connector_table_refused(self, full2):
         # GluedSubshift reads the connectors of a certificate without checking them again
         with pytest.raises(CertificateError, match="each of the 4 symbol pairs"):
