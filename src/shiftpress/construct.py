@@ -29,10 +29,12 @@ from .core import (
     ShiftSystem,
     Resolution,
     count_words,
+    word_codes,
     word_matrix,
     word_str,
     DEFAULT_WORD_BUDGET,
 )
+from .kernels import count_sums, word_rows
 from .potentials import Potential, birkhoff_batch, variation
 from .segments import SegmentClass, OrbitDecomposition, affix_bounded
 from .gluing import GluingCertificate, check_gluing, glue_words
@@ -89,7 +91,7 @@ def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
     codes = lift.codes[lift.src] * A + lift.codes[lift.dst] % A
     blocks = list(zip(*(digits.tolist() for digits in np.unravel_index(codes, (A,) * m))))
     sys_c = ShiftSystem(lift.dst[:, None] == lift.src[None, :])
-    phi_c = Potential(sys_c, 1, {(i,): v for i, v in enumerate(lift.wgt.tolist())})
+    phi_c = Potential.from_arrays(sys_c, 1, np.arange(lift.wgt.shape[0]), lift.wgt)
     rec = _Recoding(base=phi.sys, blocks=blocks)
 
     def member_through(cls: SegmentClass) -> SegmentClass:
@@ -147,7 +149,8 @@ def _remembered(memo: dict, key, compute):
 class CoreWords:
     """Per-length data of one core class, each computed on first request and
     kept: sup Birkhoff(x, N), ln of the class weight sum, and the class words
-    ranked for the greedy selection."""
+    ranked for the greedy selection, kept as their row indices in
+    word_matrix(phi.sys, N)."""
 
     def __init__(self, phi: Potential, core: SegmentClass, budget: int | None):
         self.phi, self.core, self.budget = phi, core, budget
@@ -163,22 +166,29 @@ class CoreWords:
         )
 
     def ranked(self, N: int):
-        """(words, phis, cum): the class words of length N by descending weight,
-        ties in lexicographic order, their Birkhoff sums, and the running sum
-        of their weights."""
+        """(index, phis, cum): the class words of length N by descending weight,
+        ties in lexicographic order, as their rows in word_matrix(phi.sys, N);
+        their Birkhoff sums; and the running sum of their weights."""
         return _remembered(self._memo, ("ranked", N), lambda: self._rank(N))
 
     def _rank(self, N: int):
-        words = word_matrix(self.phi.sys, N, self.budget)
-        member = self.core.batch(words, N)
-        if not member.all():
-            words = words[member]
-        phis = birkhoff_batch(self.phi, words, N)
-        # word_matrix rows are lexicographic and the class filter keeps their
-        # order, so a stable sort breaks weight ties lexicographically
+        """A memory-1 Birkhoff sum depends on the symbol counts alone, so the
+        weights come from count codes (birkhoff_batch reads the same counts).
+        The class of every word needs no word matrix; another class spells
+        every word once for its membership and keeps the rows it admits."""
+        if self.core.kind == "all":
+            index = None
+            phis = count_sums(word_codes(self.phi.sys, N, self.budget), N, self.phi.values_flat)
+        else:
+            words = word_matrix(self.phi.sys, N, self.budget)
+            index = np.flatnonzero(self.core.batch(words, N))
+            phis = birkhoff_batch(self.phi, words[index], N)
+            del words
+        # rows are lexicographic and the class filter keeps their order, so a
+        # stable sort breaks weight ties lexicographically
         order = np.argsort(-phis, kind="stable")
         phis = phis[order]
-        return words[order], phis, np.cumsum(np.exp(phis))
+        return (order if index is None else index[order]), phis, np.cumsum(np.exp(phis))
 
 
 def select_words(
@@ -221,7 +231,7 @@ def select_words(
             f"<= N(alpha+eta) = {upper:.6f}",
             diagnostics=[("ln_total > N(alpha+eta)", total_log, upper)],
         )
-    words, phis, cum = core_words.ranked(N)
+    index, phis, cum = core_words.ranked(N)
     lo_val = math.exp(lower)
     hi_val = math.exp(upper)
     k = int(np.searchsorted(cum, lo_val, side="right")) + 1
@@ -238,7 +248,8 @@ def select_words(
         "target_low": lower,
         "target_high": upper,
     }
-    return words[:k].copy(), phis[:k].copy(), info
+    # only the selected rows are spelled
+    return word_rows(phi.sys.transitions, N, index[:k]), phis[:k].copy(), info
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +311,7 @@ class GluedSubshift:
             for a2 in range(A):
                 sel = (self.first == b) & (self.last == a2)
                 if sel.any():
-                    logW[b, a2] = log_sum_exp(self.phis[sel].tolist())
+                    logW[b, a2] = log_sum_exp(self.phis[sel])
         return logW
 
     def _junction_matrix(self, s: float, logW: np.ndarray) -> np.ndarray:
@@ -330,17 +341,22 @@ class GluedSubshift:
         def rho(s):
             return float(np.abs(np.linalg.eigvals(self._junction_matrix(s, logW))).max())
 
-        guess = float(log_sum_exp(self.phis.tolist()) / self.N)
+        guess = float(log_sum_exp(self.phis) / self.N)
         lo, hi = guess - 2.0, guess + 2.0
+        # widen each end until it brackets rho = 1, keeping rho at the final end
+        rho_lo = rho(lo)
         for _ in range(200):
-            if rho(lo) > 1.0:
+            if rho_lo > 1.0:
                 break
             lo -= 2.0
+            rho_lo = rho(lo)
+        rho_hi = rho(hi)
         for _ in range(200):
-            if rho(hi) < 1.0:
+            if rho_hi < 1.0:
                 break
             hi += 2.0
-        if not (rho(lo) > 1.0 > rho(hi)):
+            rho_hi = rho(hi)
+        if not (rho_lo > 1.0 > rho_hi):
             raise PreconditionError("failed to bracket the presentation eigenvalue")
         while hi - lo > RENEWAL_TOL:
             mid = 0.5 * (lo + hi)

@@ -138,8 +138,8 @@ def count_words(sys: ShiftSystem, n: int):
     return sum(vec)
 
 
-def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
-    """All admissible words of length n as a (count, n) uint8 matrix, lexicographic."""
+def _refuse_over_budget(sys: ShiftSystem, n: int, budget: int | None):
+    """Refuse a word length below 1, or one with more admissible words than the budget."""
     if n < 1:
         raise ConfigError(f"word length must be >= 1, got {n}")
     total = count_words(sys, n)
@@ -148,7 +148,20 @@ def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDG
             f"enumerating {total} words of length {n} exceeds the budget of {budget}",
             n=n,
         )
+
+
+def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
+    """All admissible words of length n as a (count, n) uint8 matrix, lexicographic."""
+    _refuse_over_budget(sys, n, budget)
     return kernels.word_matrix(sys.transitions.astype(np.uint8), n)
+
+
+def word_codes(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
+    """The symbol-count codes of the rows of word_matrix(sys, n), without the
+    matrix (kernels.word_codes); refused like word_matrix before anything is
+    enumerated."""
+    _refuse_over_budget(sys, n, budget)
+    return kernels.word_codes(sys.transitions, n)
 
 
 def _bfs(adj: np.ndarray, first):

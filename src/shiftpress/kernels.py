@@ -1,28 +1,138 @@
-"""Hot numeric kernels: admissible-word enumeration, batch Birkhoff sums, Karp DP."""
+"""Hot numeric kernels: admissible-word enumeration and unranking, symbol-count
+codes and the memory-1 Birkhoff sums read from them, batch Birkhoff sums,
+Karp DP."""
 
 import numpy as np
 
 
 _BLOCK_ROWS = 8192  # rows per Birkhoff block; it bounds the (rows, n) temporaries
+_CODE_LIMIT = 2**63  # a count-code column holds values below this
+
+
+def _tails(trans, length):
+    """tails[m][a] counts the admissible words of length m + 1 starting at a."""
+    tails = [np.ones(trans.shape[0], dtype=np.int64)]
+    for _ in range(length - 1):
+        tails.append(trans.astype(np.int64) @ tails[-1])
+    return tails
 
 
 def word_matrix(trans, length):
     """All admissible words of the given length, lexicographic, shape (count, length) uint8.
 
-    Fills a preallocated matrix column by column: tails[m][a] counts the words
-    of length m + 1 starting at a, and column j repeats the last symbols of the
-    length-(j + 1) prefixes once per completion. np.nonzero walks rows in order
-    and allowed successors in ascending order, so rows stay lexicographic.
+    Fills a preallocated matrix column by column: column j repeats the last
+    symbols of the length-(j + 1) prefixes once per completion, as counted by
+    _tails. np.nonzero walks rows in order and allowed successors in ascending
+    order, so rows stay lexicographic.
     """
-    tails = [np.ones(trans.shape[0], dtype=np.int64)]
-    for _ in range(length - 1):
-        tails.append(trans.astype(np.int64) @ tails[-1])
+    tails = _tails(trans, length)
     out = np.empty((int(tails[-1].sum()), length), dtype=np.uint8)
     last = np.arange(trans.shape[0])
     for j in range(length):
         out[:, j] = np.repeat(last, tails[length - 1 - j][last])
         if j + 1 < length:
             last = np.nonzero(trans[last])[1]
+    return out
+
+
+def word_rows(trans, length, index):
+    """The rows of word_matrix(trans, length) at the given row indices, without
+    the matrix: each index is unranked one symbol at a time. The rows below a
+    prefix are grouped by their next symbol in ascending order, each group as
+    long as that symbol's _tails count, and a row's next symbol is the group
+    its remaining index falls in."""
+    A = trans.shape[0]
+    tails = _tails(trans, length)
+    # the successors of each symbol in ascending order, padded with A, whose group is empty
+    succ = np.full((A, max(int(trans.sum(axis=1).max()), 1)), A, dtype=np.int64)
+    for s in range(A):
+        allowed = np.flatnonzero(trans[s])
+        succ[s, : allowed.size] = allowed
+    width = succ.shape[1]
+    rem = np.asarray(index, dtype=np.int64)
+    out = np.empty((rem.shape[0], length), dtype=np.uint8)
+    ends = np.cumsum(tails[-1])
+    sym = np.searchsorted(ends, rem, side="right")
+    rem = rem - (ends - tails[-1])[sym]
+    out[:, 0] = sym
+    for j in range(1, length):
+        size = np.append(tails[length - 1 - j], 0)[succ]
+        starts = np.where(succ < A, np.cumsum(size, axis=1) - size, np.iinfo(np.int64).max).ravel()
+        # the row's group is the last one that starts at or below rem
+        first = sym * width
+        pick = first.copy()
+        for d in range(1, width):
+            pick += rem >= starts[first + d]
+        sym = succ.ravel()[pick]
+        rem = rem - starts[pick]
+        out[:, j] = sym
+    return out
+
+
+def _code_layout(length, A):
+    """How a count code stores the symbol counts of a length-`length` word over
+    A symbols: count c_a is digit a % per, in base length + 1, of int64 column
+    a // per, with per as large as keeps every column below _CODE_LIMIT.
+    Returns (base, per, placed), placed[col, a] the place value of symbol a in
+    its column and 0 in the others, so a word's code is the sum of placed
+    over its symbols."""
+    base = length + 1
+    per = 1
+    while base ** (per + 1) <= _CODE_LIMIT:
+        per += 1
+    a = np.arange(A)
+    placed = np.zeros((-(-A // per), A), dtype=np.int64)
+    placed[a // per, a] = [base ** int(d) for d in a % per]
+    return base, per, placed
+
+
+def word_codes(trans, length):
+    """Count codes (see _code_layout) of all admissible words of the given
+    length, in word_matrix row order, shape (columns, count) int64.
+
+    One pass down the lexicographic word tree: the children of a word are its
+    allowed one-symbol extensions in ascending order, and each adds its
+    symbol's place value to the parent's code. Only the current level is kept.
+    """
+    _, _, placed = _code_layout(length, trans.shape[0])
+    last = np.arange(trans.shape[0])
+    codes = placed.copy()
+    for _ in range(length - 1):
+        parent, last = np.nonzero(trans[last])
+        codes = codes[:, parent]
+        del parent
+        codes += placed[:, last]
+    return codes
+
+
+def count_sums(codes, length, values):
+    """sum_a c_a * values[a] for each count code, added in symbol order from 0.0.
+
+    This is the Birkhoff sum of a memory-1 potential with symbol values
+    `values` over a word with c_a copies of each symbol a, so words with the
+    same symbols in any order get bitwise-equal sums. A symbol that does not
+    occur adds a zero, which leaves the sum unchanged.
+    """
+    base, per, _ = _code_layout(length, values.shape[0])
+    out = np.zeros(codes.shape[1])
+    for col, rem in enumerate(codes):
+        *head, last = values[col * per : (col + 1) * per].tolist()
+        for v in head:
+            rem, count = np.divmod(rem, base)
+            out += count * v
+        out += rem * last  # the highest digit of a column is what remains
+    return out
+
+
+def count_birkhoff(words, n, values):
+    """count_sums over the first n symbols of each row, in blocks of
+    _BLOCK_ROWS rows: the memory-1 Birkhoff sums of a word matrix."""
+    _, _, placed = _code_layout(n, values.shape[0])
+    out = np.empty(words.shape[0])
+    for start in range(0, words.shape[0], _BLOCK_ROWS):
+        block = words[start : start + _BLOCK_ROWS, :n]
+        codes = placed[:, block].sum(axis=2)
+        out[start : start + _BLOCK_ROWS] = count_sums(codes, n, values)
     return out
 
 

@@ -4,10 +4,16 @@ A memory-m potential reads only the first m symbols of a point. These are
 Holder in the dyadic metric, satisfy the Bowen property exactly at scales
 finer than 2^-m, and admit an exact transfer-operator treatment, which is
 why the package restricts to them.
+
+The Birkhoff sum of a memory-1 potential over a word w is defined as
+sum_a count_a(w) * phi(a), the terms added in symbol order: it reads the
+symbol counts alone, so words with the same symbols in any order get
+bitwise-equal sums, and a count code of the word suffices to compute it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import cached_property
@@ -15,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ShiftSystem, Resolution, word_matrix, word_str, parse_word
+from .core import ShiftSystem, Resolution, word_matrix, word_str
 from .errors import ConfigError, PreconditionError
 from . import kernels
 
@@ -33,22 +39,39 @@ class Potential:
     word's base-A code, with -inf in the slots of inadmissible words."""
 
     def __init__(self, sys: ShiftSystem, memory: int, table: dict):
+        norm = {tuple(int(s) for s in k): float(v) for k, v in table.items()}
+        sized = [w for w in norm if len(w) == memory]
+        self._fill(sys, memory, sized, [norm[w] for w in sized], [w for w in norm if len(w) != memory])
+
+    @classmethod
+    def from_arrays(cls, sys: ShiftSystem, memory: int, keys, values) -> "Potential":
+        """The potential whose table maps row i of the (count, memory) integer
+        matrix `keys`, rows distinct, to values[i]; refused as the
+        constructor refuses a table."""
+        out = object.__new__(cls)
+        out._fill(sys, memory, keys, values, [])
+        return out
+
+    def _fill(self, sys: ShiftSystem, memory: int, keys, values, unsized: list):
+        """Set the value array from the table's m-words (rows of keys) and their
+        values; unsized lists its keys of other lengths."""
         if memory < 1:
             raise ConfigError(f"memory must be >= 1, got {memory}")
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, memory)
+        A = sys.alphabet_size
+        # only words over the alphabet have a code; any other key is inadmissible
+        coded = ((keys >= 0) & (keys < A)).all(axis=1)
+        uncoded = unsized + list(map(tuple, keys[~coded].tolist()))
+        keys, values = keys[coded], np.asarray(values, dtype=float)[coded]
         self.sys = sys
         self.memory = memory
-        norm = {tuple(int(s) for s in k): float(v) for k, v in table.items()}
-        A = sys.alphabet_size
         place = A ** np.arange(memory - 1, -1, -1)
         words = word_matrix(sys, memory)
         admissible = words.astype(np.int64) @ place
-        # only m-words over the alphabet have a code; any other key is inadmissible
-        coded = {w: v for w, v in norm.items() if len(w) == memory and 0 <= min(w) and max(w) < A}
-        keys = np.array(list(coded), dtype=np.int64).reshape(-1, memory)
         codes = keys @ place
         missing = words[~np.isin(admissible, codes)]
         unlisted = keys[~np.isin(codes, admissible)].tolist()
-        extra = sorted([w for w in norm if w not in coded] + list(map(tuple, unlisted)))
+        extra = sorted(uncoded + list(map(tuple, unlisted)))
         if len(missing) or extra:
             parts = []
             if len(missing):
@@ -57,7 +80,7 @@ class Potential:
                 parts.append("entries for inadmissible words: " + ", ".join(word_str(w) for w in extra))
             raise ConfigError("potential table invalid; " + "; ".join(parts))
         self.values_flat = np.full(A**memory, -np.inf)
-        self.values_flat[codes] = list(coded.values())
+        self.values_flat[codes] = values
         self.values_flat.setflags(write=False)
 
     @classmethod
@@ -155,8 +178,17 @@ def birkhoff_sum(phi: Potential, word, n: int) -> float:
 
 
 def birkhoff_batch(phi: Potential, words: np.ndarray, n: int) -> np.ndarray:
-    """Birkhoff sums for every row of an admissible-word matrix (hot path)."""
+    """Birkhoff sums for every row of an admissible-word matrix (hot path).
+
+    For memory 1 the sum over a row's first n symbols is defined as
+    sum_a c_a * phi(a), with c_a the number of copies of symbol a, added in
+    symbol order (kernels.count_sums): it does not depend on the order of
+    the symbols, so rows with the same symbols get bitwise-equal sums.
+    Memory >= 2 sums the n window values of each row.
+    """
     assert words.shape[1] >= n + phi.memory - 1
+    if phi.memory == 1:
+        return kernels.count_birkhoff(words, n, phi.values_flat)
     return kernels.birkhoff_kernel(
         words, n, phi.memory, phi.values_flat, phi.sys.alphabet_size
     )
@@ -196,37 +228,37 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
         raise ConfigError(f"{origin}: 'table' must be an object mapping words to values")
     if sys.alphabet_size > 10:
         raise ConfigError(f"{origin}: digit-string keys support alphabets up to 10 symbols")
-    parsed = {}
-    bad = []
-    non_finite = []
-    huge = []
-    for k, v in table.items():
-        try:
-            w = parse_word(k)
-        except ConfigError:
-            bad.append(k)
-            continue
-        if len(w) != m or not isinstance(v, (int, float)) or isinstance(v, bool):
-            bad.append(k)
-            continue
-        try:
-            value = float(v)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            non_finite.append(k)
-            continue
-        if abs(value) > VALUE_BOUND:
-            huge.append(k)
-            continue
-        parsed[w] = value
-    if bad:
+    keys, values = list(table), list(table.values())
+    ok = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == m
+    # the keys of length m as one matrix of code points, one row per key
+    text = "".join(itertools.compress(keys, ok.tolist())).encode("utf-32-le")
+    digits = np.frombuffer(text, dtype=np.uint32).reshape(-1, m).astype(np.int64) - ord("0")
+    ok[ok] = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    ok &= np.fromiter(map(_is_number, values), dtype=bool, count=len(values))
+    if not ok.all():
+        bad = [k for k, good in zip(keys, ok.tolist()) if not good]
         raise ConfigError(f"{origin}: malformed table keys/values: {', '.join(sorted(bad))}")
-    if non_finite:
+    value = np.fromiter(map(_as_float, values), dtype=float, count=len(values))
+    finite = np.isfinite(value)
+    if not finite.all():
+        non_finite = [k for k, good in zip(keys, finite.tolist()) if not good]
         raise ConfigError(f"{origin}: non-finite table values for: {', '.join(sorted(non_finite))}")
-    if huge:
+    bounded = np.abs(value) <= VALUE_BOUND
+    if not bounded.all():
+        huge = [k for k, good in zip(keys, bounded.tolist()) if not good]
         raise ConfigError(f"{origin}: table values beyond +-{VALUE_BOUND:.3g} for: {', '.join(sorted(huge))}")
     try:
-        return Potential(sys, m, parsed)
+        return Potential.from_arrays(sys, m, digits, value)
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf

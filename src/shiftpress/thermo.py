@@ -70,13 +70,15 @@ class PressureReport:
 
 
 def log_sum_exp(values) -> float:
-    """ln sum e^v over a list or array, summed exactly after shifting by the
-    max; a Python float either way, so a JSON artifact can carry it."""
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
+    """ln sum e^v over an array (or list) of floats: np.exp of the values
+    shifted by their max, summed exactly by math.fsum; a Python float, so a
+    JSON artifact can carry it."""
+    vals = np.asarray(values, dtype=float)
+    vals = vals[vals != NEG_INF]
+    if not vals.size:
         return NEG_INF
-    mx = float(max(vals))
-    return mx + math.log(math.fsum(math.exp(v - mx) for v in vals))
+    mx = float(vals.max())
+    return mx + math.log(math.fsum(np.exp(vals - mx).tolist()))
 
 
 def _row_group_ids(mat: np.ndarray):

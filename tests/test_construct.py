@@ -24,6 +24,7 @@ from shiftpress import (
 from shiftpress import construct as construct_module
 from shiftpress import structure as structure_module
 from shiftpress.construct import GluedSubshift
+from shiftpress import kernels
 from shiftpress.core import load_system, word_matrix
 from shiftpress.segments import (
     OrbitDecomposition,
@@ -33,7 +34,7 @@ from shiftpress.segments import (
 )
 from shiftpress.potentials import birkhoff_batch, load_potential
 from shiftpress.thermo import log_sum_exp
-from shiftpress.errors import InfeasibleError, ConfigError
+from shiftpress.errors import InfeasibleError, ConfigError, ResourceBudgetError
 
 from conftest import random_potential, random_sft
 
@@ -111,11 +112,105 @@ class TestRanking:
             phi = phi_c.shifted(-phi_c.min_value)
         core = all_segments()
         order, members, phis, cum = reference_ranking(sys_, phi, core, N)
-        got_words, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
+        got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
         # the members are distinct, so equal rows mean the same permutation
-        assert np.array_equal(got_words, members[order])
+        assert np.array_equal(kernels.word_rows(sys_.transitions, N, got_index), members[order])
         assert got_phis.tobytes() == phis.tobytes()
         assert got_cum.tobytes() == cum.tobytes()
+
+    def test_code_over_two_columns_matches_lexsort(self):
+        """full2 memory 4 recoded has 16 symbols; at N = 15 a count code needs
+        two int64 columns, and the ranking is still birkhoff_batch plus lexsort."""
+        full2 = load_system(DATA / "full2.json")
+        phi_c, _, _ = construct_module._recode_memory_one(
+            load_potential(full2, DATA / "full2_mem4.json"), trivial_decomposition()
+        )
+        phi = phi_c.shifted(-phi_c.min_value)
+        N, core = 15, all_segments()
+        assert phi.sys.alphabet_size == 16
+        assert kernels.word_codes(phi.sys.transitions, N).shape[0] == 2
+        order, members, phis, cum = reference_ranking(phi.sys, phi, core, N)
+        got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
+        assert np.array_equal(kernels.word_rows(phi.sys.transitions, N, got_index), members[order])
+        assert got_phis.tobytes() == phis.tobytes()
+        assert got_cum.tobytes() == cum.tobytes()
+
+    def test_prefix_run_class_matches_lexsort(self):
+        """A class other than "all" spells its words for membership and is
+        ranked the same way."""
+        golden = ShiftSystem.golden_mean()
+        phi = Potential.from_symbol_values(golden, [0.0, 0.1])
+        for cap in (0, 2):
+            core = affix_bounded(prefix_run_decomposition(0, 2), cap)
+            order, members, phis, cum = reference_ranking(golden, phi, core, 16)
+            got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(16)
+            assert np.array_equal(kernels.word_rows(golden.transitions, 16, got_index), members[order])
+            assert got_phis.tobytes() == phis.tobytes()
+            assert got_cum.tobytes() == cum.tobytes()
+
+    def test_permuted_rows_get_equal_weights(self):
+        """A memory-1 weight reads the symbol counts alone: any permutation
+        of a row's symbols gives the same bits, whatever the summation order
+        of the values would have given."""
+        rng = np.random.default_rng(7)
+        for A in (2, 3, 5):
+            phi = Potential.from_symbol_values(ShiftSystem.full_shift(A), rng.normal(size=A) * 0.37)
+            for n in (5, 18, 40):
+                words = rng.integers(0, A, size=(300, n), dtype=np.uint8)
+                want = birkhoff_batch(phi, words, n)
+                for _ in range(3):
+                    shuffled = rng.permuted(words, axis=1)
+                    assert birkhoff_batch(phi, shuffled, n).tobytes() == want.tobytes()
+                assert birkhoff_batch(phi, words[:, ::-1], n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("decomposition", ["trivial", "prefix-run"])
+    def test_reversed_columns_select_the_same_words(self, monkeypatch, decomposition):
+        """The kernels fed each word with its columns reversed, summing the
+        symbols from the other end, make the same selection. The cutoff is
+        that of the density snapshots' last row, inside a group of words
+        with equal symbol counts, where sums of the window values in
+        numpy's pairwise order split the group."""
+        golden = ShiftSystem.golden_mean()
+        phi = Potential.from_symbol_values(golden, [0.0, 0.1])
+        if decomposition == "trivial":
+            core = all_segments()
+        else:
+            core = affix_bounded(prefix_run_decomposition(0, 2), 0)
+        want = select_words(phi, core, 0.409295305005, 0.02, 21, None)
+
+        def reversed_codes(sys_, n, budget):
+            codes = 0
+            placed = kernels._code_layout(n, sys_.alphabet_size)[2]
+            for column in word_matrix(sys_, n, budget)[:, ::-1].T:
+                codes = codes + placed[:, column]
+            return codes
+
+        def reversed_batch(phi_, words, n):
+            return birkhoff_batch(phi_, np.ascontiguousarray(words[:, n - 1 :: -1]), n)
+
+        monkeypatch.setattr(construct_module, "word_codes", reversed_codes)
+        monkeypatch.setattr(construct_module, "birkhoff_batch", reversed_batch)
+        got = select_words(phi, core, 0.409295305005, 0.02, 21, None)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+    def test_budget_refused_before_enumeration(self, full2, monkeypatch):
+        """A class above the word budget gets word_matrix's refusal, before
+        any word of the class is enumerated or coded."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated past the budget")
+
+        with pytest.raises(ResourceBudgetError) as want:
+            word_matrix(full2, 18, 1000)
+        phi = Potential.zero(full2)
+        monkeypatch.setattr(kernels, "word_codes", forbidden)
+        monkeypatch.setattr(kernels, "word_matrix", forbidden)
+        for core in (all_segments(), affix_bounded(prefix_run_decomposition(0, 2), 0)):
+            with pytest.raises(ResourceBudgetError) as got:
+                construct_module.CoreWords(phi, core, 1000).ranked(18)
+            assert str(got.value) == str(want.value)
+            assert got.value.n == want.value.n == 18
 
 
 def reference_class_log_weight_sum(phi, seg, n):
@@ -171,6 +266,32 @@ class TestGluedSubshift:
         lam = build_glued(phi, [(0, 1, 1, 0)], cert_full2)
         value, _ = lam.log_pressure()
         assert value == pytest.approx((0.1 + 0.7 + 0.7 + 0.1) / 4, abs=1e-9)
+
+    @pytest.mark.parametrize("values, word, solves", [([0.0, 0.1], None, 2 + 46), ([0.0, 10.0], (1,), 3 + 1 + 47)])
+    def test_each_rate_solved_once(self, golden, cert_golden, monkeypatch, values, word, solves):
+        """rho is solved once at every rate tried: each bracket end where its
+        expansion stops, which the final bracket check reuses, then once per
+        bisection step. The word 1 glued through the connector 0 has pressure
+        5 against a starting guess of 10, so the lower end expands twice."""
+        phi = Potential.from_symbol_values(golden, values)
+        lam = build_glued(phi, word_matrix(golden, 6) if word is None else [word], cert_golden)
+        want = lam.log_pressure()
+        rates = []
+        solve = GluedSubshift._junction_matrix
+
+        def counted(self, s, logW):
+            rates.append(s)
+            return solve(self, s, logW)
+
+        monkeypatch.setattr(GluedSubshift, "_junction_matrix", counted)
+        assert lam.log_pressure() == want
+        assert len(rates) == solves
+        if word is None:
+            assert len(set(rates)) == solves
+        else:
+            assert want[0] == pytest.approx(5.0, abs=1e-12)
+            # the bisection then starts at the midpoint 8 of [4, 12]
+            assert rates[:5] == [8.0, 6.0, 4.0, 12.0, 8.0]
 
     def test_oracle_matches_enumeration_small(self, golden, cert_golden):
         phi = Potential.zero(golden)
@@ -681,7 +802,10 @@ class TestDensityExperiment:
         assert all(r.certified for r in res.rows)
         assert all(abs(r.pressure - r.alpha) < 0.1 for r in res.rows)
 
-    def test_one_enumeration_per_word_length(self, full2, monkeypatch):
+    def test_one_enumeration_per_word_length(self, full2, golden, monkeypatch):
+        """An "all" core ranks each chosen N from count codes and builds no
+        class word matrix; a prefix-run core builds exactly one per chosen N,
+        for its membership."""
         lengths = []
 
         def counted(sys_, n, *args, **kwargs):
@@ -692,6 +816,13 @@ class TestDensityExperiment:
         res = density_experiment(Potential.zero(full2), trivial_decomposition(), 8, 0.1)
         chosen = {r.N for r in res.rows}
         assert all(r.certified for r in res.rows)
+        assert {N: lengths.count(N) for N in chosen} == {N: 0 for N in chosen}
+
+        lengths.clear()
+        dec = prefix_run_decomposition(0, 2)
+        res = density_experiment(Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 3, 0.1)
+        chosen = {r.N for r in res.rows if r.N is not None}
+        assert chosen
         assert {N: lengths.count(N) for N in chosen} == {N: 1 for N in chosen}
 
     def test_alpha_independent_work_once_per_sweep(self, full2, monkeypatch):

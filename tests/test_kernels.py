@@ -106,6 +106,86 @@ class TestWordEnumeration:
         assert stranded  # the seeds include rows with no successors
 
 
+class TestWordRows:
+    """Rows unranked from their indices equal the enumerated rows."""
+
+    @pytest.mark.parametrize("case", ["full2", "golden", "sft4"])
+    def test_random_indices_match_word_matrix(self, case):
+        rng = np.random.default_rng(31)
+        trans = {
+            "full2": np.ones((2, 2), dtype=np.uint8),
+            "golden": GOLDEN,
+            "sft4": random_sft(rng, 4).transitions.astype(np.uint8),
+        }[case]
+        for length in (1, 2, 7, 18 if case != "sft4" else 10):
+            words = kernels.word_matrix(trans, length)
+            index = rng.integers(0, words.shape[0], size=500)
+            got = kernels.word_rows(trans, length, index)
+            assert got.dtype == np.uint8 and got.shape == (500, length)
+            assert np.array_equal(got, words[index])
+        assert np.array_equal(kernels.word_rows(trans, 9, np.arange(0)), np.empty((0, 9), dtype=np.uint8))
+
+    def test_every_row_of_random_systems(self):
+        for seed in range(10):
+            rng = np.random.default_rng(300 + seed)
+            trans = random_sft(rng, int(rng.integers(2, 6)), density=0.5).transitions
+            for length in (1, 3, 6):
+                words = kernels.word_matrix(trans.astype(np.uint8), length)
+                assert np.array_equal(kernels.word_rows(trans, length, np.arange(words.shape[0])), words)
+
+
+def reference_count_sum(word, values):
+    """sum_a count_a * values[a], added in symbol order from 0.0, one row."""
+    total = 0.0
+    for a, v in enumerate(values.tolist()):
+        total = total + word.count(a) * v
+    return total
+
+
+class TestCountCodes:
+    def test_tree_codes_match_rows(self):
+        """Codes from the word-tree pass are the codes of the word_matrix rows,
+        and both give the per-row reference count sum bit for bit."""
+        for seed in range(8):
+            rng = np.random.default_rng(400 + seed)
+            sys = random_sft(rng, int(rng.integers(2, 6)), density=0.6)
+            trans = sys.transitions.astype(np.uint8)
+            values = rng.normal(size=sys.alphabet_size)
+            for length in (1, 4, 9):
+                words = kernels.word_matrix(trans, length)
+                codes = kernels.word_codes(trans, length)
+                placed = kernels._code_layout(length, sys.alphabet_size)[2]
+                assert np.array_equal(codes, placed[:, words].sum(axis=2))
+                sums = kernels.count_sums(codes, length, values)
+                want = np.array([reference_count_sum(w, values) for w in words.tolist()])
+                assert sums.tobytes() == want.tobytes()
+                assert kernels.count_birkhoff(words, length, values).tobytes() == want.tobytes()
+
+    def test_columns_split_where_int64_overflows(self):
+        """(N + 1)^A above 2^63 spreads the code over more int64 columns; the
+        sums are unchanged."""
+        assert kernels._code_layout(14, 16)[2].shape[0] == 1
+        assert kernels._code_layout(15, 16)[2].shape[0] == 2
+        assert kernels._code_layout(255, 9)[2].shape[0] == 2
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=16)
+        words = rng.integers(0, 16, size=(200, 40), dtype=np.uint8)
+        codes = kernels._code_layout(40, 16)[2][:, words].sum(axis=2)
+        assert codes.shape[0] == 2 and codes.max() < 2**63 - 1
+        want = np.array([reference_count_sum(w, values) for w in words.tolist()])
+        assert kernels.count_sums(codes, 40, values).tobytes() == want.tobytes()
+
+    def test_count_birkhoff_blocks(self, monkeypatch):
+        """Rows across block edges, and the first n columns only."""
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=3)
+        for rows in (0, 1, 15, 16, 17, 53):
+            words = rng.integers(0, 3, size=(rows, 12), dtype=np.uint8)
+            want = np.array([reference_count_sum(w[:9], values) for w in words.tolist()])
+            assert kernels.count_birkhoff(words, 9, values).tobytes() == want.tobytes()
+
+
 class TestBirkhoffKernel:
     def test_backends_agree(self):
         """The kernel matches a direct per-row sum of the block values."""

@@ -104,6 +104,37 @@ class TestLoader:
         with pytest.raises(ConfigError, match="malformed"):
             potential_from_dict(full2, {"memory": 1, "table": {"x": 1.0, "1": 0.0}})
 
+    @pytest.mark.parametrize(
+        "memory, table, message",
+        [
+            # every malformed key, listed in sorted order: a non-digit, a wrong
+            # length, a sign, a space, a non-ASCII digit, a bool and a string value
+            (2, {"x1": 0.0, "0": 0.0, "-1": 0.0, " 1": 0.0, "0\u0663": 0.0, "01": True, "10": "1",
+                 "00": 0.0, "11": 0.0},
+             "malformed table keys/values:  1, -1, 0, 01, 0\u0663, 10, x1"),
+            (1, {"0": 0.0, "1": None}, "malformed table keys/values: 1"),
+            (1, {"0": 0.0, "": 0.0, "1": 0.0}, "malformed table keys/values: "),
+            # keys of another length than a very large memory are malformed, not enumerated
+            (10**9, {"0": 0.0, "1": 0.0}, "malformed table keys/values: 0, 1"),
+            (1, {"1": float("nan"), "0": float("-inf")}, "non-finite table values for: 0, 1"),
+            (1, {"0": 0.0, "1": 10**400}, "non-finite table values for: 1"),
+            (1, {"1": 1e308, "0": -1e308}, "table values beyond +-2.09e+298 for: 0, 1"),
+            (1, {}, "potential table invalid; missing admissible words: 0, 1"),
+        ],
+    )
+    def test_refusals_one_line_each(self, full2, memory, table, message):
+        """Malformed keys or values come first, then non-finite values, then
+        values beyond the bound; each lists its keys in sorted order."""
+        with pytest.raises(ConfigError) as info:
+            potential_from_dict(full2, {"memory": memory, "table": table}, origin="phi.json")
+        assert str(info.value) == f"phi.json: {message}"
+
+    def test_integer_values_and_digit_keys(self, golden):
+        phi = potential_from_dict(golden, {"memory": 2, "table": {"10": -1, "01": 2, "00": 0.5}})
+        assert phi.values_flat.tolist() == [0.5, 2.0, -1.0, -np.inf]
+        assert Potential.from_arrays(golden, 2, np.array([[1, 0], [0, 1], [0, 0]]), [-1, 2, 0.5]) \
+            .values_flat.tobytes() == phi.values_flat.tobytes()
+
     def test_symbol_outside_alphabet_is_inadmissible(self, full2):
         with pytest.raises(ConfigError, match="inadmissible words: 2$"):
             potential_from_dict(full2, {"memory": 1, "table": {"0": 0.0, "1": 0.0, "2": 0.0}})

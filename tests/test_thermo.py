@@ -203,6 +203,27 @@ class TestPressureEnumerate:
         assert rep.value == min(seq[:6]) and rep.error_bound == math.inf
 
 
+class TestLogSumExp:
+    def test_array_path(self):
+        """np.exp of the values shifted by their max, summed by math.fsum; a
+        list gives the same bits, and -inf entries add nothing."""
+        rng = np.random.default_rng(12)
+        for size in (1, 7, 5000):
+            values = rng.normal(size=size) * 30.0
+            got = thermo.log_sum_exp(values)
+            mx = float(values.max())
+            assert type(got) is float
+            assert got == mx + math.log(math.fsum(np.exp(values - mx).tolist()))
+            assert thermo.log_sum_exp(values.tolist()) == got
+            padded = np.concatenate([values, [-math.inf, -math.inf]])
+            assert thermo.log_sum_exp(padded) == got
+
+    def test_empty_and_all_neg_inf(self):
+        assert thermo.log_sum_exp(np.array([])) == -math.inf
+        assert thermo.log_sum_exp([-math.inf, -math.inf]) == -math.inf
+        assert thermo.log_sum_exp([0.0, 0.0]) == math.log(2.0)
+
+
 class TestRowGroups:
     def test_ids_match_unique_inverse(self):
         """On prefixes of lexicographic word_matrix rows the group ids are the
