@@ -271,6 +271,7 @@ def word_str(word) -> str:
 
 
 def parse_word(text: str) -> tuple:
-    if not all(c.isdigit() for c in text):
+    # str.isdigit alone admits digits that int() cannot read, such as "\u00b2"
+    if text and not (text.isascii() and text.isdigit()):
         raise ConfigError(f"word {text!r} must be a digit string")
     return tuple(int(c) for c in text)

@@ -234,27 +234,25 @@ def potential_from_dict(sys: ShiftSystem, data, origin="<dict>") -> Potential:
     text = "".join(itertools.compress(keys, ok.tolist())).encode("utf-32-le")
     digits = np.frombuffer(text, dtype=np.uint32).reshape(-1, m).astype(np.int64) - ord("0")
     ok[ok] = ((digits >= 0) & (digits <= 9)).all(axis=1)
-    ok &= np.fromiter(map(_is_number, values), dtype=bool, count=len(values))
+    # a value must be an int or a float, not a bool; decided once per type
+    number = {t: issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))}
+    ok &= np.fromiter(map(number.__getitem__, map(type, values)), dtype=bool, count=len(values))
     if not ok.all():
-        bad = [k for k, good in zip(keys, ok.tolist()) if not good]
-        raise ConfigError(f"{origin}: malformed table keys/values: {', '.join(sorted(bad))}")
+        bad = sorted(itertools.compress(keys, ~ok))
+        raise ConfigError(f"{origin}: malformed table keys/values: {', '.join(bad)}")
     value = np.fromiter(map(_as_float, values), dtype=float, count=len(values))
     finite = np.isfinite(value)
     if not finite.all():
-        non_finite = [k for k, good in zip(keys, finite.tolist()) if not good]
-        raise ConfigError(f"{origin}: non-finite table values for: {', '.join(sorted(non_finite))}")
+        non_finite = sorted(itertools.compress(keys, ~finite))
+        raise ConfigError(f"{origin}: non-finite table values for: {', '.join(non_finite)}")
     bounded = np.abs(value) <= VALUE_BOUND
     if not bounded.all():
-        huge = [k for k, good in zip(keys, bounded.tolist()) if not good]
-        raise ConfigError(f"{origin}: table values beyond +-{VALUE_BOUND:.3g} for: {', '.join(sorted(huge))}")
+        huge = sorted(itertools.compress(keys, ~bounded))
+        raise ConfigError(f"{origin}: table values beyond +-{VALUE_BOUND:.3g} for: {', '.join(huge)}")
     try:
         return Potential.from_arrays(sys, m, digits, value)
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _as_float(v) -> float:

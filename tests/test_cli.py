@@ -267,7 +267,8 @@ class TestConstructAndDensity:
         assert len(payload["conditions"]) == 5
 
     @pytest.mark.parametrize(
-        "table", [{"kind": "table", "split": 5}, {"kind": "table", "base": [["01", "x"]]}]
+        "table", [{"kind": "table", "split": 5}, {"kind": "table", "base": [["01", "x"]]},
+                  {"kind": "table", "base": [["0\u00b2", 2]]}]
     )
     def test_malformed_table_decomposition_exit2(self, files, capsys, table):
         dec = files["tmp"] / "table.json"

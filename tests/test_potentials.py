@@ -113,6 +113,8 @@ class TestLoader:
                  "00": 0.0, "11": 0.0},
              "malformed table keys/values:  1, -1, 0, 01, 0\u0663, 10, x1"),
             (1, {"0": 0.0, "1": None}, "malformed table keys/values: 1"),
+            # a digit int() cannot read
+            (1, {"0": 0.0, "1": 0.0, "\u00b2": 0.0}, "malformed table keys/values: \u00b2"),
             (1, {"0": 0.0, "": 0.0, "1": 0.0}, "malformed table keys/values: "),
             # keys of another length than a very large memory are malformed, not enumerated
             (10**9, {"0": 0.0, "1": 0.0}, "malformed table keys/values: 0, 1"),
