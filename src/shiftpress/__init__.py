@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "thermo": (
         "PressureReport", "partition_function", "pressure_enumerate", "pressure_oracle",
-        "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence", "bowen_bound",
+        "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence",
     ),
     "measures": (
         "MarkovMeasure", "PeriodicOrbitMeasure", "markov_entropy", "measure_pressure", "spectrum_sample",

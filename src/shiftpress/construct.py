@@ -87,6 +87,12 @@ def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
     if m == 1:
         return phi, dec, None
     lift, A = phi.lift, phi.sys.alphabet_size
+    # word matrices hold symbols as uint8, so a larger alphabet would wrap
+    if lift.wgt.shape[0] > 256:
+        raise ResourceBudgetError(
+            f"recoding memory {m} to memory 1 gives {lift.wgt.shape[0]} symbols, "
+            "above the 256 that word matrices hold"
+        )
     # edge i spells its source state followed by the last symbol of its destination
     codes = lift.codes[lift.src] * A + lift.codes[lift.dst] % A
     blocks = list(zip(*(digits.tolist() for digits in np.unravel_index(codes, (A,) * m))))

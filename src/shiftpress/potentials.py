@@ -1,9 +1,10 @@
 """Locally constant potentials: finite-memory real functions on a subshift.
 
 A memory-m potential reads only the first m symbols of a point. These are
-Holder in the dyadic metric, satisfy the Bowen property exactly at scales
-finer than 2^-m, and admit an exact transfer-operator treatment, which is
-why the package restricts to them.
+Holder in the dyadic metric, admit an exact transfer-operator treatment,
+and satisfy the Bowen property at every level l with the constant
+K = sum over j = l..m-1 of `variation` at level j, which is 0 for l >= m:
+that is why the package restricts to them.
 
 The Birkhoff sum of a memory-1 potential over a word w is defined as
 sum_a count_a(w) * phi(a), the terms added in symbol order: it reads the

@@ -1,5 +1,5 @@
-"""Partition functions, pressure estimators, the transfer-operator oracle,
-and potential variation bounds.
+"""Partition functions, pressure estimators, the transfer-operator oracle
+and maximal Birkhoff averages.
 
 Two independent routes to pressure are kept side by side:
 
@@ -30,7 +30,7 @@ from .core import (
     word_matrix,
     DEFAULT_WORD_BUDGET,
 )
-from .potentials import Potential, _Lift, birkhoff_batch, variation  # noqa: F401 (perfbench traces thermo._Lift)
+from .potentials import Potential, _Lift, birkhoff_batch  # noqa: F401 (perfbench traces thermo._Lift)
 from .segments import SegmentClass
 from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from . import kernels
@@ -39,7 +39,6 @@ NEG_INF = float("-inf")
 ORACLE_TOL = 1e-12  # settling of the log Rayleigh quotient in pressure_oracle
 PERRON_MAXITER = 10**6  # power-iteration steps before perron_log refuses
 FINITE_MEANS_N = 20  # finite-n means next to the pressure floor in `pstar`
-BOWEN_N_CAP = 6  # segment lengths the Bowen bound samples
 
 
 @dataclass
@@ -358,57 +357,3 @@ def birkhoff_sup_sequence(phi: Potential):
     """The finite-n means sup_x (1/n) Phi(x, n), n = 1..FINITE_MEANS_N, reported
     next to the cycle value so a liminf/limit discrepancy would be visible."""
     return [v / n for n, v in enumerate(_birkhoff_sups(phi, FINITE_MEANS_N), 1)]
-
-
-# ---------------------------------------------------------------------------
-# Bowen-property bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BowenBound:
-    """Certified upper bound for the Birkhoff-sum variation over (n, eps)-balls
-    on a segment class (segments up to BOWEN_N_CAP), plus the exhaustively
-    sampled maximum as a lower estimate. exact marks the locally-constant
-    case where the bound is identically zero."""
-
-    certified: float
-    sampled: float
-    exact: bool
-
-
-def bowen_bound(
-    phi: Potential,
-    seg: SegmentClass,
-    eps: Resolution,
-    budget: int | None = DEFAULT_WORD_BUDGET,
-) -> BowenBound:
-    if eps.level >= phi.memory:
-        return BowenBound(certified=0.0, sampled=0.0, exact=True)
-    var = variation(phi, eps)
-    certified = BOWEN_N_CAP * var
-    sampled = 0.0
-    if seg.kind != "empty":
-        m = phi.memory
-        for n in range(1, BOWEN_N_CAP + 1):
-            L = n + max(m, eps.level) - 1
-            words = word_matrix(phi.sys, L, budget)
-            phis = birkhoff_batch(phi, words, n)
-            member = seg.batch(words, n)
-            if not member.any():
-                continue
-            ball_len = n + eps.level - 1
-            n_grp, ids = _row_group_ids(words[:, :ball_len])
-            grp_max = np.full(n_grp, NEG_INF)
-            grp_min = np.full(n_grp, math.inf)
-            np.maximum.at(grp_max, ids, phis)
-            np.minimum.at(grp_min, ids, phis)
-            mem_max = np.full(n_grp, NEG_INF)
-            mem_min = np.full(n_grp, math.inf)
-            np.maximum.at(mem_max, ids[member], phis[member])
-            np.minimum.at(mem_min, ids[member], phis[member])
-            occupied = mem_max > NEG_INF
-            if occupied.any():
-                d1 = (mem_max - grp_min)[occupied].max()
-                d2 = (grp_max - mem_min)[occupied].max()
-                sampled = max(sampled, float(d1), float(d2))
-    return BowenBound(certified=certified, sampled=sampled, exact=False)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -351,18 +352,48 @@ class TestConstructAndDensity:
         assert code == 2 and text == ""
         assert f"unrecognized arguments: {' '.join(flags[-2:])}" in capsys.readouterr().err
 
-    def test_check_keeps_the_word_budget_in_the_bowen_bound(self, files, capsys):
-        # memory 5 on the full 2-shift: the Bowen bound at 3*gamma (level 4)
-        # samples words of length n + 4, 128 of them at n = 3
-        table = {format(i, "05b"): 0.01 * i for i in range(32)}
-        mem5 = files["tmp"] / "mem5.json"
-        mem5.write_text(json.dumps({"memory": 5, "table": table}))
+    def test_check_keeps_the_word_budget_in_the_class_pressures(self, files, capsys):
+        # the prefix-run classes are enumerated explicitly: 144 words of
+        # length 10 at n = 6 for the affix class at (gamma, 3*gamma)
+        data = Path(__file__).parent / "data"
         code, text = run(
-            files, "check", "--system", str(files["full2"]), "--potential", str(mem5), "--budget-words", "100",
+            files, "check", "--system", str(data / "golden.json"), "--potential", str(data / "golden_weighted.json"),
+            "--decomposition", str(data / "prefix_run.json"), "--budget-words", "100",
         )
         assert code == 3 and text == ""
         err = capsys.readouterr().err
-        assert err == "computation error: enumerating 128 words of length 7 exceeds the budget of 100\n"
+        assert err == "computation error: partition function at n=6 needs 144 words of length 10, budget is 100\n"
+
+    def test_recoded_alphabet_above_256_refused(self, files, capsys):
+        # memory 6 on the full 3-shift recodes to 3^6 = 729 symbols, more
+        # than the uint8 word matrices hold
+        full3 = files["tmp"] / "full3.json"
+        full3.write_text(json.dumps({"alphabet": 3, "full": True}))
+        mem6 = files["tmp"] / "mem6.json"
+        words = ["".join(str(d) for d in digits) for digits in itertools.product(range(3), repeat=6)]
+        mem6.write_text(json.dumps({"memory": 6, "table": dict.fromkeys(words, 0.0)}))
+        code, text = run(
+            files, "construct", "--system", str(full3), "--potential", str(mem6), "--alpha", "0.5", "--eta0", "0.1",
+        )
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err == (
+            "computation error: recoding memory 6 to memory 1 gives 729 symbols, "
+            "above the 256 that word matrices hold\n"
+        )
+
+    def test_density_passes_the_structure_gate_above_the_bowen_level(self, files, capsys):
+        # memory 5 exceeds the 3*gamma level 4: the closed-form Bowen bound
+        # lets the sweep reach the construction, whose rows may still refuse
+        data = Path(__file__).parent / "data"
+        code, text = run(
+            files, "density", "--system", str(data / "golden.json"), "--potential", str(data / "golden_mem5.json"),
+            "--grid", "3", "--eta0", "0.1",
+        )
+        assert code == 0
+        assert "structure conditions not all passing" not in capsys.readouterr().err
+        rows = [line for line in text.splitlines() if not line.startswith("#")]
+        assert rows[0].startswith("alpha,") and len(rows) == 4
 
 
 # the option strings of each subcommand; a flag that nothing reads shows up here

@@ -213,6 +213,8 @@ THERMO_CASES = (
     + [["check", "--system", s, "--potential", p] for s, p in PAIRS]
     + [["check", "--system", "golden.json", "--potential", "golden_weighted.json",
         "--decomposition", "prefix_run.json"]]
+    # memory 5 above the 3*gamma level 4: bowen_on_core from the closed form
+    + [["check", "--system", "golden.json", "--potential", "golden_mem5.json"]]
 )
 
 

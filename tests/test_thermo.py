@@ -15,7 +15,9 @@ from shiftpress import (
     pressure_floor,
     birkhoff_sup,
     birkhoff_sup_sequence,
-    bowen_bound,
+    check_structure_conditions,
+    trivial_decomposition,
+    variation,
 )
 from shiftpress.segments import SegmentClass, prefix_run_decomposition, union
 from shiftpress.potentials import birkhoff_batch
@@ -362,23 +364,64 @@ class TestPressureFloor:
         assert pressure_floor(phi) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestBowenAndExpansivity:
-    def test_locally_constant_exact(self, golden):
+def bowen_closed_form(phi, level):
+    """K = sum of the variations at levels level..memory-1 (0.0 once
+    level >= memory): the constant `check` reports for bowen_on_core."""
+    return math.fsum(variation(phi, Resolution(j)) for j in range(level, phi.memory))
+
+
+def bowen_brute_force(phi, level, n):
+    """max |S_n phi(x) - S_n phi(y)| over admissible words whose first
+    n + level - 1 symbols agree, by enumeration."""
+    words = word_matrix(phi.sys, n + max(phi.memory, level) - 1)
+    sums = birkhoff_batch(phi, words, n)
+    _, ball = np.unique(words[:, : n + level - 1], axis=0, return_inverse=True)
+    hi = np.full(ball.max() + 1, -math.inf)
+    lo = np.full(ball.max() + 1, math.inf)
+    np.maximum.at(hi, ball, sums)
+    np.minimum.at(lo, ball, sums)
+    return float((hi - lo).max())
+
+
+class TestBowenClosedForm:
+    # the bound is proven in exact arithmetic; the Birkhoff sums of the brute
+    # force round, so both comparisons allow a few ulps
+    ULPS = 1e-12
+
+    def test_brute_force_never_exceeds_the_closed_form(self):
+        rng = np.random.default_rng(22)
+        reached = 0
+        for case in range(24):
+            sys = random_sft(rng, int(rng.integers(2, 4)))
+            memory = 2 + case % 4
+            phi = random_potential(rng, sys, memory, -1.0, 1.0)
+            for level in range(1, memory):
+                bound = bowen_closed_form(phi, level)
+                for n in range(1, 8):
+                    brute = bowen_brute_force(phi, level, n)
+                    assert brute <= bound + self.ULPS, (case, level, n, brute, bound)
+                    reached += abs(brute - bound) <= self.ULPS
+        assert reached > 0
+
+    def test_exact_branch_is_zero(self, golden, full2):
+        assert bowen_closed_form(Potential.from_symbol_values(full2, [0.0, 1.0]), 1) == 0.0
         phi = Potential(golden, 2, {(0, 0): 0.3, (0, 1): 1.0, (1, 0): -1.0})
-        bb = bowen_bound(phi, all_segments(), Resolution(2))
-        assert bb.exact and bb.certified == 0.0
+        for level in (2, 3):
+            assert bowen_closed_form(phi, level) == 0.0
+            assert all(bowen_brute_force(phi, level, n) == 0.0 for n in range(1, 6))
+        check = check_structure_conditions(phi, trivial_decomposition())
+        bowen = next(c for c in check.conditions if c.name == "bowen_on_core")
+        assert (bowen.status, bowen.margin, bowen.details) == ("pass", math.inf, {"certified": 0.0})
 
-    def test_memory1_level1(self, full2):
-        phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        bb = bowen_bound(phi, all_segments(), Resolution(1))
-        assert bb.exact and bb.certified == 0.0
-
-    def test_coarse_scale_bound_and_sample(self, full2):
-        phi = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.0})
-        bb = bowen_bound(phi, all_segments(), Resolution(1))
-        assert not bb.exact
-        assert bb.certified == pytest.approx(6 * 1.0)
-        assert 0.0 < bb.sampled <= bb.certified + 1e-12
+    def test_check_reports_the_closed_form_above_its_level(self, golden):
+        # memory 5 exceeds the 3*gamma level 4 of the default configuration
+        phi = random_potential(np.random.default_rng(5), golden, 5)
+        check = check_structure_conditions(phi, trivial_decomposition())
+        bowen = next(c for c in check.conditions if c.name == "bowen_on_core")
+        assert bowen.status == "pass" and bowen.margin == math.inf
+        assert bowen.details == {"certified": bowen_closed_form(phi, 4)}
+        assert bowen.details["certified"] > 0.0
+        assert check.all_pass
 
 
 class TestBirkhoffSup:
