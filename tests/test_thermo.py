@@ -383,6 +383,19 @@ def bowen_brute_force(phi, level, n):
     return float((hi - lo).max())
 
 
+class TestBowenAndExpansivity:
+    def test_locally_constant_exact(self, golden):
+        phi = Potential(golden, 2, {(0, 0): 0.3, (0, 1): 1.0, (1, 0): -1.0})
+        for level in (2, 3):
+            assert bowen_closed_form(phi, level) == 0.0
+            assert all(bowen_brute_force(phi, level, n) == 0.0 for n in range(1, 6))
+
+    def test_memory1_level1(self, full2):
+        phi = Potential.from_symbol_values(full2, [0.0, 1.0])
+        assert bowen_closed_form(phi, 1) == 0.0
+        assert all(bowen_brute_force(phi, 1, n) == 0.0 for n in range(1, 6))
+
+
 class TestBowenClosedForm:
     # the bound is proven in exact arithmetic; the Birkhoff sums of the brute
     # force round, so both comparisons allow a few ulps
@@ -403,12 +416,8 @@ class TestBowenClosedForm:
                     reached += abs(brute - bound) <= self.ULPS
         assert reached > 0
 
-    def test_exact_branch_is_zero(self, golden, full2):
-        assert bowen_closed_form(Potential.from_symbol_values(full2, [0.0, 1.0]), 1) == 0.0
+    def test_exact_branch_is_zero(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.3, (0, 1): 1.0, (1, 0): -1.0})
-        for level in (2, 3):
-            assert bowen_closed_form(phi, level) == 0.0
-            assert all(bowen_brute_force(phi, level, n) == 0.0 for n in range(1, 6))
         check = check_structure_conditions(phi, trivial_decomposition())
         bowen = next(c for c in check.conditions if c.name == "bowen_on_core")
         assert (bowen.status, bowen.margin, bowen.details) == ("pass", math.inf, {"certified": 0.0})
