@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -169,11 +170,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     from .structure import check_structure_conditions
+    from .thermo import pressure_oracle
 
     phi = _load_inputs(args)
     dec = _load_decomposition(args)
-    check = check_structure_conditions(phi, dec, _construct_config(args), n_cap=args.n_cap_check)
-    payload = {"header": _header(args), **check.to_dict()}
+    config = _construct_config(args)
+    config.resolutions()  # a bad ordering is refused before the oracle runs
+    pressure = pressure_oracle(phi).value
+    check = check_structure_conditions(phi, dec, pressure, config, n_cap=args.n_cap_check)
+    payload = {"header": _header(args), "pressure": pressure, **check.to_dict()}
     _emit_json(payload, args.out)
     return EXIT_OK if check.all_pass else EXIT_COMPUTE
 
@@ -347,6 +352,9 @@ def main(argv=None) -> int:
     try:
         if args.budget_words < 1:
             raise ConfigError(f"--budget-words must be >= 1, got {args.budget_words}")
+        for flag in ("alpha", "eta0", "margin"):
+            if not math.isfinite(getattr(args, flag, None) or 0.0):
+                raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

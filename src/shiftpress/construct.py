@@ -9,7 +9,8 @@ dominant eigenvalue, from one junction-renewal solve, is checked against
 both sides of the eta0 band around alpha; extras["basis"] of each report
 says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
-its alpha values; each N's core words are ranked once.
+its alpha values, grid and structure gate: one pressure interval, on the
+potential as given, and each N's core words ranked once.
 
 Every stage takes the potential alone, which carries its system. Memory
 >= 2 potentials are recoded to memory 1 on the m-block system, the edge
@@ -54,7 +55,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .structure import ConstructConfig, StructureCheck, check_structure_conditions
+from .structure import ConstructConfig, check_structure_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +723,10 @@ def _measure_partition_floor(phi, core, pressure, gamma_res, budget):
 
 class Preparation:
     """The alpha-independent part of the construction, shared by every alpha of
-    a sweep: the memory-1 recoding and normalization shift, the pressure
-    interval, the affix-cap scan with its partition floor, and the per-N core
-    data. Each stage runs when an alpha first reaches it; construct() is the
-    per-alpha step."""
+    a sweep: the pressure interval of the potential as given, the memory-1
+    recoding and normalization shift, the affix-cap scan with its partition
+    floor, and the per-N core data. Each stage runs when first requested;
+    construct() is the per-alpha step."""
 
     def __init__(self, phi: Potential, dec: OrbitDecomposition, config: ConstructConfig | None = None):
         self.config = config or ConstructConfig()
@@ -733,23 +734,27 @@ class Preparation:
         self._inputs = (phi, dec)
         self._memo = {}
 
+    def interval(self):
+        """(Karp floor, oracle pressure) of the potential as given, before any recoding or shift."""
+        phi = self._inputs[0]
+        return _remembered(self._memo, "interval", lambda: (pressure_floor(phi), pressure_oracle(phi).value))
+
     def _normalize(self):
         phi_c, self.dec, self.recoding = _recode_memory_one(*self._inputs)
         self.shift = phi_c.min_value
         self.phi = phi_c.shifted(-self.shift)
-        self.pressure = pressure_oracle(self.phi).value
-        self.floor = pressure_floor(self.phi)
 
     def _scan_caps(self):
         # affix cap scan: the partition floor on the bounded core must stay positive
         config = self.config
+        pressure_n = self.interval()[1] - self.shift  # the pressure of the normalized potential
         for cap in AFFIX_CAPS:
             core = affix_bounded(self.dec, cap)
             try:
                 cert = check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
-            log_c0, n1 = _measure_partition_floor(self.phi, core, self.pressure, self.gamma_res, config.budget)
+            log_c0, n1 = _measure_partition_floor(self.phi, core, pressure_n, self.gamma_res, config.budget)
             if log_c0 != NEG_INF:
                 break
         else:
@@ -771,23 +776,18 @@ class Preparation:
         if eta0 <= 0:
             raise ConfigError(f"eta0 must be positive, got {eta0}")
         _remembered(self._memo, "normalize", self._normalize)
-        shift, pressure, floor = self.shift, self.pressure, self.floor
-        alpha_n = alpha - shift
-        if not (floor < alpha_n < pressure):
+        (floor, pressure), shift = self.interval(), self.shift
+        if not (floor < alpha < pressure):
             raise InfeasibleError(
                 f"alpha must lie strictly between the pressure floor and the pressure: "
-                f"{floor + shift:.6f} < {alpha:.6f} < {pressure + shift:.6f} fails",
-                diagnostics=[("floor < alpha < pressure", floor + shift, pressure + shift)],
+                f"{floor:.6f} < {alpha:.6f} < {pressure:.6f} fails",
+                diagnostics=[("floor < alpha < pressure", floor, pressure)],
             )
+        alpha_n = alpha - shift
         # slack parameter: a fifth of the tolerance or of alpha, further capped
         # so that alpha +- eta stays inside the open pressure interval (the
         # two-sided tolerance may poke outside it; the slack must not)
-        eta = min(
-            eta0 / 5.0,
-            alpha_n / 5.0,
-            0.45 * (pressure - alpha_n),
-            0.45 * (alpha_n - floor),
-        )
+        eta = min(eta0 / 5.0, alpha_n / 5.0, 0.45 * (pressure - alpha), 0.45 * (alpha - floor))
 
         _remembered(self._memo, "scan_caps", self._scan_caps)
         config, phi_n, cap, cert, log_c0, n1 = self.config, self.phi, self.cap, self.cert, self.log_c0, self.n1
@@ -869,7 +869,7 @@ class Preparation:
         params = {
             "alpha": alpha,
             "eta0": eta0,
-            "pressure_interval": [floor + shift, pressure + shift],
+            "pressure_interval": [floor, pressure],
             "eta": eta,
             "N": N,
             "affix_cap": cap,
@@ -1064,7 +1064,6 @@ class DensityResult:
     floor: float
     ceiling: float
     tail_correction: float
-    check: StructureCheck
 
 
 def density_experiment(
@@ -1084,8 +1083,9 @@ def density_experiment(
     """
     if grid_size < 1:
         raise ConfigError(f"grid size must be >= 1, got {grid_size}")
-    config = config or ConstructConfig()
-    check = check_structure_conditions(phi, dec, config)
+    prep = Preparation(phi, dec, config)
+    floor, ceiling = prep.interval()
+    check = check_structure_conditions(phi, dec, ceiling, prep.config)
     if not check.all_pass:
         bad = [c.name for c in check.conditions if c.status != "pass"]
         raise InfeasibleError(
@@ -1093,8 +1093,6 @@ def density_experiment(
             diagnostics=[(c.name, c.status, c.margin) for c in check.conditions],
         )
     margin = eta0 if margin is None else margin
-    floor = pressure_floor(phi)
-    ceiling = check.pressure
     lo, hi = floor + margin, ceiling - margin
     if lo >= hi:
         raise InfeasibleError(
@@ -1105,9 +1103,7 @@ def density_experiment(
         alphas = [0.5 * (lo + hi)]
     else:
         alphas = list(np.linspace(lo, hi, grid_size))
-    two_delta = Resolution(config.level_delta - 1)
-    tail = variation(phi, two_delta)
-    prep = Preparation(phi, dec, config)
+    tail = variation(phi, Resolution(prep.delta_res.level - 1))  # at 2*delta
     rows = []
     for a in alphas:
         try:
@@ -1130,4 +1126,4 @@ def density_experiment(
                     N=None, tau=None, e_size=None, error=str(exc),
                 )
             )
-    return DensityResult(rows=rows, floor=floor, ceiling=ceiling, tail_correction=tail, check=check)
+    return DensityResult(rows=rows, floor=floor, ceiling=ceiling, tail_correction=tail)

@@ -4,9 +4,9 @@
 on the affix-bounded cores, small pressure of the complement and of the
 affix classes, the Bowen bound on the core, and the expansivity
 obstruction. The Bowen bound is a closed form, a sum of variations of the
-finite-memory potential, so only the two class-pressure conditions
-enumerate words. `ConstructConfig` holds the resolutions and budgets both
-use.
+finite-memory potential, so only the two class-pressure conditions, held
+below the caller's pressure, enumerate words. `ConstructConfig` holds the
+resolutions and budgets both use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .core import Resolution
 from .potentials import Potential, variation
 from .segments import OrbitDecomposition, affix_bounded, complement, union
 from .gluing import check_gluing
-from .thermo import pressure_enumerate, pressure_oracle, NEG_INF
+from .thermo import pressure_enumerate, NEG_INF
 from .errors import CertificateError, ConfigError
 
 
@@ -58,11 +58,9 @@ class ConditionReport:
 class StructureCheck:
     conditions: list
     all_pass: bool
-    pressure: float
 
     def to_dict(self):
         return {
-            "pressure": self.pressure,
             "all_pass": self.all_pass,
             "conditions": [
                 {
@@ -95,18 +93,16 @@ def _pressure_condition(name, phi, seg, delta, eps, n_cap, pressure, budget) -> 
 def check_structure_conditions(
     phi: Potential,
     dec: OrbitDecomposition,
+    pressure: float,
     config: ConstructConfig | None = None,
     n_cap: int = 10,
 ) -> StructureCheck:
     """Numeric evaluation of the five structural conditions behind the
     construction: gluing on the affix-bounded cores, small pressure of the
     complement and of the affix classes, the Bowen bound on the core, and
-    the expansivity obstruction."""
+    the expansivity obstruction; both class pressures must stay below pressure."""
     config = config or ConstructConfig()
     gamma_res, _delta_res = config.resolutions()
-    sys = phi.sys
-    sys.require_strongly_connected()
-    pressure = pressure_oracle(phi).value
     conditions = []
 
     # (1) gluing on the affix-bounded cores
@@ -114,7 +110,7 @@ def check_structure_conditions(
     glue_details = {}
     for cap in (0, 1, 2):
         try:
-            cert = check_gluing(sys, affix_bounded(dec, cap))
+            cert = check_gluing(phi.sys, affix_bounded(dec, cap))
             glue_details[f"cap_{cap}"] = {"tau": cert.tau, "n0": cert.n0}
         except CertificateError as exc:
             glue_ok = False
@@ -163,4 +159,4 @@ def check_structure_conditions(
     )
 
     all_pass = all(c.status == "pass" for c in conditions)
-    return StructureCheck(conditions=conditions, all_pass=all_pass, pressure=pressure)
+    return StructureCheck(conditions=conditions, all_pass=all_pass)

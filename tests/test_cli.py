@@ -214,6 +214,38 @@ class TestConstructAndDensity:
         err = capsys.readouterr().err
         assert err == f"config error: --budget-words must be >= 1, got {budget}\n"
 
+    @pytest.mark.parametrize(
+        "command,flags,flag,value",
+        [
+            ("construct", ("--alpha", "0.3"), "--eta0", "inf"),
+            ("construct", ("--alpha", "0.3"), "--eta0", "nan"),
+            ("construct", ("--eta0", "0.1"), "--alpha", "nan"),
+            ("construct", ("--eta0", "0.1"), "--alpha", "-inf"),
+            ("density", ("--grid", "2"), "--eta0", "nan"),
+            ("density", ("--grid", "2", "--eta0", "0.1"), "--margin", "nan"),
+            ("density", ("--grid", "2", "--eta0", "0.1"), "--margin", "inf"),
+            ("verify-bounds", ("--alpha", "0.12"), "--eta0", "nan"),
+        ],
+    )
+    def test_non_finite_float_flag_exit2(self, files, capsys, monkeypatch, command, flags, flag, value):
+        # refused before the inputs are even loaded
+        monkeypatch.setattr("shiftpress.cli._load_inputs", lambda *a, **kw: pytest.fail("inputs loaded"))
+        code, text = run(
+            files, command, "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            *flags, f"{flag}={value}",
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: {flag} must be finite, got {float(value)}\n"
+
+    def test_check_refuses_a_bad_resolution_ordering_before_the_oracle(self, files, capsys):
+        # the oracle would refuse the non-transitive system with exit 3 first
+        code, text = run(
+            files, "check", "--system", str(files["oneway"]), "--potential", str(files["zero"]), "--res-gamma", "4",
+        )
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("config error: resolution levels must satisfy gamma >= 5")
+
     def test_density_rows(self, files):
         code, text = run(
             files, "density", "--system", str(files["full2"]), "--potential", str(files["zero"]),
@@ -381,6 +413,20 @@ class TestConstructAndDensity:
             "computation error: recoding memory 6 to memory 1 gives 729 symbols, "
             "above the 256 that word matrices hold\n"
         )
+        # a sweep takes its interval and its structure gate from the input
+        # potential, so the recoding is refused row by row, not for the sweep
+        code, text = run(
+            files, "density", "--system", str(full3), "--potential", str(mem6), "--grid", "2", "--eta0", "0.1",
+        )
+        assert code == 0
+        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert [row.split(",", 1)[1] for row in rows] == ["false,,,,,"] * 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"alpha={row.split(',')[0]}: recoding memory 6 to memory 1 gives 729 symbols, "
+            "above the 256 that word matrices hold"
+            for row in rows
+        ]
 
     def test_density_passes_the_structure_gate_above_the_bowen_level(self, files, capsys):
         # memory 5 exceeds the 3*gamma level 4: the closed-form Bowen bound

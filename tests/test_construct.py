@@ -33,7 +33,7 @@ from shiftpress.segments import (
     prefix_run_decomposition,
 )
 from shiftpress.potentials import birkhoff_batch, load_potential
-from shiftpress.thermo import log_sum_exp
+from shiftpress.thermo import log_sum_exp, pressure_floor, pressure_oracle
 from shiftpress.errors import InfeasibleError, ConfigError, ResourceBudgetError
 
 from conftest import random_potential, random_sft
@@ -598,7 +598,8 @@ class TestCountingBound:
 
 class TestStructureConditions:
     def test_trivial_everything_passes(self, full2):
-        check = check_structure_conditions(Potential.zero(full2), trivial_decomposition())
+        phi = Potential.zero(full2)
+        check = check_structure_conditions(phi, trivial_decomposition(), pressure_oracle(phi).value)
         assert check.all_pass
         by_name = {c.name: c for c in check.conditions}
         assert by_name["complement_pressure"].margin == math.inf
@@ -609,7 +610,7 @@ class TestStructureConditions:
         from conftest import random_potential
 
         phi = random_potential(rng, golden, 1)
-        check = check_structure_conditions(phi, trivial_decomposition())
+        check = check_structure_conditions(phi, trivial_decomposition(), pressure_oracle(phi).value)
         assert check.all_pass
 
     def test_prefix_equals_everything_fails(self, full2):
@@ -621,7 +622,8 @@ class TestStructureConditions:
             split=lambda w, n: (n, 0, 0),
             name="prefix-everything",
         )
-        check = check_structure_conditions(Potential.zero(full2), dec)
+        phi = Potential.zero(full2)
+        check = check_structure_conditions(phi, dec, pressure_oracle(phi).value)
         by_name = {c.name: c for c in check.conditions}
         assert by_name["affix_pressure"].status == "fail"
         assert by_name["affix_pressure"].margin <= 0
@@ -762,7 +764,7 @@ class TestConstructIntermediate:
         with pytest.raises(RuntimeError, match="bug inside check_gluing"):
             construct_intermediate(phi, trivial_decomposition(), 0.35, 0.1)
         with pytest.raises(RuntimeError, match="bug inside check_gluing"):
-            check_structure_conditions(phi, trivial_decomposition())
+            check_structure_conditions(phi, trivial_decomposition(), pressure_oracle(phi).value)
 
     def test_counting_bound_defaults_to_construction_delta(self, full2):
         cfg = ConstructConfig(level_delta=8)
@@ -840,6 +842,53 @@ class TestDensityExperiment:
             return sorted(calls)
 
         assert calls_at(8) == calls_at(1)
+
+    @pytest.mark.parametrize("grid", [1, 8])
+    @pytest.mark.parametrize("system,potential", [("full2", "zero"), ("golden", "golden_mem2")])
+    def test_one_pressure_interval_per_sweep(self, monkeypatch, grid, system, potential):
+        calls = []
+        for name in ("pressure_oracle", "pressure_floor"):
+            def counted(*args, _fn=getattr(construct_module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(construct_module, name, counted)
+        phi = load_potential(load_system(DATA / f"{system}.json"), DATA / f"{potential}.json")
+        density_experiment(phi, trivial_decomposition(), grid, 0.1)
+        assert sorted(calls) == ["pressure_floor", "pressure_oracle"]
+
+
+# (system, potential, an alpha the construction reaches, or None when every
+# alpha is refused); golden_mem2 and full2_mem4 are recoded to memory 1, and
+# {0: 0.3, 1: -0.2} is shifted by its nonzero minimum
+INTERVAL_CASES = [
+    ("full2", "zero", 0.45),
+    ("golden", "golden_weighted", 0.3),
+    ("golden", "golden_mem2", None),
+    ("full2", "full2_mem4", None),
+    ("full2", {(0,): 0.3, (1,): -0.2}, 0.5),
+]
+
+
+@pytest.mark.parametrize("system,potential,alpha", INTERVAL_CASES)
+def test_construct_and_density_share_the_interval_of_the_potential_as_given(system, potential, alpha):
+    """The floor and the pressure that construct tests alpha against and
+    reports are pstar's and the oracle's on the input, bit for bit, and a
+    sweep lays out its grid between the same two values."""
+    sys_ = load_system(DATA / f"{system}.json")
+    if isinstance(potential, dict):
+        phi = Potential(sys_, 1, potential)
+    else:
+        phi = load_potential(sys_, DATA / f"{potential}.json")
+    dec = trivial_decomposition()
+    want = [pressure_floor(phi), pressure_oracle(phi).value]
+    res = density_experiment(phi, dec, 1, 0.1)
+    assert [res.floor, res.ceiling] == want
+    with pytest.raises(InfeasibleError, match="strictly between") as info:
+        construct_intermediate(phi, dec, want[1] + 1.0, 0.1)
+    assert list(info.value.diagnostics[0][1:]) == want
+    if alpha is not None:
+        assert construct_intermediate(phi, dec, alpha, 0.1).params["pressure_interval"] == want
 
 
 class TestPreparation:

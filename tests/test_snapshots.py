@@ -9,6 +9,10 @@ of the repository with, for example,
         --cycle-cap 6 --grid 6 --out tests/data/spectrum_full2_zero.csv
 
     PYTHONPATH=src python -m shiftpress.cli spectrum \
+        --system tests/data/golden.json --potential tests/data/golden_mem2.json \
+        --cycle-cap 6 --grid 6 --out tests/data/spectrum_golden_mem2.csv
+
+    PYTHONPATH=src python -m shiftpress.cli spectrum \
         --system tests/data/full2.json --potential tests/data/full2_mem4.json \
         --cycle-cap 4 --grid 50 --out tests/data/spectrum_full2_mem4.csv
 
@@ -17,9 +21,22 @@ of the repository with, for example,
         --alpha 0.12 --eta0 0.1 --n-list 3,4,5 \
         --out tests/data/verify_bounds_full2_zero.json
 
+    PYTHONPATH=src python -m shiftpress.cli verify-bounds \
+        --system tests/data/golden.json --potential tests/data/golden_weighted.json \
+        --alpha 0.15 --eta0 0.1 --n-list 3,4,5 \
+        --out tests/data/verify_bounds_golden_weighted.json
+
+    PYTHONPATH=src python -m shiftpress.cli density \
+        --system tests/data/full2.json --potential tests/data/zero.json \
+        --grid 8 --eta0 0.1 --out tests/data/density_full2_zero.csv
+
     PYTHONPATH=src python -m shiftpress.cli density \
         --system tests/data/golden.json --potential tests/data/golden_weighted.json \
         --grid 3 --eta0 0.1 --out tests/data/density_golden_weighted.csv
+
+    PYTHONPATH=src python -m shiftpress.cli density \
+        --system tests/data/golden.json --potential tests/data/golden_mem2.json \
+        --grid 3 --eta0 0.1 --out tests/data/density_golden_mem2.csv
 
     PYTHONPATH=src python -m shiftpress.cli density \
         --system tests/data/golden.json --potential tests/data/golden_weighted.json \
@@ -29,6 +46,10 @@ of the repository with, for example,
     PYTHONPATH=src python -m shiftpress.cli construct \
         --system tests/data/full2.json --potential tests/data/zero.json \
         --alpha 0.45 --eta0 0.1 --out tests/data/construct_full2_zero.json
+
+    PYTHONPATH=src python -m shiftpress.cli construct \
+        --system tests/data/golden.json --potential tests/data/golden_weighted.json \
+        --alpha 0.3 --eta0 0.1 --out tests/data/construct_golden_weighted.json
 
     PYTHONPATH=src python -m shiftpress.cli construct \
         --system tests/data/golden.json --potential tests/data/golden_weighted.json \

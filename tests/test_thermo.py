@@ -418,14 +418,14 @@ class TestBowenClosedForm:
 
     def test_exact_branch_is_zero(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.3, (0, 1): 1.0, (1, 0): -1.0})
-        check = check_structure_conditions(phi, trivial_decomposition())
+        check = check_structure_conditions(phi, trivial_decomposition(), pressure_oracle(phi).value)
         bowen = next(c for c in check.conditions if c.name == "bowen_on_core")
         assert (bowen.status, bowen.margin, bowen.details) == ("pass", math.inf, {"certified": 0.0})
 
     def test_check_reports_the_closed_form_above_its_level(self, golden):
         # memory 5 exceeds the 3*gamma level 4 of the default configuration
         phi = random_potential(np.random.default_rng(5), golden, 5)
-        check = check_structure_conditions(phi, trivial_decomposition())
+        check = check_structure_conditions(phi, trivial_decomposition(), pressure_oracle(phi).value)
         bowen = next(c for c in check.conditions if c.name == "bowen_on_core")
         assert bowen.status == "pass" and bowen.margin == math.inf
         assert bowen.details == {"certified": bowen_closed_form(phi, 4)}
