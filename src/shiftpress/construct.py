@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .core import (
     ShiftSystem,
     Resolution,
     count_words,
+    is_admissible,
     word_codes,
     word_matrix,
     word_str,
@@ -274,12 +276,14 @@ C0_N_CAP = 10  # word lengths the partition floor of the core is fitted over
 class GluedSubshift:
     """Shift-closure of all connector-glued concatenations of the chosen words.
 
-    The presentation walks word positions (i, p) and connector positions;
-    every bi-infinite walk spells an admissible base sequence, the spelled
+    The connectors are held as A x A arrays: conn_len[a, b] and conn_phi[a, b]
+    are the length and Birkhoff sum of the connector from a to b. The
+    presentation walks word positions (i, p) and connector positions; every
+    bi-infinite walk spells an admissible base sequence, the spelled
     subshift is shift-invariant, and all pressure computations happen on
     this finite object. Cross edges at word boundaries factor through the
-    (last symbol, first symbol) pair, which keeps every operation linear in
-    the number of words rather than quadratic.
+    (last symbol, first symbol) pair, which keeps B(s) and the edge count
+    linear in the number of words; only the explicit table lists the edges.
     """
 
     def __init__(self, phi: Potential, words: np.ndarray, cert: GluingCertificate,
@@ -303,10 +307,11 @@ class GluedSubshift:
         if not np.array_equal(cert.sys.transitions, sys.transitions):
             raise ConfigError("the certificate and the potential live on different systems")
         self.conn = cert.connectors
-        self.conn_phi = {
-            pair: math.fsum(phi.values_flat[list(c)].tolist()) for pair, c in self.conn.items()
-        }
-        self.tau = max(len(c) for c in self.conn.values())
+        shape = (sys.alphabet_size,) * 2
+        conns = [self.conn[pair] for pair in np.ndindex(shape)]
+        self.conn_len = np.array([len(c) for c in conns], dtype=np.intp).reshape(shape)
+        self.conn_phi = np.array([math.fsum(phi.values_flat[list(c)].tolist()) for c in conns]).reshape(shape)
+        self.tau = int(self.conn_len.max())
 
     # -- junction renewal ---------------------------------------------------
 
@@ -322,19 +327,12 @@ class GluedSubshift:
         return logW
 
     def _junction_matrix(self, s: float, logW: np.ndarray) -> np.ndarray:
-        A = self.sys.alphabet_size
-        B = np.zeros((A, A))
-        for a in range(A):
-            for b in range(A):
-                c = self.conn[(a, b)]
-                steps = len(c) + self.N
-                base = self.conn_phi[(a, b)] - s * steps
-                for a2 in range(A):
-                    if logW[b, a2] > NEG_INF:
-                        # clamp: during bracket expansion the rate can be far
-                        # off and the entry only needs to stay > 1
-                        B[a, a2] += math.exp(min(base + logW[b, a2], 700.0))
-        return B
+        """B[a, a'] = sum over b, ascending, of the connector (a, b) then the
+        words from b to a', each step discounted by e^-s. The exponent is
+        clamped: during bracket expansion the rate can be far off and an
+        entry only needs to stay > 1."""
+        log_terms = (self.conn_phi - s * (self.conn_len + self.N))[:, :, None] + logW[None, :, :]
+        return np.exp(np.minimum(log_terms, 700.0)).sum(axis=1)
 
     def log_pressure(self):
         """ln of the dominant presentation eigenvalue via the renewal equation.
@@ -375,9 +373,6 @@ class GluedSubshift:
 
     # -- finite-window partition sums ----------------------------------------
 
-    def _symbol_weights(self, shift: float) -> np.ndarray:
-        return np.exp(self.phi.values_flat - shift)
-
     def log_theta(self, n: int, level: int, anchored: bool) -> float:
         """ln Theta over presentation paths: windows of n weighted symbols plus
         level-1 trailing symbols. Paths are counted, not spelled words, so
@@ -385,7 +380,7 @@ class GluedSubshift:
         this. anchored=True restricts windows to start at word starts."""
         L = n + level - 1
         shift = self.phi.max_value
-        wsym = self._symbol_weights(shift)
+        wsym = np.exp(self.phi.values_flat - shift)
         A = self.sys.alphabet_size
         word_w = wsym[self.words.astype(np.intp)]  # (K, N) per-position weights
         word_1 = np.ones_like(word_w)
@@ -430,59 +425,17 @@ class GluedSubshift:
             return NEG_INF
         return math.log(total) + shift * n
 
-    def _explicit_successors(self):
-        """Vertex table of the presentation (small systems only): per-vertex
-        spelled symbol and successor ids. Word positions come first, then
-        connector chain positions."""
-        if getattr(self, "_succ_cache", None) is not None:
-            return self._succ_cache
-        A = self.sys.alphabet_size
-        n_word = self.K * self.N
-        conn_base = {}
-        off = n_word
-        for pair, c in sorted(self.conn.items()):
-            conn_base[pair] = off
-            off += len(c)
-        sym = np.empty(off, dtype=np.intp)
-        for i in range(self.K):
-            sym[i * self.N : (i + 1) * self.N] = self.words[i].astype(np.intp)
-        for pair, c in self.conn.items():
-            for q, s in enumerate(c):
-                sym[conn_base[pair] + q] = s
-        succ = [[] for _ in range(off)]
-        starts_by_first = {b: np.nonzero(self.first == b)[0] for b in range(A)}
-        for i in range(self.K):
-            for p in range(self.N - 1):
-                succ[i * self.N + p].append(i * self.N + p + 1)
-            a = int(self.last[i])
-            end = i * self.N + self.N - 1
-            for b in range(A):
-                c = self.conn[(a, b)]
-                if len(c) == 0:
-                    for j in starts_by_first[b]:
-                        succ[end].append(int(j) * self.N)
-                else:
-                    succ[end].append(conn_base[(a, b)])
-        for (a, b), c in self.conn.items():
-            if len(c) == 0:
-                continue
-            base = conn_base[(a, b)]
-            for q in range(len(c) - 1):
-                succ[base + q].append(base + q + 1)
-            for j in starts_by_first[b]:
-                succ[base + len(c) - 1].append(int(j) * self.N)
-        self._succ_cache = (sym, succ)
-        return self._succ_cache
-
     def word_theta(self, n: int, level: int, anchored: bool = False, state_cap: int = 100_000) -> float:
         """Exact ln Theta over distinct spelled words, by a weighted subset
         (follower-set) recursion: every word corresponds to one chain of
         vertex sets, so phase-ambiguous spellings are counted once. Intended
         for small selections; raises when the follower-set family explodes."""
-        sym, succ = self._explicit_successors()
+        sym, src, dst = self._presentation
+        by_src = np.argsort(src, kind="stable")
+        succ = [d.tolist() for d in np.split(dst[by_src], np.cumsum(np.bincount(src, minlength=sym.size))[:-1])]
         L = n + level - 1
         shift = self.phi.max_value
-        wsym = self._symbol_weights(shift)
+        wsym = np.exp(self.phi.values_flat - shift)
         A = self.sys.alphabet_size
         cur = {}
         for s in range(A):
@@ -578,22 +531,41 @@ class GluedSubshift:
     # -- explicit presentation ------------------------------------------------
 
     def vertex_count(self) -> int:
-        return self.K * self.N + sum(len(c) for c in self.conn.values())
+        return self.K * self.N + int(self.conn_len.sum())
 
     def edge_count(self) -> int:
-        chain_edges = sum(max(len(c) - 1, 0) for c in self.conn.values())
-        enter_edges = sum(
-            int((self.last == a).sum()) for (a, b), c in self.conn.items() if len(c) > 0
-        )
-        exit_edges = sum(
-            int((self.first == b).sum()) for (a, b), c in self.conn.items() if len(c) > 0
-        )
-        direct = sum(
-            int((self.last == a).sum()) * int((self.first == b).sum())
-            for (a, b), c in self.conn.items()
-            if len(c) == 0
-        )
-        return self.K * (self.N - 1) + chain_edges + enter_edges + exit_edges + direct
+        """Edges along words and connectors, into and out of each connector,
+        and between directly joined words, counted without listing them."""
+        ends, starts = (np.bincount(x, minlength=self.sys.alphabet_size) for x in (self.last, self.first))
+        joined = self.conn_len > 0
+        along = self.K * (self.N - 1) + np.maximum(self.conn_len - 1, 0).sum()
+        return int(along + ends @ joined.sum(1) + joined.sum(0) @ starts + ends @ ~joined @ starts)
+
+    @cached_property
+    def _presentation(self):
+        """(symbols, src, dst) of the presentation. Word i position p is vertex
+        i*N + p; the connector positions follow, pair by pair in row-major
+        order. Edges run along the words, then between directly joined words
+        (i, j), then per connector: in from each word ending at its pair,
+        along it, out to each word starting there."""
+        A, K, N = self.sys.alphabet_size, self.K, self.N
+        lens = self.conn_len.ravel()
+        start = K * N + np.cumsum(lens) - lens  # first vertex of each connector
+        pair = np.repeat(np.arange(A * A), lens)  # pair a*A + b of each connector vertex
+        conn_symbols = [s for p in np.ndindex(A, A) for s in self.conn[p]]
+        symbols = np.concatenate([self.words.ravel(), np.array(conn_symbols, dtype=np.uint8)]).astype(np.intp)
+        inner = np.arange(K * N).reshape(K, N)[:, :-1].ravel()
+        i, j = np.nonzero(self.conn_len[np.ix_(self.last, self.first)] == 0)
+        # connector edges, each keyed by (pair, in/along/out) and in order within a key
+        i_in, b_in = np.nonzero(self.conn_len[self.last] > 0)
+        a_out, j_out = np.nonzero(self.conn_len[:, self.first] > 0)
+        along = np.flatnonzero(np.arange(K * N, symbols.size) + 1 < start[pair] + lens[pair])
+        pair_in, pair_out = self.last[i_in] * A + b_in, a_out * A + self.first[j_out]
+        order = np.argsort(np.concatenate([3 * pair_in, 3 * pair[along] + 1, 3 * pair_out + 2]), kind="stable")
+        along += K * N  # connector index -> vertex
+        src = np.concatenate([i_in * N + N - 1, along, start[pair_out] + lens[pair_out] - 1])[order]
+        dst = np.concatenate([start[pair_in], along + 1, j_out * N])[order]
+        return symbols, np.concatenate([inner, i * N + N - 1, src]), np.concatenate([inner + 1, j * N, dst])
 
     def explicit_digraph(self):
         """Vertex/edge lists of the presentation, or a size summary past
@@ -609,40 +581,14 @@ class GluedSubshift:
                 "word_length": self.N,
                 "tau": self.tau,
             }
-        names = {}
-        vertices = []
-
-        def add(name, symbol):
-            names[name] = len(vertices)
-            vertices.append({"id": len(vertices), "name": name, "symbol": int(symbol)})
-
-        for i in range(self.K):
-            for p in range(self.N):
-                add(f"w{i}.{p}", self.words[i, p])
-        for (a, b), c in self.conn.items():
-            for q, s in enumerate(c):
-                add(f"c{a}{b}.{q}", s)
-        edges = []
-        for i in range(self.K):
-            for p in range(self.N - 1):
-                edges.append([names[f"w{i}.{p}"], names[f"w{i}.{p+1}"]])
-        for i in range(self.K):
-            a = int(self.last[i])
-            for j in range(self.K):
-                b = int(self.first[j])
-                c = self.conn[(a, b)]
-                if len(c) == 0:
-                    edges.append([names[f"w{i}.{self.N-1}"], names[f"w{j}.0"]])
-        for (a, b), c in self.conn.items():
-            if len(c) == 0:
-                continue
-            for i in np.nonzero(self.last == a)[0]:
-                edges.append([names[f"w{int(i)}.{self.N-1}"], names[f"c{a}{b}.0"]])
-            for q in range(len(c) - 1):
-                edges.append([names[f"c{a}{b}.{q}"], names[f"c{a}{b}.{q+1}"]])
-            for j in np.nonzero(self.first == b)[0]:
-                edges.append([names[f"c{a}{b}.{len(c)-1}"], names[f"w{int(j)}.0"]])
-        return {"summary": False, "vertices": vertices, "edges": edges}
+        symbols, src, dst = self._presentation
+        A, N, lens = self.sys.alphabet_size, self.N, self.conn_len.ravel()
+        pair = np.repeat(np.arange(A * A), lens)
+        place = np.arange(pair.size) - (np.cumsum(lens) - lens)[pair]
+        names = [f"w{v // N}.{v % N}" for v in range(self.K * N)]
+        names += [f"c{k // A}{k % A}.{q}" for k, q in zip(pair.tolist(), place.tolist())]
+        vertices = [{"id": v, "name": n, "symbol": s} for v, (n, s) in enumerate(zip(names, symbols.tolist()))]
+        return {"summary": False, "vertices": vertices, "edges": np.stack([src, dst], 1).tolist()}
 
 
 def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> GluedSubshift:
@@ -652,6 +598,9 @@ def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> 
         raise ConfigError("cannot glue an empty word set")
     if len({len(tuple(w)) for w in words}) != 1:
         raise ConfigError("all selected words must share one length")
+    for w in words:
+        if not is_admissible(phi.sys, w):
+            raise ConfigError(f"selected word {tuple(int(s) for s in w)} is not admissible in the system")
     return GluedSubshift(phi, np.asarray(words, dtype=np.uint8), cert, params)
 
 
@@ -999,7 +948,7 @@ def verify_counting_bound(
     # seq[k] is the k-th word index of every class; class c is the c-th tuple
     # of itertools.product(range(K), repeat=n)
     seq = np.indices((K,) * n, dtype=np.min_scalar_type(K - 1)).reshape(n, -1)
-    gap = np.array([[len(glued.conn[(a, b)]) for b in glued.first.tolist()] for a in glued.last.tolist()])
+    gap = glued.conn_len[np.ix_(glued.last, glued.first)]
     det = n * N + sum(gap[seq[k], seq[k + 1]] for k in range(n - 1))
     class_key = glued.last[seq[-1]] * delta.level + np.maximum(window - det, 0)  # (last symbol, h)
     keys, inverse = np.unique(class_key, return_inverse=True)

@@ -122,6 +122,9 @@ class Potential:
         return self.max_value - self.min_value
 
     def shifted(self, c: float) -> "Potential":
+        """phi + c; phi itself, lift included, when c is 0."""
+        if c == 0:
+            return self
         out = object.__new__(Potential)
         out.sys, out.memory = self.sys, self.memory
         out.values_flat = self.values_flat + c

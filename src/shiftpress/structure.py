@@ -79,13 +79,14 @@ def _pressure_condition(name, phi, seg, delta, eps, n_cap, pressure, budget) -> 
     if rep.value == NEG_INF:
         return ConditionReport(name, "pass", math.inf, {"class_pressure": None})
     margin = pressure - rep.value
-    spread = rep.error_bound if not math.isinf(rep.error_bound) else 0.0
-    details = {"class_pressure": rep.value, "spread": rep.error_bound}
+    # the spread as a pressure report writes it; an unbounded one (a length of
+    # the top half with no class word) lets nothing pass
+    details = {"class_pressure": rep.value, "spread": rep.to_dict()["error_bound"]}
     if margin <= 0:
         # the finite-n upper proxy already reaches the full pressure: the
         # strict inequality is falsified at this resolution
         return ConditionReport(name, "fail", margin, details)
-    if margin > spread:
+    if margin > rep.error_bound:
         return ConditionReport(name, "pass", margin, details)
     return ConditionReport(name, "inconclusive", margin, details)
 

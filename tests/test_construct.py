@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +27,12 @@ from shiftpress import construct as construct_module
 from shiftpress import structure as structure_module
 from shiftpress.construct import GluedSubshift
 from shiftpress import kernels
-from shiftpress.core import load_system, word_matrix
+from shiftpress.core import load_system, word_matrix, word_str
 from shiftpress.segments import (
     OrbitDecomposition,
     affix_bounded,
     empty_segments,
+    decomposition_from_dict,
     prefix_run_decomposition,
 )
 from shiftpress.potentials import birkhoff_batch, load_potential
@@ -358,6 +361,14 @@ class TestGluedSubshift:
         with pytest.raises(ConfigError):
             build_glued(Potential.zero(full2), [], cert_full2)
 
+    @pytest.mark.parametrize("bad", [(1, 1, 0), (0, 2, 0), (0, 257, 0), (0, -1, 0)])
+    def test_word_outside_the_system_refused(self, golden, cert_golden, bad):
+        """11 is forbidden on the golden mean shift, and 2, 257 and -1 are no
+        symbols of it: each such word is refused by name, never glued."""
+        phi = Potential.from_symbol_values(golden, [0.0, 0.1])
+        with pytest.raises(ConfigError, match=re.escape(f"selected word {bad} is not admissible")):
+            build_glued(phi, [bad, (0, 1, 0)], cert_golden)
+
     def test_word_theta_matches_materialized_language(self, golden, cert_golden):
         """The follower-set recursion must equal the sum over the explicitly
         materialized, deduplicated language, and genuinely differ from the
@@ -393,6 +404,80 @@ class TestGluedSubshift:
         log_dense, _, _ = perron_log(M)
         log_renewal, _ = lam.log_pressure()
         assert log_renewal == pytest.approx(log_dense + shift, abs=1e-9)
+
+
+def reference_explicit_digraph(glued):
+    """The presentation's vertex and edge lists, vertex by vertex and pair by
+    pair from the connector dict."""
+    names, vertices = {}, []
+
+    def add(name, symbol):
+        names[name] = len(vertices)
+        vertices.append({"id": len(vertices), "name": name, "symbol": int(symbol)})
+
+    K, N = glued.K, glued.N
+    for i in range(K):
+        for p in range(N):
+            add(f"w{i}.{p}", glued.words[i, p])
+    for (a, b), c in glued.conn.items():
+        for q, s in enumerate(c):
+            add(f"c{a}{b}.{q}", s)
+    edges = []
+    for i in range(K):
+        for p in range(N - 1):
+            edges.append([names[f"w{i}.{p}"], names[f"w{i}.{p+1}"]])
+    for i in range(K):
+        for j in range(K):
+            if len(glued.conn[(int(glued.last[i]), int(glued.first[j]))]) == 0:
+                edges.append([names[f"w{i}.{N-1}"], names[f"w{j}.0"]])
+    for (a, b), c in glued.conn.items():
+        if len(c) == 0:
+            continue
+        for i in np.nonzero(glued.last == a)[0]:
+            edges.append([names[f"w{int(i)}.{N-1}"], names[f"c{a}{b}.0"]])
+        for q in range(len(c) - 1):
+            edges.append([names[f"c{a}{b}.{q}"], names[f"c{a}{b}.{q+1}"]])
+        for j in np.nonzero(glued.first == b)[0]:
+            edges.append([names[f"c{a}{b}.{len(c)-1}"], names[f"w{int(j)}.0"]])
+    return {"summary": False, "vertices": vertices, "edges": edges}
+
+
+def reference_junction_matrix(glued, s, logW):
+    """B(s) entry by entry with math.exp, each connector read from the dict."""
+    A = glued.sys.alphabet_size
+    B = np.zeros((A, A))
+    for a, b, a2 in itertools.product(range(A), repeat=3):
+        c = glued.conn[(a, b)]
+        if logW[b, a2] > -math.inf:
+            phi_c = math.fsum(glued.phi.values_flat[list(c)].tolist())
+            B[a, a2] += math.exp(min(phi_c - s * (len(c) + glued.N) + logW[b, a2], 700.0))
+    return B
+
+
+def test_presentation_arrays_match_the_per_pair_reference():
+    """On seeded systems with connectors of lengths 0, 1 and 2: the digraph
+    equals the per-pair reference, the closed-form counts equal the list
+    lengths, and B(s) matches math.exp entry by entry."""
+    taus = set()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        sys_ = random_sft(rng, int(rng.integers(2, 5)), density=float(rng.choice([0.45, 0.7, 1.0])))
+        cert = check_gluing(sys_, all_segments())
+        phi = random_potential(rng, sys_, 1)
+        pool = word_matrix(sys_, int(rng.integers(2, 6)))
+        words = pool[np.sort(rng.choice(len(pool), size=min(len(pool), int(rng.integers(1, 9))), replace=False))]
+        glued = build_glued(phi, words, cert)
+        taus.add(glued.tau)
+        dig = glued.explicit_digraph()
+        assert dig == reference_explicit_digraph(glued), seed
+        assert glued.vertex_count() == len(dig["vertices"])
+        assert glued.edge_count() == len(dig["edges"])
+        logW = glued._pair_log_weight()
+        for s in (-3.0, 0.1, 0.7, 5.0):
+            want = reference_junction_matrix(glued, s, logW)
+            got = glued._junction_matrix(s, logW)
+            assert np.allclose(got, want, rtol=1e-15, atol=0), (seed, s)
+    assert {0, 1, 2} <= taus
 
 
 class TestSeparation:
@@ -628,6 +713,24 @@ class TestStructureConditions:
         assert by_name["affix_pressure"].status == "fail"
         assert by_name["affix_pressure"].margin <= 0
         assert not check.all_pass
+
+    def test_unbounded_spread_is_inconclusive(self, full2):
+        """A prefix class with words at n = 6 and 8 only has an unbounded
+        spread over n = 6..10: its least quotient, at n = 6, proves nothing
+        about its growth rate (the quotient at n = 8, 0.866, exceeds the
+        pressure ln 2), so the condition is inconclusive, and the spread is
+        written as in a pressure report."""
+        dec = decomposition_from_dict({
+            "kind": "table",
+            "prefix": [["000000", 6]] + [[word_str(w), 8] for w in word_matrix(full2, 8)[:64]],
+        })
+        phi = Potential.zero(full2)
+        check = check_structure_conditions(phi, dec, math.log(2))
+        affix = {c.name: c for c in check.conditions}["affix_pressure"]
+        assert affix.status == "inconclusive"
+        assert affix.margin > 0
+        assert affix.details["spread"] == "unbounded"
+        json.dumps(check.to_dict(), allow_nan=False)
 
     def test_resolution_ordering_enforced(self):
         with pytest.raises(ConfigError, match="gamma"):

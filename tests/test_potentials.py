@@ -190,3 +190,11 @@ class TestValues:
         assert phi.sys is golden and phi.memory == 2
         assert phi.values_flat.tolist() == [1.4, 2.0, 0.0, -np.inf]
         assert phi.min_value == 0.0
+
+    def test_zero_shift_is_the_same_potential(self, golden):
+        """A zero shift leaves every value bitwise equal, so the potential and
+        its lift are shared, not built again."""
+        phi = Potential(golden, 1, {(0,): 0.0, (1,): 0.3})
+        for c in (0.0, -0.0, -phi.min_value):
+            assert phi.shifted(c) is phi
+        assert phi.shifted(1e-300) is not phi

@@ -26,6 +26,11 @@ of the repository with, for example,
         --alpha 0.15 --eta0 0.1 --n-list 3,4,5 \
         --out tests/data/verify_bounds_golden_weighted.json
 
+    PYTHONPATH=src python -m shiftpress.cli verify-bounds \
+        --system tests/data/tau2.json --potential tests/data/tau2_phi.json \
+        --alpha 0.15 --eta0 0.1 --n-list 3,4,5 \
+        --out tests/data/verify_bounds_tau2.json
+
     PYTHONPATH=src python -m shiftpress.cli density \
         --system tests/data/full2.json --potential tests/data/zero.json \
         --grid 8 --eta0 0.1 --out tests/data/density_full2_zero.csv
@@ -56,6 +61,10 @@ of the repository with, for example,
         --alpha 0.3 --eta0 0.1 --decomposition tests/data/prefix_run.json \
         --out tests/data/construct_golden_prefix_run.json
 
+    PYTHONPATH=src python -m shiftpress.cli construct \
+        --system tests/data/tau2.json --potential tests/data/tau2_phi.json \
+        --alpha 0.15 --eta0 0.1 --out tests/data/construct_tau2.json
+
 The pressure, entropy, pstar and check artifacts of the cases in
 THERMO_CASES are kept together in tests/data/thermo_cli_snapshots.json, each
 with its exit code; regenerate that file from the root of the repository with
@@ -70,7 +79,9 @@ is not compared. In a spectrum artifact the stats lines and the rows,
 keyed by (kind, parameter), must agree; numbers within 1e-12, compared as
 the printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
-reproduced to the last digit.
+reproduced to the last digit. Every JSON artifact, snapshot or rerun, must
+be strict JSON: NaN and Infinity are not JSON, and a constant of that kind
+fails the case.
 """
 
 import json
@@ -99,6 +110,14 @@ def _parse(text):
     for key in HEADER:
         del stats[key]
     return stats, rows
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def _close(a: str, b: str) -> bool:
@@ -147,6 +166,8 @@ def test_spectrum_snapshot(tmp_path, system, potential, cap, grid, snapshot):
         ("full2", "zero", "0.12", "verify_bounds_full2_zero.json"),
         # tau = 1 on the golden mean shift, so the gaps between words vary
         ("golden", "golden_weighted", "0.15", "verify_bounds_golden_weighted.json"),
+        # connectors of length 0, 1 and 2
+        ("tau2", "tau2_phi", "0.15", "verify_bounds_tau2.json"),
     ],
 )
 def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
@@ -157,7 +178,7 @@ def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
         "--alpha", alpha, "--eta0", "0.1", "--n-list", "3,4,5", "--out", str(out),
     ])
     assert code == 0
-    got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
+    got, want = (_strict_json(p.read_text()) for p in (out, DATA / snapshot))
     del got["header"], want["header"]
     assert got == want
 
@@ -199,6 +220,8 @@ CONSTRUCT_CASES = [
     ("golden", "golden_weighted", "0.3", None, "construct_golden_weighted.json"),
     # a prefix-run decomposition: generic (predicate-only) core classes
     ("golden", "golden_weighted", "0.3", "prefix_run", "construct_golden_prefix_run.json"),
+    # tau 2: an explicit presentation with connector chains of length 1 and 2
+    ("tau2", "tau2_phi", "0.15", None, "construct_tau2.json"),
 ]
 
 
@@ -215,7 +238,7 @@ def test_construct_snapshot(tmp_path, system, potential, alpha, decomposition, s
         "--alpha", alpha, "--eta0", "0.1", *extra, "--out", str(out),
     ])
     assert code == 0
-    got, want = (json.loads(p.read_text()) for p in (out, DATA / snapshot))
+    got, want = (_strict_json(p.read_text()) for p in (out, DATA / snapshot))
     del got["header"], want["header"]
     assert got == want
 
@@ -245,6 +268,8 @@ def _thermo_run(argv, out):
     args = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     code = main([*args, "--out", str(out)])
     text = out.read_text() if out.exists() else ""
+    if text:
+        _strict_json(text)
     return code, [line for line in text.splitlines() if '"wallclock": ' not in line]
 
 
