@@ -25,10 +25,8 @@ _EXPORTS = {
         "PressureReport", "partition_function", "pressure_enumerate", "pressure_oracle",
         "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence",
     ),
-    "measures": (
-        "MarkovMeasure", "PeriodicOrbitMeasure", "markov_entropy", "measure_pressure", "spectrum_sample",
-    ),
-    "gluing": ("GluingCertificate", "check_gluing", "glue_words", "trace_times", "is_traced"),
+    "measures": ("spectrum_sample",),
+    "gluing": ("GluingCertificate", "check_gluing", "glue_words"),
     "structure": ("ConstructConfig", "check_structure_conditions"),
     "construct": (
         "GluedSubshift", "build_glued", "select_words", "construct_intermediate",

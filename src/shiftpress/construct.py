@@ -292,8 +292,8 @@ class GluedSubshift:
         if phi.memory != 1:
             raise PreconditionError("GluedSubshift expects a memory-1 potential")
         words = np.asarray(words, dtype=np.uint8)
-        if words.ndim != 2 or words.shape[0] == 0:
-            raise ConfigError("the selected word set must be a nonempty matrix")
+        if words.ndim != 2 or 0 in words.shape:
+            raise ConfigError("the selected word set must be a nonempty matrix of nonempty words")
         self.sys = sys = phi.sys
         self.phi = phi
         self.words = words
@@ -586,7 +586,7 @@ class GluedSubshift:
         pair = np.repeat(np.arange(A * A), lens)
         place = np.arange(pair.size) - (np.cumsum(lens) - lens)[pair]
         names = [f"w{v // N}.{v % N}" for v in range(self.K * N)]
-        names += [f"c{k // A}{k % A}.{q}" for k, q in zip(pair.tolist(), place.tolist())]
+        names += [f"c{k // A}-{k % A}.{q}" for k, q in zip(pair.tolist(), place.tolist())]
         vertices = [{"id": v, "name": n, "symbol": s} for v, (n, s) in enumerate(zip(names, symbols.tolist()))]
         return {"summary": False, "vertices": vertices, "edges": np.stack([src, dst], 1).tolist()}
 

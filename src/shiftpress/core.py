@@ -80,9 +80,6 @@ class ShiftSystem:
     def __repr__(self):
         return f"ShiftSystem(A={self.alphabet_size})"
 
-    def is_full(self) -> bool:
-        return bool(self.transitions.all())
-
     # -- graph structure ---------------------------------------------------
 
     def _reachable_from(self, start: int, reverse: bool = False) -> np.ndarray:

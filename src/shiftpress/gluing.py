@@ -4,7 +4,9 @@ A certificate fixes, for every ordered symbol pair (a, b), one admissible
 connector word of length <= tau joining a word ending in a to a word
 starting with b. Concatenation through these connectors traces each input
 segment exactly (distance zero at every in-segment time), which is the
-strongest possible form of the tracing required at any dyadic resolution.
+strongest possible form of the tracing required at any dyadic resolution:
+`glue_words` returns the start time of each block, and the glued word
+carries the block's word verbatim from there.
 
 Checking the A^2 connectors once proves gluing for every sequence of
 segments: admissibility on a subshift of finite type is a condition on
@@ -50,46 +52,25 @@ class GluingCertificate:
                     counterexample=(a, c, b),
                 )
 
-    def connector(self, a: int, b: int) -> tuple:
-        return self.connectors[(a, b)]
-
-
-def trace_times(lengths, gaps):
-    """Starting times t_k of the glued blocks: t_1 = 0 and
-    t_k = sum of (segment length + following gap) over the earlier blocks."""
-    times = [0]
-    for m_k, r_k in zip(lengths[:-1], gaps):
-        times.append(times[-1] + m_k + r_k)
-    return times
-
 
 def glue_words(cert: GluingCertificate, words):
     """Concatenate words through the certificate connectors.
 
-    Returns (glued word, block start times, gap lengths)."""
+    Returns (glued word, block start times, gap lengths): block k starts at
+    t_k, the sum of (length + following gap) over the earlier blocks, and
+    carries its word verbatim there, at distance 0 at every dyadic level."""
     words = [tuple(int(s) for s in w) for w in words]
     if not words:
         raise ConfigError("nothing to glue")
     out = list(words[0])
-    gaps = []
+    times, gaps = [0], []
     for w in words[1:]:
-        c = cert.connector(out[-1], w[0])
+        c = cert.connectors[(out[-1], w[0])]
         gaps.append(len(c))
         out.extend(c)
+        times.append(len(out))
         out.extend(w)
-    times = trace_times([len(w) for w in words], gaps)
     return tuple(out), times, gaps
-
-
-def is_traced(z, segments, times) -> bool:
-    """Exact tracing check: the glued word carries each segment verbatim at
-    its start time. Exact prefix equality implies distance 0 at every dyadic
-    level."""
-    for (w, m_k), t in zip(segments, times):
-        block = tuple(z[t : t + len(w)])
-        if block != tuple(w):
-            return False
-    return True
 
 
 def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> GluingCertificate:

@@ -1,18 +1,18 @@
-"""Ergodic measures with computable pressure: Markov chains and periodic
-orbits, plus a sampler sweeping the ergodic pressure spectrum.
+"""Ergodic measures with computable pressure, as Markov chains on the
+transfer lift, and a sampler sweeping the ergodic pressure spectrum.
 
 The sampler combines three constructive families: all primitive cycles up
 to a length cap (entropy zero, pressure = mean potential along the cycle),
 the Gibbs-type chain built from the weighted Perron right eigenvector
 (attains the topological pressure), and row-renormalized interpolations
 between the two. A chain on the transfer lift is its edge probabilities,
-aligned with the lift's edge arrays. The stationary vectors of the Gibbs
-chain and of a `MarkovMeasure` come from one exact linear solve; those of
-the interpolations are low-rank updates of the Gibbs solve, taken in one
-batch per number of lift states the cycles visit, not cycle by cycle.
+aligned with the lift's edge arrays, and its pressure is its entropy plus
+its integral. The stationary vector of the Gibbs chain comes from one exact
+linear solve; those of the interpolations are low-rank updates of that
+solve, taken in one batch per number of lift states the cycles visit, not
+cycle by cycle. A cycle's mean is read from the lift edges its steps take.
 
-Every entry point takes the potential alone and reads its system from it;
-`measure_pressure` refuses a measure that lives on another system.
+Every entry point takes the potential alone and reads its system from it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ShiftSystem, _bfs, count_words, word_matrix
+from .core import ShiftSystem, count_words, word_matrix
 from .potentials import Potential, _Lift
 from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
 from .errors import ConfigError, PreconditionError, StructuralError
@@ -66,83 +66,6 @@ def _entropy_rate(pi_src: np.ndarray, q: np.ndarray) -> np.ndarray:
     return -np.sum(pi_src * terms, axis=-1)
 
 
-class MarkovMeasure:
-    """Row-stochastic chain supported inside the transition structure."""
-
-    def __init__(self, sys: ShiftSystem, stochastic):
-        Q = np.asarray(stochastic, dtype=float)
-        A = sys.alphabet_size
-        if Q.shape != (A, A):
-            raise ConfigError(f"stochastic matrix must be {A}x{A}, got {Q.shape}")
-        if (Q < 0).any():
-            raise ConfigError("stochastic matrix has negative entries")
-        rowsum = Q.sum(axis=1)
-        if np.abs(rowsum - 1.0).max() > 1e-9:
-            raise ConfigError(f"rows must sum to 1, worst deviation {np.abs(rowsum-1).max():.3g}")
-        if ((Q > 0) & ~sys.transitions).any():
-            raise ConfigError("chain puts mass on a forbidden transition")
-        self.sys = sys
-        self.stochastic = Q / rowsum[:, None]
-        self.stationary = _stationary(self.stochastic)
-        # rounding can hide a singular system; one recurrent class holds
-        # exactly when every state reaches the state of largest mass
-        first = [int(np.argmax(self.stationary))]
-        if (_bfs(self.stochastic.T > 0, first)[0] < 0).any():
-            raise StructuralError(NOT_UNIQUE)
-
-    @classmethod
-    def bernoulli(cls, sys: ShiftSystem, probs) -> "MarkovMeasure":
-        p = np.asarray(probs, dtype=float)
-        Q = np.tile(p, (sys.alphabet_size, 1))
-        return cls(sys, Q)
-
-
-class PeriodicOrbitMeasure:
-    """Equidistribution on the orbit of a primitive cycle word."""
-
-    def __init__(self, sys: ShiftSystem, cycle):
-        w = tuple(int(s) for s in cycle)
-        p = len(w)
-        if p < 1:
-            raise ConfigError("cycle must be nonempty")
-        for k in range(p):
-            if not sys.transitions[w[k], w[(k + 1) % p]]:
-                raise ConfigError(f"cycle {w} is not admissible at position {k}")
-        for d in range(1, p):
-            if p % d == 0 and w == w[:d] * (p // d):
-                raise ConfigError(f"cycle {w} is a power of the shorter cycle {w[:d]}")
-        self.sys = sys
-        self.cycle = w
-
-
-def markov_entropy(mu: MarkovMeasure) -> float:
-    """Entropy rate -sum_a pi_a sum_b Q[ab] ln Q[ab] (0 ln 0 = 0)."""
-    return float(np.sum(_entropy_rate(mu.stationary[:, None], mu.stochastic)))
-
-
-def _markov_integral(phi: Potential, mu: MarkovMeasure) -> float:
-    """integral of phi: sum over admissible memory-words of mu(cylinder) * phi."""
-    words = word_matrix(phi.sys, phi.memory).astype(np.intp)
-    prob = mu.stationary[words[:, 0]]
-    for k in range(phi.memory - 1):
-        prob = prob * mu.stochastic[words[:, k], words[:, k + 1]]
-    codes = words @ phi.sys.alphabet_size ** np.arange(phi.memory - 1, -1, -1)
-    return math.fsum((prob * phi.values_flat[codes]).tolist())
-
-
-def measure_pressure(phi: Potential, mu) -> float:
-    """h_mu + integral(phi) for a Markov chain; mean of phi along the cycle
-    (entropy zero) for a periodic-orbit measure. The measure must live on
-    the potential's system."""
-    if not isinstance(mu, (MarkovMeasure, PeriodicOrbitMeasure)):
-        raise ConfigError(f"unsupported measure type {type(mu).__name__}")
-    if not np.array_equal(mu.sys.transitions, phi.sys.transitions):
-        raise ConfigError("the measure and the potential live on different systems")
-    if isinstance(mu, MarkovMeasure):
-        return markov_entropy(mu) + _markov_integral(phi, mu)
-    return _cycle_means(phi.lift, _cycle_edges(phi.lift, np.array([mu.cycle])))[0]
-
-
 # ---------------------------------------------------------------------------
 # chains on the transfer lift, as probabilities of its edges
 # ---------------------------------------------------------------------------
@@ -179,9 +102,6 @@ class _LiftChain:
         terms = self.pi[self.lift.src] * self.q * self.lift.wgt
         # cumsum adds left to right in edge order (np.sum would add pairwise)
         return float(np.cumsum(terms)[-1])
-
-    def pressure(self) -> float:
-        return self.entropy() + self.integral()
 
 
 def _normalized(lift: _Lift, weights: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ShiftSystem, parse_word
+from .core import parse_word
 from .errors import ConfigError
 
 
@@ -37,12 +37,6 @@ class SegmentClass:
     description: str
     kind: str = "generic"
     membership_batch: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
-
-    def __contains__(self, item):
-        word, n = item
-        if len(word) < n:
-            return False
-        return self.membership(tuple(int(s) for s in word), n)
 
     def batch(self, words: np.ndarray, n: int) -> np.ndarray:
         if self.kind == "all":
@@ -119,8 +113,7 @@ class OrbitDecomposition:
 
     split(word, n) returns (p, g, s) with p + g + s = n; the pieces must
     satisfy (w, p) in prefix_class, (shift^p w, g) in core_class,
-    (shift^{p+g} w, s) in suffix_class. check_split verifies this on given
-    segments.
+    (shift^{p+g} w, s) in suffix_class.
     """
 
     base: SegmentClass
@@ -129,25 +122,6 @@ class OrbitDecomposition:
     suffix_class: SegmentClass
     split: Callable[[tuple, int], tuple]
     name: str = "decomposition"
-
-    def check_split(self, sys: ShiftSystem, segments) -> list:
-        """Return [(word, n, reason)] for every violated segment (empty = pass)."""
-        bad = []
-        for word, n in segments:
-            w = tuple(int(s) for s in word)
-            if (w, n) not in self.base:
-                continue
-            p, g, s = self.split(w, n)
-            if p + g + s != n or min(p, g, s) < 0:
-                bad.append((w, n, f"split {p}+{g}+{s} != {n}"))
-                continue
-            if not self.prefix_class.membership(w, p):
-                bad.append((w, n, f"prefix piece of length {p} not in class"))
-            elif not self.core_class.membership(w[p:], g):
-                bad.append((w, n, f"core piece of length {g} not in class"))
-            elif not self.suffix_class.membership(w[p + g:], s):
-                bad.append((w, n, f"suffix piece of length {s} not in class"))
-        return bad
 
 
 def trivial_decomposition() -> OrbitDecomposition:

@@ -369,6 +369,12 @@ class TestGluedSubshift:
         with pytest.raises(ConfigError, match=re.escape(f"selected word {bad} is not admissible")):
             build_glued(phi, [bad, (0, 1, 0)], cert_golden)
 
+    def test_empty_word_refused(self, golden, cert_golden):
+        """A word set of empty words is a zero-width matrix: refused, not
+        read past its end."""
+        with pytest.raises(ConfigError, match="nonempty words"):
+            build_glued(Potential.zero(golden), [()], cert_golden)
+
     def test_word_theta_matches_materialized_language(self, golden, cert_golden):
         """The follower-set recursion must equal the sum over the explicitly
         materialized, deduplicated language, and genuinely differ from the
@@ -421,7 +427,7 @@ def reference_explicit_digraph(glued):
             add(f"w{i}.{p}", glued.words[i, p])
     for (a, b), c in glued.conn.items():
         for q, s in enumerate(c):
-            add(f"c{a}{b}.{q}", s)
+            add(f"c{a}-{b}.{q}", s)
     edges = []
     for i in range(K):
         for p in range(N - 1):
@@ -434,11 +440,11 @@ def reference_explicit_digraph(glued):
         if len(c) == 0:
             continue
         for i in np.nonzero(glued.last == a)[0]:
-            edges.append([names[f"w{int(i)}.{N-1}"], names[f"c{a}{b}.0"]])
+            edges.append([names[f"w{int(i)}.{N-1}"], names[f"c{a}-{b}.0"]])
         for q in range(len(c) - 1):
-            edges.append([names[f"c{a}{b}.{q}"], names[f"c{a}{b}.{q+1}"]])
+            edges.append([names[f"c{a}-{b}.{q}"], names[f"c{a}-{b}.{q+1}"]])
         for j in np.nonzero(glued.first == b)[0]:
-            edges.append([names[f"c{a}{b}.{len(c)-1}"], names[f"w{int(j)}.0"]])
+            edges.append([names[f"c{a}-{b}.{len(c)-1}"], names[f"w{int(j)}.0"]])
     return {"summary": False, "vertices": vertices, "edges": edges}
 
 
@@ -478,6 +484,22 @@ def test_presentation_arrays_match_the_per_pair_reference():
             got = glued._junction_matrix(s, logW)
             assert np.allclose(got, want, rtol=1e-15, atol=0), (seed, s)
     assert {0, 1, 2} <= taus
+
+
+def test_connector_vertex_names_are_distinct():
+    """On the 12-cycle with a loop at 0, connector positions of the pairs
+    (1, 11) and (11, 1) are told apart: all 794 vertex names differ."""
+    A = 12
+    T = np.zeros((A, A), dtype=bool)
+    T[np.arange(A), (np.arange(A) + 1) % A] = True
+    T[0, 0] = True
+    sys_ = ShiftSystem(T)
+    glued = build_glued(Potential.zero(sys_), [(*range(A), 0)], check_gluing(sys_, all_segments()))
+    dig = glued.explicit_digraph()
+    names = [v["name"] for v in dig["vertices"]]
+    assert len(names) == len(set(names)) == 794
+    assert {"c1-11.0", "c11-1.0"} <= set(names)
+    assert dig == reference_explicit_digraph(glued)
 
 
 class TestSeparation:

@@ -171,7 +171,7 @@ class TestDiameter:
 class TestSystemLoader:
     def test_full_abbreviation(self):
         sys = system_from_dict({"alphabet": 3, "full": True})
-        assert sys.alphabet_size == 3 and sys.is_full()
+        assert sys.alphabet_size == 3 and sys.transitions.all()
 
     def test_reports_bad_row(self):
         with pytest.raises(ConfigError, match="row"):

@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,6 @@ from shiftpress import (
     all_segments,
     check_gluing,
     glue_words,
-    trace_times,
-    is_traced,
 )
 from shiftpress.cli import main
 from shiftpress.core import is_admissible, word_matrix
@@ -30,15 +29,15 @@ class TestCertificates:
     def test_golden_single_connector(self, golden):
         cert = check_gluing(golden, all_segments())
         assert cert.tau == 1
-        assert cert.connector(1, 1) == (0,)
-        assert all(cert.connector(a, b) == () for a, b in [(0, 0), (0, 1), (1, 0)])
+        assert cert.connectors[(1, 1)] == (0,)
+        assert all(cert.connectors[(a, b)] == () for a, b in [(0, 0), (0, 1), (1, 0)])
 
     def test_cycle3_connector_lengths(self, cycle3):
         cert = check_gluing(cycle3, all_segments())
         assert cert.tau == 2
         for a in range(3):
             for b in range(3):
-                assert len(cert.connector(a, b)) == (b - a - 1) % 3
+                assert len(cert.connectors[(a, b)]) == (b - a - 1) % 3
 
     def test_tau_vs_diameter(self, golden, cycle3, full2):
         for sys in (golden, cycle3, full2):
@@ -69,27 +68,24 @@ class TestCertificates:
 
 
 class TestTracing:
-    def test_times_from_lengths_and_gaps(self):
-        assert trace_times([3, 3, 3], [1, 0]) == [0, 4, 7]
-        assert trace_times([5], []) == [0]
+    def test_times_from_lengths_and_gaps(self, golden):
+        cert = check_gluing(golden, all_segments())
+        # the 1-ending and 1-starting blocks are joined through the connector 0
+        glued, times, gaps = glue_words(cert, [(0, 0, 1), (1, 0, 1), (0, 1, 0)])
+        assert gaps == [1, 0] and times == [0, 4, 7]
+        assert glue_words(cert, [(0, 1, 0, 0, 1)]) == ((0, 1, 0, 0, 1), [0], [])
 
     def test_exact_prefix_tracing(self, golden):
         cert = check_gluing(golden, all_segments())
         words = [(0, 0, 1), (1, 0, 1), (0, 1, 0)]
         glued, times, gaps = glue_words(cert, words)
         assert is_admissible(golden, glued)
-        assert is_traced(glued, [(w, len(w)) for w in words], times)
         # connector between 1-ending and 1-starting blocks forces a gap
         assert gaps == [1, 0]
         assert times == [0, 4, 7]
         # exact equality: distance 0 at every in-block offset
         for w, t in zip(words, times):
             assert glued[t : t + 3] == w
-
-    def test_tracing_detects_mismatch(self):
-        z = (0, 1, 0, 0, 1)
-        assert is_traced(z, [((0, 1), 2)], [0])
-        assert not is_traced(z, [((1, 1), 2)], [0])
 
     def test_glued_word_admissible_on_random_systems(self):
         # sequences of 2-8 class segments with lengths in [1, 7]
@@ -110,8 +106,8 @@ class TestTracing:
                     take = [pool[n][int(rng.integers(len(pool[n])))] for n in lengths]
                     glued, times, gaps = glue_words(cert, take)
                     assert is_admissible(sys, glued)
-                    assert times == trace_times(lengths, gaps)
-                    assert is_traced(glued, [(w, len(w)) for w in take], times)
+                    assert times == [0, *accumulate(m + r for m, r in zip(lengths, gaps))]
+                    assert all(glued[t : t + len(w)] == w for w, t in zip(take, times))
                     assert all(g <= cert.tau for g in gaps)
 
     def test_certificate_does_not_glue(self, golden, tmp_path, monkeypatch):

@@ -9,17 +9,15 @@ from shiftpress import (
     ShiftSystem,
     load_potential,
     load_system,
-    MarkovMeasure,
-    PeriodicOrbitMeasure,
-    markov_entropy,
-    measure_pressure,
     spectrum_sample,
     pressure_oracle,
     pressure_floor,
 )
 from shiftpress import measures
-from shiftpress.measures import gibbs_chain, primitive_cycles
-from shiftpress.errors import ConfigError, PreconditionError, StructuralError
+from shiftpress.measures import (
+    _LiftChain, _cycle_edges, _cycle_means, _stationary, gibbs_chain, primitive_cycles,
+)
+from shiftpress.errors import PreconditionError, StructuralError
 
 import spectrum_reference as ref
 from conftest import random_sft, random_potential
@@ -33,25 +31,33 @@ def cycle_tuples(sys, cap):
     return [tuple(row) for block in blocks for row in block.tolist()]
 
 
+def bernoulli_chain(phi, probs):
+    """The Bernoulli chain with symbol probabilities probs on the lift of a
+    potential of memory <= 2, whose lift states are the symbols."""
+    lift = phi.lift
+    return _LiftChain(lift, np.asarray(probs, dtype=float)[lift.dst])
+
+
+def cycle_mean(phi, cycle):
+    lift = phi.lift
+    return _cycle_means(lift, _cycle_edges(lift, np.array([cycle])))[0]
+
+
 class TestMarkovEntropy:
     def test_uniform_bernoulli(self, full2):
-        mu = MarkovMeasure.bernoulli(full2, [0.5, 0.5])
-        assert markov_entropy(mu) == pytest.approx(math.log(2), abs=1e-12)
+        chain = bernoulli_chain(Potential.zero(full2), [0.5, 0.5])
+        assert chain.entropy() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_degenerate(self, full2):
-        mu = MarkovMeasure.bernoulli(full2, [1.0, 0.0])
-        assert markov_entropy(mu) == pytest.approx(0.0, abs=1e-12)
+        chain = bernoulli_chain(Potential.zero(full2), [1.0, 0.0])
+        assert chain.entropy() == pytest.approx(0.0, abs=1e-12)
 
     def test_biased_formula(self, full2):
         p = 0.25
-        mu = MarkovMeasure.bernoulli(full2, [p, 1 - p])
+        chain = bernoulli_chain(Potential.zero(full2), [p, 1 - p])
         direct = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         assert direct == pytest.approx(0.562335, abs=1e-6)
-        assert markov_entropy(mu) == pytest.approx(direct, abs=1e-12)
-
-    def test_rejects_off_support(self, golden):
-        with pytest.raises(ConfigError):
-            MarkovMeasure(golden, [[0.5, 0.5], [0.5, 0.5]])
+        assert chain.entropy() == pytest.approx(direct, abs=1e-12)
 
 
 def _refined_stationary(Q):
@@ -69,12 +75,9 @@ def _refined_stationary(Q):
 
 
 class TestStationary:
-    def test_rejects_two_recurrent_classes(self, full2, full3):
+    def test_rejects_two_recurrent_classes(self):
         with pytest.raises(StructuralError, match="not unique"):
-            MarkovMeasure(full2, np.eye(2))
-        # rounding leaves this singular system solvable: (0, 0, 1) comes back
-        with pytest.raises(StructuralError, match="not unique"):
-            MarkovMeasure(full3, [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]])
+            _stationary(np.eye(2))
 
     def test_lift_chains_solved_to_rounding(self, full2, monkeypatch):
         """The Gibbs and interpolated chains of a memory-4 potential (8 lift
@@ -128,8 +131,8 @@ class TestStationary:
 
 
 def reference_cycle_mean(phi, cycle):
-    """The cycle mean as measure_pressure took it before it read the lift
-    edge counts: phi on each of the p windows of the periodic word, summed
+    """The cycle mean as it was taken before it was read from the lift
+    edges: phi on each of the p windows of the periodic word, summed
     exactly."""
     p = len(cycle)
     ext = cycle * (1 + (phi.memory + p - 2) // p)
@@ -167,7 +170,7 @@ class TestMeasurePressure:
         assert cycles
         want = {c: reference_cycle_mean(phi, c) for c in cycles}
         for c in cycles:
-            got = measure_pressure(phi, PeriodicOrbitMeasure(sys_, c))
+            got = cycle_mean(phi, c)
             assert type(got) is float
             assert got == want[c], c
         entries = spectrum_sample(phi, cycle_cap=cap, grid=2).entries
@@ -175,25 +178,21 @@ class TestMeasurePressure:
         assert got == {"".join(map(str, c)): v for c, v in want.items()}
 
     def test_uniform_is_topological_entropy(self, full2):
-        mu = MarkovMeasure.bernoulli(full2, [0.5, 0.5])
-        assert measure_pressure(Potential.zero(full2), mu) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        chain = bernoulli_chain(Potential.zero(full2), [0.5, 0.5])
+        assert chain.entropy() + chain.integral() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_fixed_point_attains_floor(self, full2):
         phi = Potential.from_symbol_values(full2, [0.0, 1.0])
-        mu = PeriodicOrbitMeasure(full2, (1,))
-        assert measure_pressure(phi, mu) == pytest.approx(1.0, abs=1e-12)
+        assert cycle_mean(phi, (1,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cycle_with_memory2(self, golden):
         phi = Potential(golden, 2, {(0, 0): 0.2, (0, 1): 1.0, (1, 0): -0.4})
-        mu = PeriodicOrbitMeasure(golden, (0, 1))
         # windows around the cycle: 01 and 10
-        assert measure_pressure(phi, mu) == pytest.approx((1.0 - 0.4) / 2, abs=1e-12)
+        assert cycle_mean(phi, (0, 1)) == pytest.approx((1.0 - 0.4) / 2, abs=1e-12)
 
     def test_parry_matches_oracle(self, golden):
         chain = gibbs_chain(Potential.zero(golden))
-        assert chain.pressure() == pytest.approx(
+        assert chain.entropy() + chain.integral() == pytest.approx(
             pressure_oracle(Potential.zero(golden)).value, abs=1e-9
         )
 
@@ -203,24 +202,13 @@ class TestMeasurePressure:
         with pytest.raises(PreconditionError, match="underflows"):
             gibbs_chain(phi)
 
-    def test_measure_on_another_system_refused(self, full2, golden):
-        phi = Potential.zero(full2)
-        with pytest.raises(ConfigError, match="different systems"):
-            measure_pressure(phi, PeriodicOrbitMeasure(golden, (0, 1)))
-        with pytest.raises(ConfigError, match="different systems"):
-            measure_pressure(Potential.zero(golden), MarkovMeasure.bernoulli(full2, [0.5, 0.5]))
-
     def test_markov_cylinder_integral(self, full2):
         # memory-2 potential integrated through cylinder probabilities
         phi = Potential(full2, 2, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0})
-        mu = MarkovMeasure.bernoulli(full2, [0.25, 0.75])
-        assert measure_pressure(phi, mu) == pytest.approx(
-            markov_entropy(mu) + 0.25 * 0.25, abs=1e-12
-        )
-
-    def test_rejects_imprimitive_cycle(self, full2):
-        with pytest.raises(ConfigError, match="power"):
-            PeriodicOrbitMeasure(full2, (0, 1, 0, 1))
+        chain = bernoulli_chain(phi, [0.25, 0.75])
+        assert chain.integral() == pytest.approx(0.25 * 0.25, abs=1e-12)
+        zero = bernoulli_chain(Potential.zero(full2), [0.25, 0.75])
+        assert chain.entropy() + chain.integral() == pytest.approx(zero.entropy() + 0.25 * 0.25, abs=1e-12)
 
 
 class TestPrimitiveCycles:
@@ -303,7 +291,8 @@ class TestSpectrum:
         for sys in (golden, full2):
             phi = random_potential(rng, sys, 3)
             ceiling = pressure_oracle(phi).value
-            assert gibbs_chain(phi).pressure() == pytest.approx(ceiling, abs=1e-9)
+            chain = gibbs_chain(phi)
+            assert chain.entropy() + chain.integral() == pytest.approx(ceiling, abs=1e-9)
             res = spectrum_sample(phi, cycle_cap=4, grid=4)
             assert max(e.pressure for e in res.entries) == pytest.approx(ceiling, abs=1e-9)
 
