@@ -64,17 +64,9 @@ from .structure import ConstructConfig, check_structure_conditions
 # memory-1 recoding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Recoding:
-    base: ShiftSystem
-    blocks: list  # recoded symbol -> base m-word
-
-    def project_word(self, w) -> tuple:
-        """Base word spelled by a recoded word (overlapping block decode)."""
-        out = list(self.blocks[w[0]])
-        for s in w[1:]:
-            out.append(self.blocks[s][-1])
-        return tuple(out)
+def _project(blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Base words spelled by a matrix of recoded words (overlapping block decode)."""
+    return np.concatenate([blocks[words[:, 0]], blocks[words[:, 1:], -1]], axis=1)
 
 
 def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
@@ -83,8 +75,9 @@ def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
     The m-block system is the edge graph of phi.lift: edge i, an m-word, may
     precede edge j when i ends where j starts, and carries the phi value it
     closes. The block map is a conjugacy, so pressures, cycle means and the
-    glued subsystem transfer exactly; decomposition membership is evaluated
-    on the projected base words.
+    glued subsystem transfer exactly; the decomposition's classes and split
+    see recoded word matrices projected through blocks, the (edges, m) array
+    of base m-words that is returned with the recoded potential.
     """
     m = phi.memory
     if m == 1:
@@ -98,28 +91,24 @@ def _recode_memory_one(phi: Potential, dec: OrbitDecomposition):
         )
     # edge i spells its source state followed by the last symbol of its destination
     codes = lift.codes[lift.src] * A + lift.codes[lift.dst] % A
-    blocks = list(zip(*(digits.tolist() for digits in np.unravel_index(codes, (A,) * m))))
+    blocks = np.stack(np.unravel_index(codes, (A,) * m), axis=1).astype(np.uint8)
     sys_c = ShiftSystem(lift.dst[:, None] == lift.src[None, :])
     phi_c = Potential.from_arrays(sys_c, 1, np.arange(lift.wgt.shape[0]), lift.wgt)
-    rec = _Recoding(base=phi.sys, blocks=blocks)
 
     def member_through(cls: SegmentClass) -> SegmentClass:
         if cls.kind in ("all", "empty"):
-            return SegmentClass(cls.membership, cls.description, kind=cls.kind)
-        return SegmentClass(
-            lambda w, n: cls.membership(rec.project_word(w), n),
-            f"recoded({cls.description})",
-        )
+            return cls
+        return SegmentClass(lambda words, n: cls.batch(_project(blocks, words), n), f"recoded({cls.description})")
 
     dec_c = OrbitDecomposition(
         base=member_through(dec.base),
         prefix_class=member_through(dec.prefix_class),
         core_class=member_through(dec.core_class),
         suffix_class=member_through(dec.suffix_class),
-        split=lambda w, n: dec.split(rec.project_word(w), n),
+        split=lambda words, n: dec.split(_project(blocks, words), n),
         name=dec.name,
     )
-    return phi_c, dec_c, rec
+    return phi_c, dec_c, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +621,12 @@ class ConstructionResult:
     params: dict
     inequalities: list
     selection: dict
-    recoding: object = None
+    recoding: np.ndarray | None = None  # the blocks of a memory-1 recoding
 
     def base_words(self):
         """Selected words spelled in the base alphabet."""
-        if self.recoding is None:
-            return [tuple(int(s) for s in row) for row in self.subsystem.words]
-        return [self.recoding.project_word(tuple(int(s) for s in row)) for row in self.subsystem.words]
+        words = self.subsystem.words
+        return [tuple(w) for w in (words if self.recoding is None else _project(self.recoding, words)).tolist()]
 
     def to_dict(self):
         return {

@@ -37,10 +37,6 @@ class Resolution:
         if self.level < 1:
             raise ConfigError(f"resolution level must be >= 1, got {self.level}")
 
-    @property
-    def value(self) -> float:
-        return 2.0 ** (-self.level)
-
 
 class ShiftSystem:
     """Finite-alphabet subshift of finite type.

@@ -62,6 +62,8 @@ def glue_words(cert: GluingCertificate, words):
     words = [tuple(int(s) for s in w) for w in words]
     if not words:
         raise ConfigError("nothing to glue")
+    if () in words:
+        raise ConfigError(f"cannot glue an empty word (block {words.index(())})")
     out = list(words[0])
     times, gaps = [0], []
     for w in words[1:]:
@@ -86,11 +88,7 @@ def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> GluingCertificat
     connectors = shortest_connectors(sys)
     tau = max(len(c) for c in connectors.values())
     cert = GluingCertificate(sys=sys, n0=1, tau=tau, connectors=connectors)
-    if not any(
-        core_class.membership(row, length)
-        for length in range(1, 6)
-        for row in map(tuple, word_matrix(sys, length).tolist())
-    ):
+    if not any(core_class.batch(word_matrix(sys, n), n).any() for n in range(1, 6)):
         raise CertificateError(
             f"class {core_class.description!r} has no segments with lengths in "
             "[1, 5]; cannot verify gluing"

@@ -4,15 +4,15 @@ A segment class is a decidable set of (word, n) pairs, n <= len(word): the
 word is a cylinder witness for an orbit segment of length n. A decomposition
 splits every segment of a base class into a prefix part, a core part, and a
 suffix part whose lengths add up to n, with each piece landing in its own
-class.
+class. Classes and splits answer for every row of a word matrix at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,51 +24,35 @@ from .errors import ConfigError
 class SegmentClass:
     """Decidable collection of orbit segments (word, n).
 
-    kind marks structure the partition function can exploit:
+    membership_batch(words, n) is the predicate: a bool array with one entry
+    per row of the word matrix. kind marks structure the partition function
+    can exploit:
       "all"     -- every admissible segment belongs;
       "empty"   -- no segment belongs;
       "zero-length" -- only the empty segments (n == 0) belong;
       "generic" -- only the predicate is available.
-    membership_batch, when provided, vectorizes the predicate over a word
-    matrix (rows) for a fixed n.
     """
 
-    membership: Callable[[tuple, int], bool]
+    membership_batch: Callable[[np.ndarray, int], np.ndarray]
     description: str
     kind: str = "generic"
-    membership_batch: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
     def batch(self, words: np.ndarray, n: int) -> np.ndarray:
-        if self.kind == "all":
-            return np.ones(words.shape[0], dtype=bool)
-        if self.kind == "empty":
-            return np.zeros(words.shape[0], dtype=bool)
-        if self.membership_batch is not None:
-            return np.asarray(self.membership_batch(words, n), dtype=bool)
-        return np.fromiter(
-            (self.membership(tuple(int(s) for s in row), n) for row in words),
-            dtype=bool,
-            count=words.shape[0],
-        )
+        return self.membership_batch(words, n)
 
 
 def all_segments() -> SegmentClass:
-    return SegmentClass(lambda w, n: True, "all", kind="all")
+    return SegmentClass(lambda words, n: np.ones(len(words), dtype=bool), "all", kind="all")
 
 
 def empty_segments() -> SegmentClass:
-    return SegmentClass(lambda w, n: False, "empty", kind="empty")
+    return SegmentClass(lambda words, n: np.zeros(len(words), dtype=bool), "empty", kind="empty")
 
 
 def zero_length_segments() -> SegmentClass:
     """The empty orbit segments (n == 0): the affix class of a decomposition
     whose split leaves no prefix or suffix."""
-    return SegmentClass(
-        lambda w, n: n == 0,
-        "zero-length segments",
-        kind="zero-length",
-        membership_batch=lambda words, n: np.full(len(words), n == 0),
-    )
+    return SegmentClass(lambda words, n: np.full(len(words), n == 0), "zero-length segments", kind="zero-length")
 
 
 def union(a: SegmentClass, b: SegmentClass) -> SegmentClass:
@@ -80,14 +64,8 @@ def union(a: SegmentClass, b: SegmentClass) -> SegmentClass:
         return a
     if a.kind == b.kind == "zero-length":
         return a
-
-    def batch(words, n):
-        return a.batch(words, n) | b.batch(words, n)
-
     return SegmentClass(
-        lambda w, n: a.membership(w, n) or b.membership(w, n),
-        f"union({a.description}, {b.description})",
-        membership_batch=batch,
+        lambda words, n: a.batch(words, n) | b.batch(words, n), f"union({a.description}, {b.description})"
     )
 
 
@@ -96,31 +74,23 @@ def complement(a: SegmentClass) -> SegmentClass:
         return empty_segments()
     if a.kind == "empty":
         return all_segments()
-
-    def batch(words, n):
-        return ~a.batch(words, n)
-
-    return SegmentClass(
-        lambda w, n: not a.membership(w, n),
-        f"complement({a.description})",
-        membership_batch=batch,
-    )
+    return SegmentClass(lambda words, n: ~a.batch(words, n), f"complement({a.description})")
 
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
     """Splitting of each segment of `base` into prefix/core/suffix pieces.
 
-    split(word, n) returns (p, g, s) with p + g + s = n; the pieces must
-    satisfy (w, p) in prefix_class, (shift^p w, g) in core_class,
-    (shift^{p+g} w, s) in suffix_class.
+    split(words, n) returns int arrays (p, g, s), one entry per row, with
+    p + g + s = n; the pieces must satisfy (w, p) in prefix_class,
+    (shift^p w, g) in core_class, (shift^{p+g} w, s) in suffix_class.
     """
 
     base: SegmentClass
     prefix_class: SegmentClass
     core_class: SegmentClass
     suffix_class: SegmentClass
-    split: Callable[[tuple, int], tuple]
+    split: Callable[[np.ndarray, int], tuple]
     name: str = "decomposition"
 
 
@@ -131,7 +101,7 @@ def trivial_decomposition() -> OrbitDecomposition:
         prefix_class=zero_length_segments(),
         core_class=all_segments(),
         suffix_class=zero_length_segments(),
-        split=lambda w, n: (0, n, 0),
+        split=lambda words, n: (np.zeros(len(words), int), np.full(len(words), n), np.zeros(len(words), int)),
         name="trivial",
     )
 
@@ -139,25 +109,23 @@ def trivial_decomposition() -> OrbitDecomposition:
 def prefix_run_decomposition(symbol: int, cap: int) -> OrbitDecomposition:
     """Prefix = leading run of `symbol` (capped), remainder is core, no suffix."""
 
-    def run(w, n):
-        r = 0
-        while r < n and w[r] == symbol:
-            r += 1
-        return min(r, cap)
+    def run(words, n):  # each row's leading run of `symbol` within its first n symbols
+        return np.logical_and.accumulate(words[:, :n] == symbol, axis=1).sum(axis=1)
 
-    prefix = SegmentClass(
-        lambda w, n: n <= cap and all(s == symbol for s in w[:n]),
-        f"runs of symbol {symbol} up to {cap}",
-    )
+    def split(words, n):
+        p = np.minimum(run(words, n), cap)
+        return p, n - p, np.zeros_like(p)
+
+    prefix = SegmentClass(lambda words, n: (n <= cap) & (run(words, n) >= n), f"runs of symbol {symbol} up to {cap}")
 
     # any segment may appear as a core piece; the split just strips the run
-    core = SegmentClass(lambda w, n: True, "post-run cores", kind="all")
+    core = replace(all_segments(), description="post-run cores")
     return OrbitDecomposition(
         base=all_segments(),
         prefix_class=prefix,
         core_class=core,
         suffix_class=zero_length_segments(),
-        split=lambda w, n: (run(w, n), n - run(w, n), 0),
+        split=split,
         name=f"prefix-run({symbol},{cap})",
     )
 
@@ -167,17 +135,18 @@ def affix_bounded(dec: OrbitDecomposition, cap: int) -> SegmentClass:
 
     When the decomposition has identically zero affixes this is the whole
     base class, and the structured partition-function route stays available.
+    Only base rows are split, since a table split refuses rows it has no entry for.
     """
     if cap < 0:
         raise ConfigError(f"affix cap must be >= 0, got {cap}")
     if dec.name == "trivial" and dec.base.kind == "all":
-        return SegmentClass(lambda w, n: True, f"core(cap={cap})=all", kind="all")
+        return replace(all_segments(), description=f"core(cap={cap})=all")
 
-    def member(w, n):
-        if not dec.base.membership(w, n):
-            return False
-        p, g, s = dec.split(w, n)
-        return p <= cap and s <= cap
+    def member(words, n):
+        inside = np.array(dec.base.batch(words, n), dtype=bool)
+        p, _g, s = dec.split(words if inside.all() else words[inside], n)
+        inside[inside] = (p <= cap) & (s <= cap)
+        return inside
 
     return SegmentClass(member, f"{dec.name} core(cap={cap})")
 
@@ -247,20 +216,34 @@ def _table_decomposition(data, origin) -> OrbitDecomposition:
         n, p, g, s = (as_int(v, "split") for v in e[1:])
         splits[(parse_word(str(e[0])), n)] = (p, g, s)
 
+    def spells(words, n, u):
+        # a table word stands for a whole row or for its first n symbols
+        if len(u) not in (words.shape[1], min(words.shape[1], n)):
+            return np.zeros(len(words), dtype=bool)
+        return (words[:, :len(u)] == u).all(axis=1)
+
     def in_set(members):
-        def f(w, n):
-            return (tuple(w[:n]) if len(w) > n else tuple(w), n) in members or (tuple(w), n) in members
+        def f(words, n):
+            out = np.zeros(len(words), dtype=bool)
+            for u, k in members:
+                if k == n:
+                    out |= spells(words, n, u)
+            return out
 
         return f
 
-    def split(w, n):
-        key = (tuple(w), n)
-        if key in splits:
-            return splits[key]
-        key = (tuple(w[:n]), n)
-        if key in splits:
-            return splits[key]
-        raise ConfigError(f"{origin}: no split entry for segment ({w}, {n})")
+    def split(words, n):
+        pgs = np.zeros((len(words), 3), dtype=int)
+        found = np.zeros(len(words), dtype=bool)
+        # keys spelling the whole row come last, so they win over those spelling its first n symbols
+        for u in sorted((u for u, k in splits if k == n), key=lambda u: len(u) == words.shape[1]):
+            hit = spells(words, n, u)
+            pgs[hit] = splits[(u, n)]
+            found |= hit
+        if not found.all():
+            w = tuple(int(x) for x in words[np.argmin(found)])
+            raise ConfigError(f"{origin}: no split entry for segment ({w}, {n})")
+        return tuple(pgs.T)
 
     zero_ok = zero_length_segments()
     return OrbitDecomposition(

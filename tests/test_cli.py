@@ -314,6 +314,18 @@ class TestConstructAndDensity:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["check"], ["density", "--grid", "3", "--eta0", "0.1"]])
+    def test_table_without_a_split_for_a_base_segment_exit2(self, files, capsys, command):
+        """Every base segment needs a split entry, whichever row a scan reaches first."""
+        dec = files["tmp"] / "table.json"
+        dec.write_text(json.dumps({"kind": "table", "base": [["0", 1], ["1", 1]], "split": [["0", 1, 0, 1, 0]]}))
+        code, _ = run(
+            files, command[0], "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            *command[1:], "--decomposition", str(dec),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {dec}: no split entry for segment ((1,), 1)\n"
+
     def test_verify_bounds(self, files):
         code, text = run(
             files, "verify-bounds", "--system", str(files["full2"]), "--potential", str(files["zero"]),

@@ -726,7 +726,7 @@ class TestStructureConditions:
             prefix_class=all_segments(),
             core_class=all_segments(),
             suffix_class=empty_segments(),
-            split=lambda w, n: (n, 0, 0),
+            split=lambda words, n: tuple(np.full(len(words), k) for k in (n, 0, 0)),
             name="prefix-everything",
         )
         phi = Potential.zero(full2)
@@ -915,7 +915,7 @@ class TestDensityExperiment:
             prefix_class=all_segments(),
             core_class=all_segments(),
             suffix_class=empty_segments(),
-            split=lambda w, n: (n, 0, 0),
+            split=lambda words, n: tuple(np.full(len(words), k) for k in (n, 0, 0)),
             name="prefix-everything",
         )
         with pytest.raises(InfeasibleError, match="structure conditions"):
@@ -1065,7 +1065,36 @@ class TestRecoding:
             phi_c, _, rec = construct_module._recode_memory_one(phi, trivial_decomposition())
             sys_c = phi_c.sys
             blocks, trans, values = reference_recoding(sys_, phi)
-            assert rec.blocks == blocks
+            assert [tuple(b) for b in rec.tolist()] == blocks
             assert np.array_equal(sys_c.transitions, trans)
             assert phi_c.memory == 1
             assert phi_c.values_flat.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("memory", [2, 3, 4])
+    def test_projection_matches_per_word_decode(self, memory):
+        """_project spells a recoded word matrix in the base alphabet as the
+        per-word overlapping block decode does, and the recoded classes and
+        split read the projected rows."""
+        from conftest import random_sft, random_potential
+
+        def decode(blocks, w):
+            out = list(blocks[w[0]])
+            for s in w[1:]:
+                out.append(blocks[s][-1])
+            return tuple(out)
+
+        dec = prefix_run_decomposition(1, 2)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            sys_ = random_sft(rng, int(rng.integers(2, 5)))
+            phi = random_potential(rng, sys_, memory, -1.0, 2.0)
+            phi_c, dec_c, rec = construct_module._recode_memory_one(phi, dec)
+            blocks = reference_recoding(sys_, phi)[0]
+            assert dec_c.base is dec.base and dec_c.core_class is dec.core_class
+            for length in range(1, 5):
+                words = word_matrix(phi_c.sys, length)
+                base = construct_module._project(rec, words)
+                assert [tuple(row) for row in base.tolist()] == [decode(blocks, w) for w in words.tolist()]
+                for n in range(length + 1):
+                    assert np.array_equal(dec_c.prefix_class.batch(words, n), dec.prefix_class.batch(base, n))
+                    assert np.array_equal(np.stack(dec_c.split(words, n)), np.stack(dec.split(base, n)))

@@ -15,7 +15,7 @@ from shiftpress import (
 from shiftpress.cli import main
 from shiftpress.core import is_admissible, word_matrix
 from shiftpress.segments import SegmentClass, affix_bounded, prefix_run_decomposition
-from shiftpress.errors import CertificateError
+from shiftpress.errors import CertificateError, ConfigError
 
 from conftest import least_path_lengths, random_sft
 
@@ -55,7 +55,7 @@ class TestCertificates:
             GluingCertificate(sys=full2, n0=1, tau=0, connectors={(0, 0): (), (0, 1): (), (1, 0): ()})
 
     def test_empty_class_refused(self, golden):
-        nothing = SegmentClass(lambda w, n: False, "nothing")
+        nothing = SegmentClass(lambda words, n: np.zeros(len(words), dtype=bool), "nothing")
         with pytest.raises(CertificateError, match="no segments"):
             check_gluing(golden, nothing)
 
@@ -74,6 +74,12 @@ class TestTracing:
         glued, times, gaps = glue_words(cert, [(0, 0, 1), (1, 0, 1), (0, 1, 0)])
         assert gaps == [1, 0] and times == [0, 4, 7]
         assert glue_words(cert, [(0, 1, 0, 0, 1)]) == ((0, 1, 0, 0, 1), [0], [])
+
+    def test_empty_word_refused(self, golden):
+        cert = check_gluing(golden, all_segments())
+        for words in ([(0, 1), ()], [(), (0,)], [()]):
+            with pytest.raises(ConfigError, match="cannot glue an empty word"):
+                glue_words(cert, words)
 
     def test_exact_prefix_tracing(self, golden):
         cert = check_gluing(golden, all_segments())
@@ -97,8 +103,8 @@ class TestTracing:
                 cert = check_gluing(sys, segments)
                 pool = {}
                 for n in range(1, 8):
-                    rows = [tuple(row) for row in word_matrix(sys, n).tolist()]
-                    members = [w for w in rows if segments.membership(w, n)]
+                    words = word_matrix(sys, n)
+                    members = [tuple(row) for row in words[segments.batch(words, n)].tolist()]
                     if members:
                         pool[n] = members
                 for _ in range(8):

@@ -74,8 +74,10 @@ with its exit code; regenerate that file from the root of the repository with
 Those cases must reproduce the exit code and every line of the artifact
 but the wall clock.
 
-In the other snapshots the header (version, configuration hash, wall clock)
-is not compared. In a spectrum artifact the stats lines and the rows,
+In the other snapshots the header's version and wall clock are not
+compared, and its configuration hash must equal the rerun's: a snapshot
+names the options and input contents of the command above that regenerates
+it. In a spectrum artifact the stats lines and the rows,
 keyed by (kind, parameter), must agree; numbers within 1e-12, compared as
 the printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
@@ -110,6 +112,10 @@ def _parse(text):
     for key in HEADER:
         del stats[key]
     return stats, rows
+
+
+def _csv_config_hash(path):
+    return next(line for line in path.read_text().splitlines() if line.startswith("# config_hash: "))
 
 
 def _refuse_constant(name):
@@ -150,6 +156,7 @@ def test_spectrum_snapshot(tmp_path, system, potential, cap, grid, snapshot):
         "--cycle-cap", cap, "--grid", grid, "--out", str(out),
     ])
     assert code == 0
+    assert _csv_config_hash(out) == _csv_config_hash(DATA / snapshot)
     stats, rows = _parse(out.read_text())
     want_stats, want_rows = _parse((DATA / snapshot).read_text())
     assert stats.keys() == want_stats.keys()
@@ -179,6 +186,7 @@ def test_verify_bounds_snapshot(tmp_path, system, potential, alpha, snapshot):
     ])
     assert code == 0
     got, want = (_strict_json(p.read_text()) for p in (out, DATA / snapshot))
+    assert got["header"]["config_hash"] == want["header"]["config_hash"]
     del got["header"], want["header"]
     assert got == want
 
@@ -207,6 +215,7 @@ def test_density_snapshot(tmp_path, system, potential, grid, decomposition, snap
         "--grid", grid, "--eta0", "0.1", *extra, "--out", str(out),
     ])
     assert code == 0
+    assert _csv_config_hash(out) == _csv_config_hash(DATA / snapshot)
     header = tuple(f"# {key}: " for key in HEADER)
     got, want = (
         [line for line in p.read_text().splitlines() if not line.startswith(header)]
@@ -239,6 +248,7 @@ def test_construct_snapshot(tmp_path, system, potential, alpha, decomposition, s
     ])
     assert code == 0
     got, want = (_strict_json(p.read_text()) for p in (out, DATA / snapshot))
+    assert got["header"]["config_hash"] == want["header"]["config_hash"]
     del got["header"], want["header"]
     assert got == want
 

@@ -80,7 +80,7 @@ class TestPartitionFunction:
 
     def test_budget_error_carries_n(self, full2):
         phi = Potential.zero(full2)
-        generic = SegmentClass(lambda w, n: True, "generic")
+        generic = SegmentClass(lambda words, n: np.ones(len(words), dtype=bool), "generic")
         with pytest.raises(ResourceBudgetError) as err:
             partition_function(phi, generic, 40, Resolution(1), budget=1000)
         assert err.value.n == 40
@@ -93,7 +93,7 @@ class TestPartitionFunction:
         rng = np.random.default_rng(seed)
         sys = random_sft(rng, int(rng.integers(2, 4)))
         phi = random_potential(rng, sys, int(rng.integers(1, 5)))
-        generic = SegmentClass(lambda w, n_: True, "generic-all")
+        generic = SegmentClass(lambda words, n_: np.ones(len(words), dtype=bool), "generic-all")
         fast = partition_function(phi, all_segments(), n, Resolution(l_delta))
         slow = partition_function(phi, generic, n, Resolution(l_delta))
         assert fast == pytest.approx(slow, abs=1e-10)
@@ -198,7 +198,7 @@ class TestPressureEnumerate:
         assert rep.value == -math.inf and rep.error_bound == 0.0
 
     def test_words_in_part_of_the_top_half_stay_finite(self, golden):
-        short = SegmentClass(lambda w, n: n <= 7, "length <= 7")
+        short = SegmentClass(lambda words, n: np.full(len(words), n <= 7), "length <= 7")
         rep = pressure_enumerate(Potential.zero(golden), short, Resolution(1), None, (2, 10))
         seq = rep.extras["sequence"]
         assert seq[6:] == [-math.inf] * 3

@@ -25,6 +25,9 @@ INVOCATIONS = {
                       "--alpha", "0.12", "--eta0", "0.1", "--n-list", "3"],
     "density": ["density", "--system", "golden.json", "--potential", "golden_weighted.json",
                 "--grid", "1", "--eta0", "0.1"],
+    # a generic (predicate-only) class: the affix-bounded prefix-run cores
+    "density-prefix-run": ["density", "--system", "golden.json", "--potential", "golden_weighted.json",
+                           "--grid", "1", "--eta0", "0.1", "--decomposition", "prefix_run.json"],
     "spectrum": ["spectrum", "--system", "golden.json", "--potential", "golden_mem2.json",
                  "--cycle-cap", "3", "--grid", "3"],
 }
@@ -34,7 +37,12 @@ INVOCATIONS = {
 EXPECTED = {
     "density": {"construct.class_log_weight_sum", "thermo.partition_function"},
     "spectrum": {"measures.primitive_cycles", "measures.gibbs_chain"},
+    "density-prefix-run": {"segments.batch"},
 }
+
+# every segment class decides a whole word matrix at once: no row is sent
+# through a per-row predicate
+PER_ROW_FREE = {"density-prefix-run"}
 
 
 @pytest.mark.parametrize("command", sorted(INVOCATIONS))
@@ -54,3 +62,6 @@ def test_every_hook_finds_its_target(tmp_path, command):
     assert result["count_errors"] == []
     traced = {result["names"][span[0]] for span in result["spans"]}
     assert {"cli.load_inputs", "cli.emit", "thermo.lift", *EXPECTED.get(command, ())} <= traced
+    if command in PER_ROW_FREE:
+        assert result["counts"]["segments.batch.rows"] > 0
+        assert result["counts"]["segments.batch.predicate_rows"] == 0
