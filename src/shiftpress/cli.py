@@ -266,8 +266,13 @@ def cmd_verify_bounds(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a parse error prints as one config error line
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftpress",
         description="Pressure computations and intermediate-pressure subsystem construction on subshifts of finite type.",
     )
@@ -344,18 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         if args.budget_words < 1:
             raise ConfigError(f"--budget-words must be >= 1, got {args.budget_words}")
         for flag in ("alpha", "eta0", "margin"):
             if not math.isfinite(getattr(args, flag, None) or 0.0):
                 raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
         return args.func(args)
+    except SystemExit:  # --help has printed the usage
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -183,16 +183,6 @@ def _bfs(adj: np.ndarray, first):
     return layer, parent
 
 
-def graph_period(adj: np.ndarray) -> int:
-    """gcd of cycle lengths of a strongly connected boolean digraph, from BFS
-    depths: every edge u -> v closes a cycle offset depth[u] + 1 - depth[v]."""
-    depth, _ = _bfs(adj, [0])
-    u, v = np.nonzero(adj)
-    reached = depth[u] >= 0
-    g = int(np.gcd.reduce(depth[u[reached]] + 1 - depth[v[reached]]))
-    return g if g else 1
-
-
 def shortest_connectors(sys: ShiftSystem) -> dict:
     """For each ordered pair (a, b): the lexicographically least shortest word c
     with a . c . b admissible (c may be empty). Requires strong connectivity.

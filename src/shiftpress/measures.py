@@ -26,11 +26,10 @@ import numpy as np
 
 from .core import ShiftSystem, count_words, word_matrix
 from .potentials import Potential, _Lift
-from .thermo import transfer_spectrum, pressure_floor, pressure_oracle
-from .errors import ConfigError, PreconditionError, StructuralError
+from .thermo import PressureReport, pressure_floor, pressure_oracle
+from .errors import ConfigError, StructuralError
 
 MERGE_TOL = 1e-12
-GIBBS_TOL = 1e-13  # settling of the Perron vector the Gibbs chain is built from
 MAX_MEASURES = 50_000  # spectrum entries kept; past it the result is partial
 _BLOCK_ROWS = 8192  # words per rotation comparison in primitive_cycles
 _CHUNK = 1 << 14  # (cycle, grid, edge) elements per interpolation batch; it bounds the batch temporaries
@@ -164,7 +163,8 @@ def _interpolated_chains(gibbs: _LiftChain, q_cycles: np.ndarray, ts: np.ndarray
     def solve(y):
         """M_t^-1 b for the rows y = M_0^-1 b of an (n, G, V) array."""
         ys = y[cycle[:, :, None], np.arange(len(ts))[:, None], S[:, None]]
-        return y - ts[:, None] * (np.einsum("cgij,cgj->cgi", K, ys) @ Zt)
+        # a last-axis sum adds in the same order for any leading shape
+        return y - ts[:, None] * ((K * ys[..., None, :]).sum(axis=-1) @ Zt)
 
     pi = solve(np.broadcast_to(gibbs.pi, (n, len(ts), V)))
     exact = pi.astype(np.longdouble)
@@ -175,16 +175,14 @@ def _interpolated_chains(gibbs: _LiftChain, q_cycles: np.ndarray, ts: np.ndarray
     return q, pi + solve(residual.astype(float) @ inverse.T)
 
 
-def gibbs_chain(phi: Potential) -> _LiftChain:
-    """Chain with q(i -> j) proportional to exp(phi) right[j] / right[i] for
-    the weighted Perron right eigenvector; the row normalization divides by
-    the eigenvalue. Its pressure equals the topological pressure (exactly
-    for the lift, to eigen-precision here)."""
-    _, right, _ = transfer_spectrum(phi, tol=GIBBS_TOL)
-    if not (right > 0).all():
-        raise PreconditionError("the Perron vector underflows to 0: the potential's values spread too widely")
+def gibbs_chain(phi: Potential, oracle: PressureReport) -> _LiftChain:
+    """Chain with q(i -> j) = exp(phi + x[j] - x[i] - ln lambda), rows
+    normalized, for the log right vector x and the value ln lambda of phi's
+    oracle report. Its pressure is the topological pressure (exactly for
+    the lift, to the oracle's bound here)."""
     lift = phi.lift
-    return _LiftChain(lift, np.exp(lift.wgt - phi.max_value) * right[lift.dst] / right[lift.src])
+    x = oracle.extras["log_right"]
+    return _LiftChain(lift, np.exp(lift.wgt + x[lift.dst] - x[lift.src] - oracle.value))
 
 
 def _cycle_edges(lift: _Lift, cycles: np.ndarray) -> np.ndarray:
@@ -318,7 +316,8 @@ def spectrum_sample(
     partial = MAX_MEASURES < 1  # no room even for the Gibbs entry
 
     floor = pressure_floor(phi)
-    ceiling = pressure_oracle(phi).value
+    oracle = pressure_oracle(phi)
+    ceiling = oracle.value
 
     # uniform steps toward the deterministic end produce pressure jumps
     # ~ H(eps) there; the squared ramp equalizes the jump sizes
@@ -328,7 +327,7 @@ def spectrum_sample(
     per = 1 + len(ts)
     room = MAX_MEASURES - min(MAX_MEASURES, 1)
 
-    chain = gibbs_chain(phi)
+    chain = gibbs_chain(phi, oracle)
     if len(ts) and cycle_cap and room > 1:
         # the interpolations need the inverse; its (V, V) temporaries reuse
         # the space the Gibbs solve has just freed

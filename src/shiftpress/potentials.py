@@ -160,12 +160,6 @@ class _Lift:
         self.dst = np.searchsorted(self.codes, steps % A**c)
         self.wgt = phi.values_flat[steps if phi.memory > 1 else syms]
 
-    def weighted_matrix(self, shift: float = 0.0) -> np.ndarray:
-        """Transfer matrix L[i][j] = exp(phi(window) - shift) on allowed steps."""
-        L = np.zeros((self.n_states, self.n_states))
-        L[self.src, self.dst] = np.exp(self.wgt - shift)
-        return L
-
 
 def birkhoff_sum(phi: Potential, word, n: int) -> float:
     """Sum of phi along the first n shifts of the word, compensated summation.

@@ -8,7 +8,9 @@ Two independent routes to pressure are kept side by side:
   exact transfer recursion for the unrestricted class) and reports the
   growth sequence (1/n) ln Theta with its spread;
 * `pressure_oracle` computes ln of the dominant eigenvalue of the weighted
-  transfer matrix by power iteration.
+  transfer lift by one log-domain iteration on its edges, stopped when a
+  Collatz-Wielandt bracket has closed; any period of the lift needs no
+  special case.
 
 Every entry point takes the potential alone: it carries its system
 (`phi.sys`), its values (`phi.values_flat`) and its one transfer lift
@@ -26,7 +28,6 @@ import numpy as np
 from .core import (
     Resolution,
     count_words,
-    graph_period,
     word_matrix,
     DEFAULT_WORD_BUDGET,
 )
@@ -36,8 +37,9 @@ from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from . import kernels
 
 NEG_INF = float("-inf")
-ORACLE_TOL = 1e-12  # settling of the log Rayleigh quotient in pressure_oracle
-PERRON_MAXITER = 10**6  # power-iteration steps before perron_log refuses
+EPS = float(np.finfo(float).eps)
+ORACLE_TOL = 1e-13  # width at which perron_log's bracket has closed
+PERRON_MAXITER = 10**4  # iterations before perron_log refuses
 FINITE_MEANS_N = 20  # finite-n means next to the pressure floor in `pstar`
 
 
@@ -45,9 +47,11 @@ FINITE_MEANS_N = 20  # finite-n means next to the pressure floor in `pstar`
 class PressureReport:
     """A pressure value with its provenance.
 
-    error_bound is the Rayleigh-quotient log spread for oracle reports and
-    the spread of (1/n) ln Theta over the top half of the sampled range for
-    enumeration reports; math.inf encodes "unbounded".
+    error_bound is, for oracle reports, the half-width of the
+    Collatz-Wielandt bracket plus a rounding slack, a proven bound on the
+    distance to the exact value (see perron_log); for enumeration reports
+    it is the spread of (1/n) ln Theta over the top half of the sampled
+    range. math.inf encodes "unbounded".
     """
 
     value: float
@@ -90,59 +94,51 @@ def _row_group_ids(mat: np.ndarray):
     return int(ids[-1]) + 1, ids
 
 
-def perron_log(L: np.ndarray, tol: float = ORACLE_TOL):
-    """ln of the dominant eigenvalue of a nonnegative matrix with strongly
-    connected support, by power iteration from the all-ones vector.
+def perron_log(n_states: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray):
+    """ln rho of the matrix L with L[src[e], dst[e]] = exp(wgt[e]), its edges
+    ordered by source and its support strongly connected.
 
-    Periodic support is handled by iterating the period-th power, which is
-    primitive on each cyclic class; the report flags it. Returns
-    (log_lambda, right_vector, info dict); refuses when the log Rayleigh
-    quotients have not settled within tol after PERRON_MAXITER steps.
+    The weights are shifted by their max and the right vector x is kept in
+    logs, so nothing underflows. Each step forms y = ln(L e^x) and the
+    Collatz-Wielandt bracket min(y - x) <= ln rho <= max(y - x) (Horn &
+    Johnson, Matrix Analysis, 8.1.26), then moves x to ln(e^x + L e^x / c),
+    c the midpoint, normalized to max 0. I + L / c is primitive (ibid.,
+    8.4.1), so periodic support needs no special case.
+
+    Slack: with u = eps / 2, W = max |w| (shifted weights), X = max |x| and
+    D the largest out-degree, t = w + x[dst] and y are at most T = W + X
+    and Y = T + ln D in size. To first order a computed y - x is off by
+    u (T + 2 T + 8 + D + 8 ln D + Y + Y + X): t, t - max t, exp (4 ulps),
+    the sum, log (4 ulps), y and y - x. Rounding w moves ln rho by u W, and
+    the midpoint and the shift added back round by u (Y + X) and u |value|.
+    The total is below u (8 W + 8 X + 12 D + 8 + |value|), and
+    slack = 8 eps (W + X + D + 1) + eps |value| exceeds it by at least
+    8 u (W + X + 1), room for the higher-order terms.
+
+    Stops when the computed width is below max(ORACLE_TOL, 2 slack), and
+    returns (value, x, info): value, the midpoint, is within
+    info["error_bound"] = half-width + slack of ln rho; info also holds the
+    bracket and the iteration count. Refuses a bracket still open after
+    PERRON_MAXITER iterations.
     """
-    V = L.shape[0]
-    period = graph_period(L > 0)
-    x = np.ones(V) / math.sqrt(V)
-    prev = None
-    spread = math.inf
-    steps = 0
-    max_outer = max(2, PERRON_MAXITER // max(period, 1))
-    for _ in range(max_outer):
-        y = x
-        for _ in range(period):
-            y = L @ y
-        rayleigh = float(x @ y)
-        steps += 1
-        if rayleigh <= 0:
-            raise PreconditionError("power iteration collapsed; matrix support not strongly connected?")
-        log_lam = math.log(rayleigh) / period
-        if prev is not None:
-            spread = abs(log_lam - prev)
-            if spread < tol:
-                x = y / np.linalg.norm(y)
-                break
-        prev = log_lam
-        x = y / np.linalg.norm(y)
-    else:
-        raise PreconditionError(
-            f"power iteration did not converge: last spread {spread:.3g} of the log "
-            f"Rayleigh quotient is not below tol={tol:g} after {steps} steps"
-        )
-    info = {
-        "period": period,
-        "iterations": steps,
-        "converged": True,
-        "periodic_fallback": period > 1,
-        "residual": spread,
-    }
-    return log_lam, x, info
-
-
-def transfer_spectrum(phi: Potential, tol: float = ORACLE_TOL):
-    """(log lambda, right eigvec, info) of the weighted lift phi.lift."""
-    phi.sys.require_strongly_connected()
-    shift = phi.max_value
-    log_lam, right, info = perron_log(phi.lift.weighted_matrix(shift=shift), tol=tol)
-    return log_lam + shift, right, info
+    shift = float(wgt.max())
+    w = wgt - shift
+    starts = np.searchsorted(src, np.arange(n_states))
+    scale = float(-w.min()) + int(np.diff(starts, append=len(src)).max()) + 1
+    x = np.zeros(n_states)
+    for k in range(1, PERRON_MAXITER + 1):
+        t = w + x[dst]
+        top = np.maximum.reduceat(t, starts)
+        y = top + np.log(np.add.reduceat(np.exp(t - top[src]), starts))
+        lo, hi = float((y - x).min()), float((y - x).max())
+        mid = 0.5 * (lo + hi)
+        slack = EPS * (8 * (scale - float(x.min())) + abs(mid + shift))
+        if hi - lo <= max(ORACLE_TOL, 2 * slack):
+            info = {"bracket": [lo + shift, hi + shift], "error_bound": 0.5 * (hi - lo) + slack, "iterations": k}
+            return mid + shift, x, info
+        x = np.logaddexp(x, y - mid)
+        x -= x.max()
+    raise PreconditionError(f"the bracket [{lo + shift!r}, {hi + shift!r}] of ln rho has not closed after {k} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +303,17 @@ def pressure_enumerate(
 
 
 def pressure_oracle(phi: Potential) -> PressureReport:
-    """Topological pressure as ln of the dominant transfer eigenvalue."""
-    log_lam, _, info = transfer_spectrum(phi)
+    """Topological pressure as ln of the dominant eigenvalue of the weighted
+    lift phi.lift; extras["log_right"] is the log right Perron vector."""
+    phi.sys.require_strongly_connected()
+    lift = phi.lift
+    value, log_right, info = perron_log(lift.n_states, lift.src, lift.dst, lift.wgt)
     return PressureReport(
-        value=log_lam,
+        value=value,
         method="oracle",
-        params={"memory": phi.memory, "states": phi.lift.n_states, "tol": ORACLE_TOL},
-        error_bound=info["residual"],
-        extras=info,
+        params={"memory": phi.memory, "states": lift.n_states, "tol": ORACLE_TOL},
+        error_bound=info["error_bound"],
+        extras={"bracket": info["bracket"], "iterations": info["iterations"], "log_right": log_right},
     )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from shiftpress import measures
 from shiftpress.core import count_words, word_matrix
 from shiftpress.errors import StructuralError
+from shiftpress.thermo import pressure_oracle
 
 
 def primitive_cycles(sys, max_len, budget=2_000_000):
@@ -66,7 +67,8 @@ def interpolated_chains(gibbs, q_cycle, ts):
         raise StructuralError(measures.NOT_UNIQUE) from None
 
     def solve(y):
-        return y - ts[:, None] * (np.einsum("gij,gj->gi", K, y[:, S]) @ Z.T)
+        ys = y[:, S]
+        return y - ts[:, None] * ((K * ys[..., None, :]).sum(axis=-1) @ Z.T)
 
     pi = solve(np.broadcast_to(gibbs.pi, (len(ts), V)))
     exact = pi.astype(np.longdouble)
@@ -80,7 +82,7 @@ def interpolated_chains(gibbs, q_cycle, ts):
 def spectrum_entries(phi, cycle_cap, grid, max_measures=50_000, budget=2_000_000):
     """(entries, partial, notes) of spectrum_sample by the per-cycle route;
     entries are (kind, parameter, entropy, integral, pressure) tuples."""
-    chain = measures.gibbs_chain(phi)
+    chain = measures.gibbs_chain(phi, pressure_oracle(phi))
     lift = chain.lift
     entropy, integral = chain.entropy(), chain.integral()
     entries = [("gibbs", "", entropy, integral, entropy + integral)][:max_measures]

@@ -104,6 +104,18 @@ class TestPressure:
             assert err.count("\n") == 1 and err.startswith("config error:") and err.endswith("for: 0, 1\n")
 
 
+    @pytest.mark.parametrize("v", [10, 400])
+    def test_near_periodic_golden_memory2(self, files, v):
+        # transfer eigenvalues of modulus about 1 and -1; the weights spread by 2v
+        phi = files["tmp"] / "pm.json"
+        phi.write_text(json.dumps({"memory": 2, "table": {"00": -v, "01": v, "10": -v}}))
+        code, text = run(files, "pressure", "--system", str(files["golden"]), "--potential", str(phi))
+        assert code == 0
+        oracle = json.loads(text)["oracle"]
+        exact = math.log((math.exp(-v) + math.sqrt(math.exp(-2 * v) + 4)) / 2)
+        assert abs(oracle["value"] - exact) <= oracle["error_bound"]
+
+
 class TestPstarAndSpectrum:
     def test_pstar(self, files):
         code, text = run(files, "pstar", "--system", str(files["golden"]), "--potential", str(files["weighted"]))
@@ -143,6 +155,14 @@ class TestPstarAndSpectrum:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_spectrum_wide_spread(self, files):
+        phi = files["tmp"] / "wide.json"
+        phi.write_text(json.dumps({"memory": 2, "table": {"00": 1000, "01": 0, "10": 0, "11": 0}}))
+        code, text = run(files, "spectrum", "--system", str(files["full2"]), "--potential", str(phi))
+        assert code == 0
+        ceiling = next(l for l in text.splitlines() if l.startswith("# ceiling"))
+        assert float(ceiling.split(":")[1]) == 1000.0
 
     def test_non_transitive_exit3(self, files):
         code, _ = run(files, "spectrum", "--system", str(files["oneway"]), "--potential", str(files["zero"]))
@@ -237,6 +257,16 @@ class TestConstructAndDensity:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err == f"config error: {flag} must be finite, got {float(value)}\n"
+
+    def test_malformed_command_line_is_one_line(self, files, capsys):
+        # with a space, -inf reads as an option, so --alpha has no value
+        code, text = run(
+            files, "construct", "--system", str(files["full2"]), "--potential", str(files["zero"]),
+            "--alpha", "-inf", "--eta0", "0.1",
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and "--alpha" in err
 
     def test_check_refuses_a_bad_resolution_ordering_before_the_oracle(self, files, capsys):
         # the oracle would refuse the non-transitive system with exit 3 first

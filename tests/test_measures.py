@@ -17,7 +17,7 @@ from shiftpress import measures
 from shiftpress.measures import (
     _LiftChain, _cycle_edges, _cycle_means, _stationary, gibbs_chain, primitive_cycles,
 )
-from shiftpress.errors import PreconditionError, StructuralError
+from shiftpress.errors import StructuralError
 
 import spectrum_reference as ref
 from conftest import random_sft, random_potential
@@ -114,7 +114,7 @@ class TestStationary:
         rng = np.random.default_rng(2)
         sys = random_sft(rng, 5)
         phi = random_potential(rng, sys, 4, 0.0, 3.0)
-        gibbs = gibbs_chain(phi)
+        gibbs = gibbs_chain(phi, pressure_oracle(phi))
         lift = gibbs.lift
         cycles = cycle_tuples(sys, 3)
         ts = 1.0 - (1.0 - np.arange(1, 50) / 50) ** 2
@@ -191,16 +191,16 @@ class TestMeasurePressure:
         assert cycle_mean(phi, (0, 1)) == pytest.approx((1.0 - 0.4) / 2, abs=1e-12)
 
     def test_parry_matches_oracle(self, golden):
-        chain = gibbs_chain(Potential.zero(golden))
-        assert chain.entropy() + chain.integral() == pytest.approx(
-            pressure_oracle(Potential.zero(golden)).value, abs=1e-9
-        )
+        phi = Potential.zero(golden)
+        chain = gibbs_chain(phi, pressure_oracle(phi))
+        assert chain.entropy() + chain.integral() == pytest.approx(pressure_oracle(phi).value, abs=1e-9)
 
-    def test_underflowing_perron_vector_refused(self, full2):
-        # exp(0 - 1000) underflows, so the right vector is 0 off the state 0
+    def test_wide_spread_gibbs_chain_matches_oracle(self, full2):
+        # exp(0 - 1000) underflows, but the log right vector holds -1000 off the state 0
         phi = Potential(full2, 2, {(0, 0): 1000.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0})
-        with pytest.raises(PreconditionError, match="underflows"):
-            gibbs_chain(phi)
+        oracle = pressure_oracle(phi)
+        chain = gibbs_chain(phi, oracle)
+        assert chain.entropy() + chain.integral() == pytest.approx(oracle.value, abs=1e-9)
 
     def test_markov_cylinder_integral(self, full2):
         # memory-2 potential integrated through cylinder probabilities
@@ -290,8 +290,9 @@ class TestSpectrum:
         rng = np.random.default_rng(23)
         for sys in (golden, full2):
             phi = random_potential(rng, sys, 3)
-            ceiling = pressure_oracle(phi).value
-            chain = gibbs_chain(phi)
+            oracle = pressure_oracle(phi)
+            ceiling = oracle.value
+            chain = gibbs_chain(phi, oracle)
             assert chain.entropy() + chain.integral() == pytest.approx(ceiling, abs=1e-9)
             res = spectrum_sample(phi, cycle_cap=4, grid=4)
             assert max(e.pressure for e in res.entries) == pytest.approx(ceiling, abs=1e-9)

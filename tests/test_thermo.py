@@ -292,15 +292,16 @@ class TestPressureOracle:
     def test_periodic_system_flagged(self, cycle3):
         rep = pressure_oracle(Potential.zero(cycle3))
         assert rep.value == pytest.approx(0.0, abs=1e-9)
-        assert rep.extras["periodic_fallback"]
+        lo, hi = rep.extras["bracket"]
+        assert lo <= 0.0 <= hi
 
-    def test_nonconvergent_power_iteration_refused(self, monkeypatch):
-        # transfer matrix of golden with phi(00) = phi(10) = -20, phi(01) = 20:
-        # eigenvalues about +1 and -1, so the power iteration never settles
-        L = np.array([[math.exp(-20), math.exp(20)], [math.exp(-20), 0.0]])
-        monkeypatch.setattr(thermo, "PERRON_MAXITER", 50)
-        with pytest.raises(PreconditionError, match=r"last spread .* tol=1e-12 after 50 steps"):
-            perron_log(L)
+    def test_unclosed_bracket_refused(self, monkeypatch, golden):
+        # golden with phi(00) = phi(10) = -20, phi(01) = 20: the rows of the
+        # transfer matrix differ, so the bracket from x = 0 is open
+        phi = Potential(golden, 2, {(0, 0): -20.0, (0, 1): 20.0, (1, 0): -20.0})
+        monkeypatch.setattr(thermo, "PERRON_MAXITER", 1)
+        with pytest.raises(PreconditionError, match=r"bracket \[\S+, \S+\] of ln rho has not closed after 1 iterations"):
+            pressure_oracle(phi)
 
     @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
     def test_constant_shift(self, golden, c):
@@ -319,6 +320,51 @@ class TestPressureOracle:
         # that grows with the memory; n runs to 40 so memory 4 stays within 0.05
         enum = pressure_enumerate(phi, all_segments(), Resolution(1), None, (2, 40)).value
         assert abs(oracle - enum) < 0.05
+
+
+def golden_mem2(golden, v):
+    """phi(00) = phi(10) = -v, phi(01) = v on golden, whose transfer matrix
+    [[e^-v, e^v], [e^-v, 0]] has eigenvalues of modulus about 1 and -1."""
+    return Potential(golden, 2, {(0, 0): -v, (0, 1): v, (1, 0): -v})
+
+
+def dense_log_rho(phi):
+    """ln rho of the weighted lift from np.linalg.eigvals of its dense matrix."""
+    lift = phi.lift
+    L = np.zeros((lift.n_states, lift.n_states))
+    L[lift.src, lift.dst] = np.exp(lift.wgt - phi.max_value)
+    return math.log(np.abs(np.linalg.eigvals(L)).max()) + phi.max_value
+
+
+class TestPerronBracket:
+    @pytest.mark.parametrize("v", [5.0, 10.0, 20.0, 400.0])
+    def test_golden_closed_form(self, golden, v):
+        rep = pressure_oracle(golden_mem2(golden, v))
+        exact = math.log((math.exp(-v) + math.sqrt(math.exp(-2 * v) + 4)) / 2)
+        lo, hi = rep.extras["bracket"]
+        assert lo <= exact <= hi
+        assert abs(rep.value - exact) <= rep.error_bound
+
+    def test_near_periodic_closes_fast(self, golden):
+        assert pressure_oracle(golden_mem2(golden, 20.0)).extras["iterations"] <= 10
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sft_holds_dense_eigenvalue(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        sys = random_sft(rng, int(rng.integers(2, 5)))
+        phi = random_potential(rng, sys, 1 + seed % 4, -3.0, 3.0)
+        rep = pressure_oracle(phi)
+        assert abs(rep.value - dense_log_rho(phi)) <= rep.error_bound
+
+    def test_edge_arrays_of_a_dense_matrix(self):
+        # the log weights of a matrix's nonzero entries, ordered by row
+        M = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.5, 3.0, 0.0]])
+        src, dst = np.nonzero(M)
+        value, x, info = perron_log(3, src, dst, np.log(M[src, dst]))
+        exact = math.log(np.abs(np.linalg.eigvals(M)).max())
+        assert abs(value - exact) <= info["error_bound"] < 1e-12
+        # x is the log right Perron vector
+        np.testing.assert_allclose(M @ np.exp(x), np.exp(value + x), rtol=1e-12)
 
 
 class TestPressureFloor:
