@@ -186,7 +186,8 @@ class CoreWords:
         # stable sort breaks weight ties lexicographically
         order = np.argsort(-phis, kind="stable")
         phis = phis[order]
-        return (order if index is None else index[order]), phis, np.cumsum(np.exp(phis))
+        cum = np.exp(phis)
+        return (order if index is None else index[order]), phis, np.cumsum(cum, out=cum)
 
 
 def select_words(
@@ -255,6 +256,8 @@ def select_words(
 # ---------------------------------------------------------------------------
 
 RENEWAL_TOL = 1e-13
+RENEWAL_MAX_EVALUATIONS = 200  # evaluations of ln rho(B(s)) before the renewal root is refused
+_UNIT = 2.0**-53  # unit roundoff of float64
 COUNTING_N = range(2, 9)  # block counts the exhaustive counting-bound check accepts
 COUNTING_CLASSES = 2_000_000  # K^n classes the counting-bound check enumerates at most
 DIGRAPH_MAX_EDGES = 20_000  # a larger presentation is reported as a size summary
@@ -315,50 +318,110 @@ class GluedSubshift:
                     logW[b, a2] = log_sum_exp(self.phis[sel])
         return logW
 
-    def _junction_matrix(self, s: float, logW: np.ndarray) -> np.ndarray:
-        """B[a, a'] = sum over b, ascending, of the connector (a, b) then the
-        words from b to a', each step discounted by e^-s. The exponent is
-        clamped: during bracket expansion the rate can be far off and an
-        entry only needs to stay > 1."""
-        log_terms = (self.conn_phi - s * (self.conn_len + self.N))[:, :, None] + logW[None, :, :]
-        return np.exp(np.minimum(log_terms, 700.0)).sum(axis=1)
+    def _log_terms(self, s: float, logW: np.ndarray) -> np.ndarray:
+        """L[a, b, a'] = ln of the connector (a, b) then the words from b to
+        a', each step discounted by e^-s: B(s)[a, a'] is the sum over b of
+        e^L[a, b, a']. -inf where no word runs from b to a'."""
+        return (self.conn_phi - s * (self.conn_len + self.N))[:, :, None] + logW[None, :, :]
+
+    def _renewal_point(self, s: float, logW: np.ndarray):
+        """(f, slope, quotients, slack) of f(s) = ln rho(B(s)) at s.
+
+        B(s) is formed as e^m B~, m the largest log term, so no entry
+        overflows. rho and the left and right Perron vectors u, v of B~ come
+        from np.linalg.eig, and slope = f'(s) = u'B~'v / (rho u'v), where
+        B~'[a, a'] = -sum_b (conn_len[a, b] + N) e^(L[a, b, a'] - m) is the
+        derivative of B(s) scaled the same way. quotients are the computed
+        ln((B v)_i / v_i), whose min and max bracket f(s) for any positive v
+        (Collatz-Wielandt), and slack bounds their rounding error; see
+        log_pressure.
+        """
+        L = self._log_terms(s, logW)
+        m = float(L.max())
+        terms = np.exp(L - m)
+        B = terms.sum(axis=1)
+        right, left = (np.linalg.eig(M) for M in (B, B.T))
+        rho = float(right[0].real.max())
+        v = np.abs(right[1][:, right[0].real.argmax()].real)
+        u = np.abs(left[1][:, left[0].real.argmax()].real)
+        k = (self.conn_len + self.N)[:, :, None]
+        slope = -float(u @ (k * terms).sum(axis=1) @ v) / (rho * float(u @ v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotients = m + np.log(B @ v / v)
+        size = (2 * abs(s) * k + np.abs(self.conn_phi)[:, :, None] + 2 * np.abs(L))[np.isfinite(L)].max()
+        slack = 2 * _UNIT * (float(size) + 2 * abs(m) + 2 * float(np.abs(quotients).max()) + 2 * B.shape[0] + 2)
+        return m + math.log(rho), slope, quotients, slack
 
     def log_pressure(self):
-        """ln of the dominant presentation eigenvalue via the renewal equation.
+        """(lo, hi, info): a proven bracket of ln lambda, lambda the dominant
+        presentation eigenvalue, from the junction renewal equation.
 
-        The spectral radius of the junction-to-junction transfer with rate
-        discount e^{-s per step} is strictly decreasing in s and crosses 1
-        exactly at s = ln lambda; bisection pins it to RENEWAL_TOL.
+        f(s) = ln rho(B(s)) is strictly decreasing and crosses 0 exactly at
+        s = ln lambda. Each entry of B(s) is a sum of exponentials affine in
+        s, so f is convex (Kingman, Quart. J. Math. 12, 1961), and Newton
+        steps from a point where f > 0 rise monotonically to the root. The
+        start is the mean word weight - 2, lowered by 2 until f > 0.
+
+        The bracket is [r - h, r + h], r the root estimate, with the
+        half-width h = 0.4 RENEWAL_TOL, or 4 slack / |f'| where the rounding
+        slack at r needs more. The steps stop when one is below h / 8, and r
+        is the last iterate plus its step. Both ends are proven by
+        Collatz-Wielandt: for B >= 0 and any v > 0, min_i (Bv)_i / v_i <=
+        rho(B) <= max_i (Bv)_i / v_i. With v the computed Perron vector at
+        each end and q_i the computed ln((Bv)_i / v_i), lo needs
+        min_i q_i > slack and hi needs max_i q_i < -slack.
+
+        The slack bounds |q_i computed - q_i exact| to first order, taking
+        conn_phi, logW and s as exact data, with u = 2^-53 the unit roundoff
+        and exp and log within one ulp:
+        - L = conn_phi - s k + logW, k = conn_len + N an exact integer, takes
+          three roundings: at most u (2|s| k + |conn_phi| + |L|);
+        - L - m adds u (|L| + |m|) and exp 2u relative, so each term of B~
+          is off by at most u (2|s| k + |conn_phi| + 2|L| + |m| + 2)
+          relative, and a sum of them by the largest of these over the
+          finite terms;
+        - the sums over b and the products B~ v add at most A nonnegative
+          terms each: (2A - 1) u relative;
+        - the division by v_i adds u, the log u |ln q~_i| with
+          |ln q~_i| <= |q_i| + |m|, and the addition of m u |q_i|.
+        Altogether u (max(2|s| k + |conn_phi| + 2|L|) + 2|m| + 2|q_i| +
+        2A + 2); the slack is twice that, at the largest |q_i|, which covers
+        the second-order terms.
+
+        info holds the number of evaluations of f and the proven quotients,
+        e^min q at lo and e^max q at hi. An end that is not proven is
+        refused with both ends and their log quotients.
         """
         logW = self._pair_log_weight()
-
-        def rho(s):
-            return float(np.abs(np.linalg.eigvals(self._junction_matrix(s, logW))).max())
-
-        guess = float(log_sum_exp(self.phis) / self.N)
-        lo, hi = guess - 2.0, guess + 2.0
-        # widen each end until it brackets rho = 1, keeping rho at the final end
-        rho_lo = rho(lo)
-        for _ in range(200):
-            if rho_lo > 1.0:
+        s = float(log_sum_exp(self.phis) / self.N) - 2.0
+        f, slope, _, slack = self._renewal_point(s, logW)
+        evaluations = 1
+        while not f > 0.0:
+            if evaluations == RENEWAL_MAX_EVALUATIONS:
+                raise PreconditionError(f"no rate with rho(B) > 1 found down to {s!r}")
+            s -= 2.0
+            f, slope, _, slack = self._renewal_point(s, logW)
+            evaluations += 1
+        while True:
+            step = -f / slope
+            s += step
+            half = max(0.4 * RENEWAL_TOL, 4 * slack / abs(slope))
+            if abs(step) < half / 8:
                 break
-            lo -= 2.0
-            rho_lo = rho(lo)
-        rho_hi = rho(hi)
-        for _ in range(200):
-            if rho_hi < 1.0:
-                break
-            hi += 2.0
-            rho_hi = rho(hi)
-        if not (rho_lo > 1.0 > rho_hi):
-            raise PreconditionError("failed to bracket the presentation eigenvalue")
-        while hi - lo > RENEWAL_TOL:
-            mid = 0.5 * (lo + hi)
-            if rho(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi), hi - lo
+            if evaluations == RENEWAL_MAX_EVALUATIONS:
+                raise PreconditionError(f"the renewal Newton steps did not settle: the last step was {step!r}")
+            f, slope, _, slack = self._renewal_point(s, logW)
+            evaluations += 1
+        lo, hi = s - half, s + half
+        (_, _, q_lo, slack_lo), (_, _, q_hi, slack_hi) = (self._renewal_point(x, logW) for x in (lo, hi))
+        low, high = float(q_lo.min()), float(q_hi.max())
+        if not (low > slack_lo and high < -slack_hi):
+            raise PreconditionError(
+                f"the renewal root bracket [{lo!r}, {hi!r}] is not proven: the least log Collatz-Wielandt "
+                f"quotient at lo is {low!r} against a slack of {slack_lo:.3g}, the greatest at hi {high!r} "
+                f"against {-slack_hi:.3g}"
+            )
+        return lo, hi, {"evaluations": evaluations + 2, "quotients": [math.exp(low), math.exp(high)]}
 
     # -- finite-window partition sums ----------------------------------------
 
@@ -519,35 +582,43 @@ class GluedSubshift:
 
     # -- explicit presentation ------------------------------------------------
 
+    @cached_property
+    def _kept_len(self):
+        """conn_len with 0 for each connector toward a symbol no word starts
+        with: such a connector would end in a sink, so the presentation
+        leaves it out. B(s) has no term through it either."""
+        return self.conn_len * np.isin(np.arange(self.sys.alphabet_size), self.first)
+
     def vertex_count(self) -> int:
-        return self.K * self.N + int(self.conn_len.sum())
+        return self.K * self.N + int(self._kept_len.sum())
 
     def edge_count(self) -> int:
         """Edges along words and connectors, into and out of each connector,
         and between directly joined words, counted without listing them."""
         ends, starts = (np.bincount(x, minlength=self.sys.alphabet_size) for x in (self.last, self.first))
-        joined = self.conn_len > 0
-        along = self.K * (self.N - 1) + np.maximum(self.conn_len - 1, 0).sum()
+        joined = self._kept_len > 0
+        along = self.K * (self.N - 1) + np.maximum(self._kept_len - 1, 0).sum()
         return int(along + ends @ joined.sum(1) + joined.sum(0) @ starts + ends @ ~joined @ starts)
 
     @cached_property
     def _presentation(self):
         """(symbols, src, dst) of the presentation. Word i position p is vertex
         i*N + p; the connector positions follow, pair by pair in row-major
-        order. Edges run along the words, then between directly joined words
-        (i, j), then per connector: in from each word ending at its pair,
-        along it, out to each word starting there."""
-        A, K, N = self.sys.alphabet_size, self.K, self.N
-        lens = self.conn_len.ravel()
+        order, each kept one (see _kept_len). Edges run along the words, then
+        between directly joined words (i, j), then per connector: in from
+        each word ending at its pair, along it, out to each word starting
+        there."""
+        A, K, N, kept = self.sys.alphabet_size, self.K, self.N, self._kept_len
+        lens = kept.ravel()
         start = K * N + np.cumsum(lens) - lens  # first vertex of each connector
         pair = np.repeat(np.arange(A * A), lens)  # pair a*A + b of each connector vertex
-        conn_symbols = [s for p in np.ndindex(A, A) for s in self.conn[p]]
+        conn_symbols = [s for p in np.ndindex(A, A) if kept[p] for s in self.conn[p]]
         symbols = np.concatenate([self.words.ravel(), np.array(conn_symbols, dtype=np.uint8)]).astype(np.intp)
         inner = np.arange(K * N).reshape(K, N)[:, :-1].ravel()
         i, j = np.nonzero(self.conn_len[np.ix_(self.last, self.first)] == 0)
         # connector edges, each keyed by (pair, in/along/out) and in order within a key
-        i_in, b_in = np.nonzero(self.conn_len[self.last] > 0)
-        a_out, j_out = np.nonzero(self.conn_len[:, self.first] > 0)
+        i_in, b_in = np.nonzero(kept[self.last] > 0)
+        a_out, j_out = np.nonzero(kept[:, self.first] > 0)
         along = np.flatnonzero(np.arange(K * N, symbols.size) + 1 < start[pair] + lens[pair])
         pair_in, pair_out = self.last[i_in] * A + b_in, a_out * A + self.first[j_out]
         order = np.argsort(np.concatenate([3 * pair_in, 3 * pair[along] + 1, 3 * pair_out + 2]), kind="stable")
@@ -571,7 +642,7 @@ class GluedSubshift:
                 "tau": self.tau,
             }
         symbols, src, dst = self._presentation
-        A, N, lens = self.sys.alphabet_size, self.N, self.conn_len.ravel()
+        A, N, lens = self.sys.alphabet_size, self.N, self._kept_len.ravel()
         pair = np.repeat(np.arange(A * A), lens)
         place = np.arange(pair.size) - (np.cumsum(lens) - lens)[pair]
         names = [f"w{v // N}.{v % N}" for v in range(self.K * N)]
@@ -820,20 +891,20 @@ class Preparation:
         }
         glued = GluedSubshift(phi_n, words, cert, params, phis)
 
-        value_n, width = glued.log_pressure()
-        value = value_n + shift
+        lo, hi, info = glued.log_pressure()
+        value = 0.5 * (lo + hi) + shift
         lower, upper = (
             PressureReport(
-                value=value,
+                value=end + shift,
                 method="oracle",
                 params={"level": level, "tol": RENEWAL_TOL, "words": glued.K, "word_length": glued.N},
-                error_bound=width,
-                extras={"solver": "junction-renewal", "basis": basis},
+                error_bound=hi - lo,
+                extras={"solver": "junction-renewal", "basis": basis, **info},
             )
-            for level, basis in (
-                (self.gamma_res.level, "the presentation's eigenvalue; it equals the subshift's "
+            for end, level, basis in (
+                (lo, self.gamma_res.level, "the presentation's eigenvalue; it equals the subshift's "
                  "pressure only if the presentation is finite-to-one, which is not checked"),
-                (self.delta_res.level - 1, "the presentation's path space factors onto the glued "
+                (hi, self.delta_res.level - 1, "the presentation's path space factors onto the glued "
                  "subshift, and a factor map cannot raise pressure"),
             )
         )

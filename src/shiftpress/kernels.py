@@ -5,7 +5,7 @@ Karp DP."""
 import numpy as np
 
 
-_BLOCK_ROWS = 8192  # rows per Birkhoff block; it bounds the (rows, n) temporaries
+_BLOCK_ROWS = 8192  # rows per Birkhoff or count-code block; it bounds the temporaries
 _CODE_LIMIT = 2**63  # a count-code column holds values below this
 
 
@@ -86,15 +86,14 @@ def _code_layout(length, A):
     return base, per, placed
 
 
-def word_codes(trans, length):
-    """Count codes (see _code_layout) of all admissible words of the given
-    length, in word_matrix row order, shape (columns, count) int64.
+def _level_codes(trans, length, placed):
+    """Count codes, with the place values `placed`, of all admissible words of
+    the given length in word_matrix row order, and their last symbols.
 
     One pass down the lexicographic word tree: the children of a word are its
     allowed one-symbol extensions in ascending order, and each adds its
     symbol's place value to the parent's code. Only the current level is kept.
     """
-    _, _, placed = _code_layout(length, trans.shape[0])
     last = np.arange(trans.shape[0])
     codes = placed.copy()
     for _ in range(length - 1):
@@ -102,7 +101,42 @@ def word_codes(trans, length):
         codes = codes[:, parent]
         del parent
         codes += placed[:, last]
-    return codes
+    return codes, last
+
+
+def word_codes(trans, length):
+    """Count codes (see _code_layout) of all admissible words of the given
+    length, in word_matrix row order, shape (columns, count) int64.
+
+    A word is a head of ceil(length / 2) symbols followed by an allowed tail
+    of floor(length / 2), and its code is the sum of theirs under the
+    full-length place values. The heads and tails come from _level_codes.
+    In word_matrix order the words below a head ending at a are its tails
+    starting at each successor b of a, b ascending, and the tails starting
+    at b are one run of consecutive tail rows. The codes are joined in
+    blocks of _BLOCK_ROWS words, so no temporary is longer than a block.
+    """
+    _, _, placed = _code_layout(length, trans.shape[0])
+    tail_len = length // 2
+    head, head_last = _level_codes(trans, length - tail_len, placed)
+    if tail_len == 0:
+        return head
+    tail, _ = _level_codes(trans, tail_len, placed)
+    per_first = _tails(trans, tail_len)[-1]  # tail rows starting at each symbol
+    # the below[a] tail rows allowed after a, in order, end at runs[run_end[a]]
+    _, b = np.nonzero(trans)
+    size = per_first[b]
+    runs = np.repeat(np.cumsum(per_first)[b] - np.cumsum(size), size) + np.arange(int(size.sum()))
+    below = trans.astype(np.int64) @ per_first
+    run_end = np.cumsum(below)
+    ends = np.cumsum(below[head_last])  # where the words below each head end
+    out = np.empty((placed.shape[0], int(ends[-1])), dtype=np.int64)
+    for start in range(0, out.shape[1], _BLOCK_ROWS):
+        row = np.arange(start, min(start + _BLOCK_ROWS, out.shape[1]))
+        left = np.searchsorted(ends, row, side="right")
+        right = runs[run_end[head_last[left]] - ends[left] + row]
+        np.add(head[:, left], tail[:, right], out=out[:, start : start + row.size])
+    return out
 
 
 def count_sums(codes, length, values):

@@ -385,10 +385,13 @@ def spectrum_sample(
         if not values or v - values[-1] > MERGE_TOL:
             values.append(v)
 
-    anchors = sorted(set(values) | {floor, ceiling})
-    inside = [v for v in anchors if floor - 1e-12 <= v <= ceiling + 1e-12]
+    # the oracle's value may lie below the floor, within its error_bound, on
+    # a potential whose pressure is its floor; the interval is then one point
+    top = max(ceiling, floor)
+    anchors = sorted(set(values) | {floor, top})
+    inside = [v for v in anchors if floor - 1e-12 <= v <= top + 1e-12]
     max_gap = max(
-        (b - a for a, b in zip(inside, inside[1:])), default=ceiling - floor
+        (b - a for a, b in zip(inside, inside[1:])), default=top - floor
     )
     return SpectrumResult(
         entries=entries,

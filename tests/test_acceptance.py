@@ -194,11 +194,11 @@ def test_criterion_09_degenerate_selections():
     cert = check_gluing(full2, all_segments())
     phi = Potential.from_symbol_values(full2, [0.1, 0.7])
     single = build_glued(phi, [(0, 1, 1, 0)], cert)
-    v1, _ = single.log_pressure()
+    v1, _, _ = single.log_pressure()
     expected = (0.1 + 0.7 + 0.7 + 0.1) / 4
     assert abs(v1 - expected) < 1e-9
     everything = build_glued(phi, word_matrix(full2, 4), cert)
-    v2, _ = everything.log_pressure()
+    v2, _, _ = everything.log_pressure()
     full_pressure = pressure_oracle(phi).value
     assert abs(v2 - full_pressure) < 1e-9
     report(9, f"single word: |P - mean| = {abs(v1-expected):.2e}; all words: |P - P(phi)| = {abs(v2-full_pressure):.2e}")

@@ -164,6 +164,21 @@ class TestPstarAndSpectrum:
         ceiling = next(l for l in text.splitlines() if l.startswith("# ceiling"))
         assert float(ceiling.split(":")[1]) == 1000.0
 
+    def test_spectrum_gap_never_negative(self, files):
+        """The pressure of full2 memory 2 {"00": 1000} is its floor 1000, and
+        the oracle's value may lie below it within its error_bound: the
+        interval is then one point, so max_gap is 0, not negative."""
+        phi = files["tmp"] / "wide.json"
+        phi.write_text(json.dumps({"memory": 2, "table": {"00": 1000, "01": 0, "10": 0, "11": 0}}))
+        code, text = run(
+            files, "spectrum", "--system", str(files["full2"]), "--potential", str(phi),
+            "--cycle-cap", "3", "--grid", "2",
+        )
+        assert code == 0
+        stats = dict(l[2:].split(": ") for l in text.splitlines() if l.startswith("# "))
+        assert float(stats["floor"]) == 1000.0
+        assert float(stats["max_gap"]) == 0.0
+
     def test_non_transitive_exit3(self, files):
         code, _ = run(files, "spectrum", "--system", str(files["oneway"]), "--potential", str(files["zero"]))
         assert code == 3

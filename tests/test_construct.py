@@ -25,7 +25,7 @@ from shiftpress import (
 )
 from shiftpress import construct as construct_module
 from shiftpress import structure as structure_module
-from shiftpress.construct import GluedSubshift
+from shiftpress.construct import RENEWAL_TOL, GluedSubshift
 from shiftpress import kernels
 from shiftpress.core import load_system, word_matrix, word_str
 from shiftpress.segments import (
@@ -33,11 +33,13 @@ from shiftpress.segments import (
     affix_bounded,
     empty_segments,
     decomposition_from_dict,
+    load_decomposition,
     prefix_run_decomposition,
 )
 from shiftpress.potentials import birkhoff_batch, load_potential
 from shiftpress.thermo import log_sum_exp, pressure_floor, pressure_oracle
-from shiftpress.errors import InfeasibleError, ConfigError, ResourceBudgetError
+from shiftpress.cli import main
+from shiftpress.errors import InfeasibleError, ConfigError, PreconditionError, ResourceBudgetError
 
 from conftest import random_potential, random_sft
 
@@ -261,45 +263,48 @@ class TestGluedSubshift:
     def test_all_words_recovers_full_shift(self, full2, cert_full2):
         phi = Potential.zero(full2)
         lam = build_glued(phi, word_matrix(full2, 4), cert_full2)
-        value, _ = lam.log_pressure()
+        value, _, _ = lam.log_pressure()
         assert value == pytest.approx(math.log(2), abs=1e-9)
 
     def test_single_word_is_periodic_orbit(self, full2, cert_full2):
         phi = Potential.from_symbol_values(full2, [0.1, 0.7])
         lam = build_glued(phi, [(0, 1, 1, 0)], cert_full2)
-        value, _ = lam.log_pressure()
+        value, _, _ = lam.log_pressure()
         assert value == pytest.approx((0.1 + 0.7 + 0.7 + 0.1) / 4, abs=1e-9)
 
-    @pytest.mark.parametrize("values, word, solves", [([0.0, 0.1], None, 2 + 46), ([0.0, 10.0], (1,), 3 + 1 + 47)])
-    def test_each_rate_solved_once(self, golden, cert_golden, monkeypatch, values, word, solves):
-        """rho is solved once at every rate tried: each bracket end where its
-        expansion stops, which the final bracket check reuses, then once per
-        bisection step. The word 1 glued through the connector 0 has pressure
-        5 against a starting guess of 10, so the lower end expands twice."""
+    @pytest.mark.parametrize("values, word", [([0.0, 0.1], None), ([0.0, 10.0], (1,))])
+    def test_each_rate_solved_once(self, golden, cert_golden, monkeypatch, values, word):
+        """ln rho(B(s)) is evaluated once at every rate tried: the start, each
+        lowering of it, each Newton iterate, and the two bracket ends, which
+        come last; info counts them. The iterates rise from the last start.
+        The word 1 glued through the connector 0 has pressure 5 against a
+        start of 10 - 2, so the start is lowered twice."""
         phi = Potential.from_symbol_values(golden, values)
         lam = build_glued(phi, word_matrix(golden, 6) if word is None else [word], cert_golden)
         want = lam.log_pressure()
         rates = []
-        solve = GluedSubshift._junction_matrix
+        solve = GluedSubshift._renewal_point
 
         def counted(self, s, logW):
             rates.append(s)
             return solve(self, s, logW)
 
-        monkeypatch.setattr(GluedSubshift, "_junction_matrix", counted)
+        monkeypatch.setattr(GluedSubshift, "_renewal_point", counted)
         assert lam.log_pressure() == want
-        assert len(rates) == solves
-        if word is None:
-            assert len(set(rates)) == solves
-        else:
-            assert want[0] == pytest.approx(5.0, abs=1e-12)
-            # the bisection then starts at the midpoint 8 of [4, 12]
-            assert rates[:5] == [8.0, 6.0, 4.0, 12.0, 8.0]
+        lo, hi, info = want
+        assert len(rates) == len(set(rates)) == info["evaluations"] <= 8
+        assert rates[-2:] == [lo, hi]
+        low = int(np.argmin(rates[:-2]))
+        assert np.diff(rates[: low + 1]).tolist() == [-2.0] * low
+        assert np.all(np.diff(rates[low:-2]) > 0)
+        if word is not None:
+            assert rates[:3] == [8.0, 6.0, 4.0]
+            assert lo <= 5.0 <= hi
 
     def test_oracle_matches_enumeration_small(self, golden, cert_golden):
         phi = Potential.zero(golden)
         lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
-        value, _ = lam.log_pressure()
+        value, _, _ = lam.log_pressure()
         rep = lam.finite_pressure_report(1, anchored=False)
         assert rep.extras["exact_words"]
         assert abs(value - rep.value) < 0.05
@@ -311,8 +316,8 @@ class TestGluedSubshift:
         small = pool[:3]
         for extra in range(1, 5):
             big = pool[: 3 + extra]
-            v_small, _ = build_glued(phi, small, cert_full2).log_pressure()
-            v_big, _ = build_glued(phi, big, cert_full2).log_pressure()
+            v_small, _, _ = build_glued(phi, small, cert_full2).log_pressure()
+            v_big, _, _ = build_glued(phi, big, cert_full2).log_pressure()
             assert v_small <= v_big + 1e-9
 
     def test_language_words_are_admissible_factors(self, golden, cert_golden):
@@ -352,7 +357,8 @@ class TestGluedSubshift:
         lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
         dig = lam.explicit_digraph()
         assert not dig["summary"]
-        assert len(dig["vertices"]) == lam.vertex_count() == 7
+        # no word starts with 1, so the connector 0 from 1 to 1 is left out
+        assert len(dig["vertices"]) == lam.vertex_count() == 6
         assert len(dig["edges"]) == lam.edge_count()
         ids = {v["id"] for v in dig["vertices"]}
         assert all(e[0] in ids and e[1] in ids for e in dig["edges"])
@@ -407,15 +413,9 @@ class TestGluedSubshift:
         shift = phi.max_value
         for u, v in dig["edges"]:
             M[u, v] = math.exp(phi((dig["vertices"][v]["symbol"],)) - shift)
-        # a connector toward a first symbol no pool word has is a sink; it
-        # adds the eigenvalue 0 only, so the sinks are trimmed
-        keep = np.ones(V, dtype=bool)
-        while not M[np.ix_(keep, keep)].any(axis=1).all():
-            keep[keep] = M[np.ix_(keep, keep)].any(axis=1)
-        M = M[np.ix_(keep, keep)]
         src, dst = np.nonzero(M)
         log_dense, _, _ = perron_log(len(M), src, dst, np.log(M[src, dst]))
-        log_renewal, _ = lam.log_pressure()
+        log_renewal, _, _ = lam.log_pressure()
         assert log_renewal == pytest.approx(log_dense + shift, abs=1e-9)
 
 
@@ -429,10 +429,12 @@ def reference_explicit_digraph(glued):
         vertices.append({"id": len(vertices), "name": name, "symbol": int(symbol)})
 
     K, N = glued.K, glued.N
+    # a connector toward a symbol no word starts with would end in a sink
+    conns = {(a, b): c for (a, b), c in glued.conn.items() if b in glued.first}
     for i in range(K):
         for p in range(N):
             add(f"w{i}.{p}", glued.words[i, p])
-    for (a, b), c in glued.conn.items():
+    for (a, b), c in conns.items():
         for q, s in enumerate(c):
             add(f"c{a}-{b}.{q}", s)
     edges = []
@@ -443,7 +445,7 @@ def reference_explicit_digraph(glued):
         for j in range(K):
             if len(glued.conn[(int(glued.last[i]), int(glued.first[j]))]) == 0:
                 edges.append([names[f"w{i}.{N-1}"], names[f"w{j}.0"]])
-    for (a, b), c in glued.conn.items():
+    for (a, b), c in conns.items():
         if len(c) == 0:
             continue
         for i in np.nonzero(glued.last == a)[0]:
@@ -455,22 +457,22 @@ def reference_explicit_digraph(glued):
     return {"summary": False, "vertices": vertices, "edges": edges}
 
 
-def reference_junction_matrix(glued, s, logW):
-    """B(s) entry by entry with math.exp, each connector read from the dict."""
+def reference_log_terms(glued, s, logW):
+    """ln of each term of B(s), entry by entry, each connector read from the dict."""
     A = glued.sys.alphabet_size
-    B = np.zeros((A, A))
+    L = np.full((A, A, A), -math.inf)
     for a, b, a2 in itertools.product(range(A), repeat=3):
         c = glued.conn[(a, b)]
         if logW[b, a2] > -math.inf:
             phi_c = math.fsum(glued.phi.values_flat[list(c)].tolist())
-            B[a, a2] += math.exp(min(phi_c - s * (len(c) + glued.N) + logW[b, a2], 700.0))
-    return B
+            L[a, b, a2] = phi_c - s * (len(c) + glued.N) + logW[b, a2]
+    return L
 
 
 def test_presentation_arrays_match_the_per_pair_reference():
     """On seeded systems with connectors of lengths 0, 1 and 2: the digraph
     equals the per-pair reference, the closed-form counts equal the list
-    lengths, and B(s) matches math.exp entry by entry."""
+    lengths, and the log terms of B(s) match the per-pair sums bit for bit."""
     taus = set()
     for seed in range(24):
         rng = np.random.default_rng(seed)
@@ -487,26 +489,128 @@ def test_presentation_arrays_match_the_per_pair_reference():
         assert glued.edge_count() == len(dig["edges"])
         logW = glued._pair_log_weight()
         for s in (-3.0, 0.1, 0.7, 5.0):
-            want = reference_junction_matrix(glued, s, logW)
-            got = glued._junction_matrix(s, logW)
-            assert np.allclose(got, want, rtol=1e-15, atol=0), (seed, s)
+            assert np.array_equal(glued._log_terms(s, logW), reference_log_terms(glued, s, logW)), (seed, s)
     assert {0, 1, 2} <= taus
 
 
 def test_connector_vertex_names_are_distinct():
-    """On the 12-cycle with a loop at 0, connector positions of the pairs
-    (1, 11) and (11, 1) are told apart: all 794 vertex names differ."""
+    """On the 12-cycle with a loop at 0, with words starting at 0, 1 and 11,
+    connector positions of the pairs (1, 11) and (11, 1) are told apart: all
+    226 vertex names differ."""
     A = 12
     T = np.zeros((A, A), dtype=bool)
     T[np.arange(A), (np.arange(A) + 1) % A] = True
     T[0, 0] = True
     sys_ = ShiftSystem(T)
-    glued = build_glued(Potential.zero(sys_), [(*range(A), 0)], check_gluing(sys_, all_segments()))
+    words = [(*range(A), 0), (*range(1, A), 0, 0), (11, 0, 0, *range(1, 11))]
+    glued = build_glued(Potential.zero(sys_), words, check_gluing(sys_, all_segments()))
     dig = glued.explicit_digraph()
     names = [v["name"] for v in dig["vertices"]]
-    assert len(names) == len(set(names)) == 794
+    assert len(names) == len(set(names)) == 226
     assert {"c1-11.0", "c11-1.0"} <= set(names)
     assert dig == reference_explicit_digraph(glued)
+
+
+def mp_rho_minus_one(mpmath, glued, logW, s):
+    """rho(B(s)) - 1 at 50 digits, with s, conn_phi and logW read as exact."""
+    A = glued.sys.alphabet_size
+    with mpmath.workdps(50):
+        B = mpmath.matrix(A, A)
+        for a, b, a2 in itertools.product(range(A), repeat=3):
+            if logW[b, a2] > -math.inf:
+                k = int(glued.conn_len[a, b]) + glued.N
+                B[a, a2] += mpmath.exp(mpmath.mpf(glued.conn_phi[a, b]) - mpmath.mpf(s) * k + mpmath.mpf(logW[b, a2]))
+        return max(abs(e) for e in mpmath.eig(B, left=False, right=False)) - 1
+
+
+# the construct snapshot inputs, then the density sweeps of the benchmark
+# (golden with {0: 0.0, 1: 0.1} is golden_weighted): (system, potential,
+# decomposition, alpha or grid size, constructions)
+RENEWAL_CASES = [
+    ("full2", "zero", None, 0.45, 1),
+    ("golden", "golden_weighted", None, 0.3, 1),
+    ("golden", "golden_weighted", "prefix_run", 0.3, 1),
+    ("tau2", "tau2_phi", None, 0.15, 1),
+    ("full2", "zero", None, 8, 8),
+    ("golden", "golden_weighted", None, 3, 3),
+]
+
+
+class TestRenewalBracket:
+    @pytest.mark.parametrize("system, potential, decomposition, alpha, constructions", RENEWAL_CASES)
+    def test_bracket_holds_the_50_digit_root(self, monkeypatch, system, potential, decomposition, alpha,
+                                             constructions):
+        """Every construction's [lo, hi] is at most RENEWAL_TOL wide and holds
+        the root of rho(B(s)) = 1 computed at 50 digits, after at most 8
+        evaluations of ln rho(B(s)); lower and upper report its ends."""
+        mpmath = pytest.importorskip("mpmath")
+        solve = GluedSubshift.log_pressure
+        solved = []
+
+        def recorded(self):
+            solved.append((self, solve(self)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(GluedSubshift, "log_pressure", recorded)
+        phi = load_potential(load_system(DATA / f"{system}.json"), DATA / f"{potential}.json")
+        dec = trivial_decomposition() if decomposition is None else load_decomposition(DATA / f"{decomposition}.json")
+        if isinstance(alpha, float):
+            res = construct_intermediate(phi, dec, alpha, 0.1)
+            shift = res.params["normalization_shift"]
+            lo, hi, _ = solved[0][1]
+            assert (res.lower.value, res.upper.value) == (lo + shift, hi + shift)
+            assert res.params["pressure"] == 0.5 * (lo + hi) + shift
+        else:
+            assert all(row.certified for row in density_experiment(phi, dec, alpha, 0.1).rows)
+        assert len(solved) == constructions
+        for glued, (lo, hi, info) in solved:
+            logW = glued._pair_log_weight()
+            assert 0 < hi - lo <= RENEWAL_TOL
+            assert info["evaluations"] <= 8
+            assert info["quotients"][0] > 1.0 > info["quotients"][1]
+            assert mp_rho_minus_one(mpmath, glued, logW, lo) > 0 > mp_rho_minus_one(mpmath, glued, logW, hi)
+
+    @staticmethod
+    def _quotients_off_by_one(monkeypatch):
+        """Every computed log quotient comes out 1 too high, as from a
+        Perron vector far off: the high end can no longer be proven."""
+        point = GluedSubshift._renewal_point
+
+        def shifted(self, s, logW):
+            f, slope, quotients, slack = point(self, s, logW)
+            return f, slope, quotients + 1.0, slack
+
+        monkeypatch.setattr(GluedSubshift, "_renewal_point", shifted)
+
+    def test_unproven_end_refused(self, full2, cert_full2, monkeypatch):
+        """An end whose quotients do not clear the slack is refused, with both
+        ends and their quotients."""
+        lam = build_glued(Potential.from_symbol_values(full2, [0.2, 0.5]), word_matrix(full2, 4)[:5], cert_full2)
+        self._quotients_off_by_one(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"bracket \[.*, .*\] is not proven: .* at lo is .* at hi .*"):
+            lam.log_pressure()
+
+    def test_unproven_end_exits_3(self, monkeypatch, tmp_path, capsys):
+        self._quotients_off_by_one(monkeypatch)
+        code = main([
+            "construct", "--system", str(DATA / "full2.json"), "--potential", str(DATA / "zero.json"),
+            "--alpha", "0.45", "--eta0", "0.1", "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 3
+        assert "is not proven" in capsys.readouterr().err
+
+    def test_large_values_widen_the_bracket(self, golden, cert_golden):
+        """At a rate near 300 the rounding slack of the quotients is about
+        1e-12, above what a bracket RENEWAL_TOL wide can clear: the bracket
+        widens to 4 slack / |f'| on each side and is still proven."""
+        mpmath = pytest.importorskip("mpmath")
+        phi = Potential.from_symbol_values(golden, [0.0, 600.0])
+        lam = build_glued(phi, word_matrix(golden, 6), cert_golden)
+        lo, hi, info = lam.log_pressure()
+        assert 250 < lo and RENEWAL_TOL < hi - lo < 1e-10
+        assert info["evaluations"] <= 8
+        logW = lam._pair_log_weight()
+        assert mp_rho_minus_one(mpmath, lam, logW, lo) > 0 > mp_rho_minus_one(mpmath, lam, logW, hi)
 
 
 class TestSeparation:
@@ -860,7 +964,8 @@ class TestConstructIntermediate:
         phi = Potential.from_symbol_values(sys_, values)
         res = construct_intermediate(phi, trivial_decomposition(), alpha, 0.1)
         assert len(calls) == 1
-        assert res.lower.value == res.upper.value == res.params["pressure"]
+        assert res.lower.value <= res.params["pressure"] <= res.upper.value
+        assert res.lower.error_bound == res.upper.error_bound <= RENEWAL_TOL
         assert res.certified
         assert "finite-to-one" in res.lower.extras["basis"]
         assert "factor map" in res.upper.extras["basis"]

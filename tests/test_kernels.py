@@ -4,6 +4,7 @@ direct per-row sums and brute-force closed walks."""
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +143,29 @@ def reference_count_sum(word, values):
     return total
 
 
+def reference_word_codes(trans, length):
+    """Count codes level by level down the whole word tree: every level's
+    codes are its parents' plus the place value of the new last symbol."""
+    _, _, placed = kernels._code_layout(length, trans.shape[0])
+    last = np.arange(trans.shape[0])
+    codes = placed.copy()
+    for _ in range(length - 1):
+        parent, last = np.nonzero(trans[last])
+        codes = codes[:, parent] + placed[:, last]
+    return codes
+
+
+def periodic_sft(rng, alphabet_size):
+    """A cycle through every symbol in a random order, with a chord added
+    half the time, so that the period is the cycle length or smaller."""
+    order = rng.permutation(alphabet_size)
+    T = np.zeros((alphabet_size, alphabet_size), dtype=bool)
+    T[order, np.roll(order, -1)] = True
+    if rng.random() < 0.5:
+        T[order[0], order[int(rng.integers(0, alphabet_size))]] = True
+    return T
+
+
 class TestCountCodes:
     def test_tree_codes_match_rows(self):
         """Codes from the word-tree pass are the codes of the word_matrix rows,
@@ -160,6 +184,62 @@ class TestCountCodes:
                 want = np.array([reference_count_sum(w, values) for w in words.tolist()])
                 assert sums.tobytes() == want.tobytes()
                 assert kernels.count_birkhoff(words, length, values).tobytes() == want.tobytes()
+
+    def test_half_codes_match_the_level_reference(self):
+        """Codes joined from halves equal the level-by-level codes bit for
+        bit, and so do their count sums, on seeded SFTs of 2-6 symbols with
+        sparse, dense, full and periodic supports at lengths 1-12 (draws
+        past 2e5 words are skipped)."""
+        cases = 0
+        for seed in range(60):
+            rng = np.random.default_rng(700 + seed)
+            A = int(rng.integers(2, 7))
+            kind = seed % 4
+            if kind == 3:
+                trans = periodic_sft(rng, A)
+            else:
+                trans = random_sft(rng, A, density=(0.3, 0.6, 1.0)[kind]).transitions
+            values = rng.normal(size=A)
+            for length in range(1, 13):
+                if int(kernels._tails(trans, length)[-1].sum()) > 200_000:
+                    continue
+                want = reference_word_codes(trans, length)
+                got = kernels.word_codes(trans, length)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, length)
+                sums = kernels.count_sums(got, length, values)
+                assert sums.tobytes() == kernels.count_sums(want, length, values).tobytes()
+                cases += 1
+        assert cases > 400
+
+    def test_half_codes_two_columns(self):
+        """full2 memory 4 recoded to memory 1 has 16 symbols; at N = 15 the
+        codes take two int64 columns, and the halves join in both."""
+        from shiftpress.construct import _recode_memory_one
+        from shiftpress.core import load_system
+        from shiftpress.potentials import load_potential
+        from shiftpress.segments import trivial_decomposition
+
+        data = Path(__file__).parent / "data"
+        phi = load_potential(load_system(data / "full2.json"), data / "full2_mem4.json")
+        trans = _recode_memory_one(phi, trivial_decomposition())[0].sys.transitions
+        assert trans.shape == (16, 16)
+        got = kernels.word_codes(trans, 15)
+        assert got.shape == (2, 16 * 2**14)
+        assert np.array_equal(got, reference_word_codes(trans, 15))
+
+    def test_half_codes_memory(self):
+        """No temporary outgrows a block: the traced peak of the full2 codes at
+        N = 18 (262,144 words, 2 MB) is at most 1.5 times the output. The
+        level-by-level pass peaks at 4 times."""
+        full2 = np.ones((2, 2), dtype=bool)
+        tracemalloc.start()
+        try:
+            codes = kernels.word_codes(full2, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert codes.shape == (1, 2**18)
+        assert peak <= 1.5 * codes.nbytes
 
     def test_columns_split_where_int64_overflows(self):
         """(N + 1)^A above 2^63 spreads the code over more int64 columns; the
