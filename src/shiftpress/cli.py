@@ -242,10 +242,7 @@ def cmd_verify_bounds(args) -> int:
     checks = {}
     all_ok = True
     for n in ns:
-        res = verify_counting_bound(
-            result.subsystem, n, Resolution(args.res_delta),
-            eta=result.params["eta"],
-        )
+        res = verify_counting_bound(result.subsystem, n)
         checks[str(n)] = {
             "ok": res.ok,
             "classes": res.classes_checked,

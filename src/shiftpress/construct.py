@@ -845,15 +845,18 @@ class Preparation:
                     ),
                 ),
             ]
-            total_ok = self.core_words.log_total(N)
-            checks.append(
-                Inequality(
-                    "ln sum_core > N(alpha+eta)",
-                    total_ok,
-                    N * (alpha_n + eta),
-                    total_ok > N * (alpha_n + eta),
+            # the class weight sum enumerates the class words: take it only at an N
+            # where the seven closed-form inequalities hold, since it decides no other
+            if all(c.ok for c in checks):
+                total_ok = self.core_words.log_total(N)
+                checks.append(
+                    Inequality(
+                        "ln sum_core > N(alpha+eta)",
+                        total_ok,
+                        N * (alpha_n + eta),
+                        total_ok > N * (alpha_n + eta),
+                    )
                 )
-            )
             n_log.append((N, checks))
             if all(c.ok for c in checks):
                 chosen_n = N

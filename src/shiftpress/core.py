@@ -150,8 +150,9 @@ def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDG
 
 
 def word_codes(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
-    """The symbol-count codes of the rows of word_matrix(sys, n), without the
-    matrix (kernels.word_codes); refused like word_matrix before anything is
+    """The symbol-count codes of the rows of word_matrix(sys, n), joined from
+    the word matrices of their heads and tails without the full matrix
+    (kernels.word_codes); refused like word_matrix before anything is
     enumerated."""
     _refuse_over_budget(sys, n, budget)
     return kernels.word_codes(sys.transitions, n)

@@ -1,6 +1,6 @@
-"""Hot numeric kernels: admissible-word enumeration and unranking, symbol-count
-codes and the memory-1 Birkhoff sums read from them, batch Birkhoff sums,
-Karp DP."""
+"""Hot numeric kernels: admissible-word enumeration, rows and symbol-count
+codes joined from word halves, the memory-1 Birkhoff sums read from the
+codes, batch Birkhoff sums, Karp DP."""
 
 import numpy as np
 
@@ -35,38 +35,44 @@ def word_matrix(trans, length):
     return out
 
 
+def _halves(trans, length):
+    """Split the admissible words of a length >= 2 into heads, their first
+    length - length // 2 symbols, and tails, their last length // 2.
+
+    Returns (heads, tails, locate): the head and tail word matrices, and
+    locate(rows), the head rows and tail rows of the given word_matrix(trans,
+    length) row indices. In word_matrix order the words below a head ending
+    at a are its tails starting at each successor b of a, b ascending, and
+    the tails starting at b are one run of consecutive tail rows.
+    """
+    heads = word_matrix(trans, length - length // 2)
+    tails = word_matrix(trans, length // 2)
+    per_first = np.bincount(tails[:, 0], minlength=trans.shape[0])  # tail rows starting at each symbol
+    # the below[a] tail rows allowed after a, in order, end at runs[run_end[a]]
+    _, b = np.nonzero(trans)
+    size = per_first[b]
+    runs = np.repeat(np.cumsum(per_first)[b] - np.cumsum(size), size) + np.arange(int(size.sum()))
+    below = trans.astype(np.int64) @ per_first
+    run_end = np.cumsum(below)
+    last = heads[:, -1]
+    ends = np.cumsum(below[last])  # where the words below each head end
+
+    def locate(rows):
+        left = np.searchsorted(ends, rows, side="right")
+        return left, runs[run_end[last[left]] - ends[left] + rows]
+
+    return heads, tails, locate
+
+
 def word_rows(trans, length, index):
     """The rows of word_matrix(trans, length) at the given row indices, without
-    the matrix: each index is unranked one symbol at a time. The rows below a
-    prefix are grouped by their next symbol in ascending order, each group as
-    long as that symbol's _tails count, and a row's next symbol is the group
-    its remaining index falls in."""
-    A = trans.shape[0]
-    tails = _tails(trans, length)
-    # the successors of each symbol in ascending order, padded with A, whose group is empty
-    succ = np.full((A, max(int(trans.sum(axis=1).max()), 1)), A, dtype=np.int64)
-    for s in range(A):
-        allowed = np.flatnonzero(trans[s])
-        succ[s, : allowed.size] = allowed
-    width = succ.shape[1]
-    rem = np.asarray(index, dtype=np.int64)
-    out = np.empty((rem.shape[0], length), dtype=np.uint8)
-    ends = np.cumsum(tails[-1])
-    sym = np.searchsorted(ends, rem, side="right")
-    rem = rem - (ends - tails[-1])[sym]
-    out[:, 0] = sym
-    for j in range(1, length):
-        size = np.append(tails[length - 1 - j], 0)[succ]
-        starts = np.where(succ < A, np.cumsum(size, axis=1) - size, np.iinfo(np.int64).max).ravel()
-        # the row's group is the last one that starts at or below rem
-        first = sym * width
-        pick = first.copy()
-        for d in range(1, width):
-            pick += rem >= starts[first + d]
-        sym = succ.ravel()[pick]
-        rem = rem - starts[pick]
-        out[:, j] = sym
-    return out
+    the matrix: each row is the head row and the tail row that _halves
+    locates for its index, side by side."""
+    if length == 1:
+        return word_matrix(trans, 1)[index]
+    heads, tails, locate = _halves(trans, length)
+    left, right = locate(np.asarray(index, dtype=np.int64))
+    return np.concatenate((heads[left], tails[right]), axis=1)
 
 
 def _code_layout(length, A):
@@ -86,56 +92,23 @@ def _code_layout(length, A):
     return base, per, placed
 
 
-def _level_codes(trans, length, placed):
-    """Count codes, with the place values `placed`, of all admissible words of
-    the given length in word_matrix row order, and their last symbols.
-
-    One pass down the lexicographic word tree: the children of a word are its
-    allowed one-symbol extensions in ascending order, and each adds its
-    symbol's place value to the parent's code. Only the current level is kept.
-    """
-    last = np.arange(trans.shape[0])
-    codes = placed.copy()
-    for _ in range(length - 1):
-        parent, last = np.nonzero(trans[last])
-        codes = codes[:, parent]
-        del parent
-        codes += placed[:, last]
-    return codes, last
-
-
 def word_codes(trans, length):
     """Count codes (see _code_layout) of all admissible words of the given
     length, in word_matrix row order, shape (columns, count) int64.
 
-    A word is a head of ceil(length / 2) symbols followed by an allowed tail
-    of floor(length / 2), and its code is the sum of theirs under the
-    full-length place values. The heads and tails come from _level_codes.
-    In word_matrix order the words below a head ending at a are its tails
-    starting at each successor b of a, b ascending, and the tails starting
-    at b are one run of consecutive tail rows. The codes are joined in
+    A word's code is the sum of the codes of its head and its tail (see
+    _halves) under the full-length place values. The codes are joined in
     blocks of _BLOCK_ROWS words, so no temporary is longer than a block.
     """
     _, _, placed = _code_layout(length, trans.shape[0])
-    tail_len = length // 2
-    head, head_last = _level_codes(trans, length - tail_len, placed)
-    if tail_len == 0:
-        return head
-    tail, _ = _level_codes(trans, tail_len, placed)
-    per_first = _tails(trans, tail_len)[-1]  # tail rows starting at each symbol
-    # the below[a] tail rows allowed after a, in order, end at runs[run_end[a]]
-    _, b = np.nonzero(trans)
-    size = per_first[b]
-    runs = np.repeat(np.cumsum(per_first)[b] - np.cumsum(size), size) + np.arange(int(size.sum()))
-    below = trans.astype(np.int64) @ per_first
-    run_end = np.cumsum(below)
-    ends = np.cumsum(below[head_last])  # where the words below each head end
-    out = np.empty((placed.shape[0], int(ends[-1])), dtype=np.int64)
+    if length == 1:
+        return placed
+    heads, tails, locate = _halves(trans, length)
+    head, tail = placed[:, heads].sum(axis=2), placed[:, tails].sum(axis=2)
+    out = np.empty((placed.shape[0], int(_tails(trans, length)[-1].sum())), dtype=np.int64)
     for start in range(0, out.shape[1], _BLOCK_ROWS):
-        row = np.arange(start, min(start + _BLOCK_ROWS, out.shape[1]))
-        left = np.searchsorted(ends, row, side="right")
-        right = runs[run_end[head_last[left]] - ends[left] + row]
-        np.add(head[:, left], tail[:, right], out=out[:, start : start + row.size])
+        left, right = locate(np.arange(start, min(start + _BLOCK_ROWS, out.shape[1])))
+        np.add(head[:, left], tail[:, right], out=out[:, start : start + left.size])
     return out
 
 

@@ -1148,6 +1148,20 @@ class TestPreparation:
         with pytest.raises(InfeasibleError, match="strictly between"):
             prep.construct(0.8, 0.1)
 
+    def test_class_weight_only_where_it_decides(self, monkeypatch):
+        """full2 memory 4 with the cap-1 prefix run of 1s: no N up to the cap
+        meets N > alpha*tau/eta, so the N search refuses without the class
+        weight sum, which enumerates the class words at every N otherwise."""
+
+        def forbidden(self, N):
+            raise AssertionError(f"class weight sum taken at N = {N}")
+
+        monkeypatch.setattr(construct_module.CoreWords, "log_total", forbidden)
+        phi = load_potential(load_system(DATA / "full2.json"), DATA / "full2_mem4.json")
+        prep = construct_module.Preparation(phi, prefix_run_decomposition(1, 1))
+        with pytest.raises(InfeasibleError, match="no feasible word length"):
+            prep.construct(1.04180860747, 0.1)
+
 
 def reference_recoding(sys, phi):
     """The m-block system by its definition: blocks are the admissible
