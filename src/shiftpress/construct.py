@@ -10,7 +10,8 @@ both sides of the eta0 band around alpha; extras["basis"] of each report
 says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
 its alpha values, grid and structure gate: one pressure interval, on the
-potential as given, and each N's core words ranked once.
+potential as given, the gate's gluing certificates on a memory-1 input, and
+each N's core words ranked once, as one weight-class key per word.
 
 Every stage takes the potential alone, which carries its system. Memory
 >= 2 potentials are recoded to memory 1 on the m-block system, the edge
@@ -32,12 +33,12 @@ from .core import (
     Resolution,
     count_words,
     is_admissible,
-    word_codes,
+    weight_classes,
     word_matrix,
     word_str,
     DEFAULT_WORD_BUDGET,
 )
-from .kernels import count_sums, word_rows
+from .kernels import _BLOCK_ROWS, rank_weights, word_rows
 from .potentials import Potential, birkhoff_batch, variation
 from .segments import SegmentClass, OrbitDecomposition, affix_bounded
 from .gluing import GluingCertificate, check_gluing, glue_words
@@ -147,8 +148,7 @@ def _remembered(memo: dict, key, compute):
 class CoreWords:
     """Per-length data of one core class, each computed on first request and
     kept: sup Birkhoff(x, N), ln of the class weight sum, and the class words
-    ranked for the greedy selection, kept as their row indices in
-    word_matrix(phi.sys, N)."""
+    ranked for the greedy selection, one small-integer weight class per word."""
 
     def __init__(self, phi: Potential, core: SegmentClass, budget: int | None):
         self.phi, self.core, self.budget = phi, core, budget
@@ -164,30 +164,50 @@ class CoreWords:
         )
 
     def ranked(self, N: int):
-        """(index, phis, cum): the class words of length N by descending weight,
-        ties in lexicographic order, as their rows in word_matrix(phi.sys, N);
-        their Birkhoff sums; and the running sum of their weights."""
+        """(index, weights, key, starts): the class words of length N in
+        classes of equal Birkhoff sum weights[c], by descending sum, ranked
+        class by class from position starts[c] (starts[-1] counts them all)
+        and lexicographically within one. key[i] is the class of row index[i]
+        of word_matrix(phi.sys, N), or of row i when index is None (the class
+        of every word, ranked from count codes without spelling its words)."""
         return _remembered(self._memo, ("ranked", N), lambda: self._rank(N))
 
     def _rank(self, N: int):
-        """A memory-1 Birkhoff sum depends on the symbol counts alone, so the
-        weights come from count codes (birkhoff_batch reads the same counts).
-        The class of every word needs no word matrix; another class spells
-        every word once for its membership and keeps the rows it admits."""
         if self.core.kind == "all":
             index = None
-            phis = count_sums(word_codes(self.phi.sys, N, self.budget), N, self.phi.values_flat)
+            weights, key, sizes = weight_classes(self.phi.sys, N, self.phi.values_flat, self.budget)
         else:
             words = word_matrix(self.phi.sys, N, self.budget)
             index = np.flatnonzero(self.core.batch(words, N))
-            phis = birkhoff_batch(self.phi, words[index], N)
-            del words
-        # rows are lexicographic and the class filter keeps their order, so a
-        # stable sort breaks weight ties lexicographically
-        order = np.argsort(-phis, kind="stable")
-        phis = phis[order]
-        cum = np.exp(phis)
-        return (order if index is None else index[order]), phis, np.cumsum(cum, out=cum)
+            weights, key, sizes = rank_weights(birkhoff_batch(self.phi, words[index], N))
+        return index, weights, key, np.concatenate(([0], np.cumsum(sizes)))
+
+    def greedy(self, N: int, limit: float):
+        """(rows, phis, total): the ranked class words of length N taken while
+        their running weight sum, added in turn as np.cumsum adds, stays <=
+        limit, and one more (all of them if it never passes limit): their rows
+        in word_matrix(phi.sys, N), their Birkhoff sums, and the last sum."""
+        index, weights, key, starts = self.ranked(N)
+        exps, total = np.exp(weights), 0.0
+        for first in range(0, key.size, _BLOCK_ROWS):
+            sums = np.empty(min(_BLOCK_ROWS, key.size - first) + 1)
+            sums[0] = total
+            sums[1:] = exps[np.searchsorted(starts, np.arange(first, first + sums.size - 1), side="right") - 1]
+            np.cumsum(sums, out=sums)
+            k = first + min(int(np.searchsorted(sums[1:], limit, side="right")) + 1, sums.size - 1)
+            total = float(sums[k - first])
+            if total > limit:
+                break
+        # every word of the classes before cut, and those of class cut before end
+        cut = int(np.searchsorted(starts, k - 1, side="right")) - 1
+        end, left = 0, k - int(starts[cut])
+        while left:
+            hits = np.flatnonzero(key[end : end + _BLOCK_ROWS] == cut)[:left]
+            left -= hits.size
+            end += int(hits[-1]) + 1 if left == 0 else _BLOCK_ROWS
+        chosen = np.concatenate((np.flatnonzero(key[:end] <= cut), end + np.flatnonzero(key[end:] < cut)))
+        chosen = chosen[np.argsort(key[chosen], kind="stable")]
+        return (chosen if index is None else index[chosen]), weights[key[chosen]], total
 
 
 def select_words(
@@ -206,8 +226,10 @@ def select_words(
     keeps adding while the running sum is still <= e^{N(alpha-eta)}; the
     resulting total lies strictly between e^{N(alpha-eta)} and
     e^{N(alpha+eta)} provided no single word overshoots (checked) and the
-    class carries enough weight (checked). core_words, the CoreWords of the
-    same (phi, core, budget), lets a sweep rank each N's words once.
+    class carries enough weight (checked). The words are ranked in classes
+    of equal weight (CoreWords.greedy), and only the selected rows are
+    spelled. core_words, the CoreWords of the same (phi, core, budget), lets
+    a sweep rank each N's words once.
     Returns (word matrix, per-word Birkhoff sums, selection info).
     """
     if phi.memory != 1:
@@ -230,25 +252,21 @@ def select_words(
             f"<= N(alpha+eta) = {upper:.6f}",
             diagnostics=[("ln_total > N(alpha+eta)", total_log, upper)],
         )
-    index, phis, cum = core_words.ranked(N)
     lo_val = math.exp(lower)
     hi_val = math.exp(upper)
-    k = int(np.searchsorted(cum, lo_val, side="right")) + 1
-    k = min(k, len(cum))
-    total = float(cum[k - 1])
+    rows, phis, total = core_words.greedy(N, lo_val)
     if not (lo_val < total < hi_val):
         raise InfeasibleError(
             f"greedy sum {total:.6g} escaped the window ({lo_val:.6g}, {hi_val:.6g})",
             diagnostics=[("lower < sum < upper", lo_val, total)],
         )
     info = {
-        "count": k,
+        "count": int(rows.size),
         "log_sum": math.log(total),
         "target_low": lower,
         "target_high": upper,
     }
-    # only the selected rows are spelled
-    return word_rows(phi.sys.transitions, N, index[:k]), phis[:k].copy(), info
+    return word_rows(phi.sys.transitions, N, rows), phis, info
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +759,7 @@ class Preparation:
         self.gamma_res, self.delta_res = self.config.resolutions()
         self._inputs = (phi, dec)
         self._memo = {}
+        self.certificates = {}  # gluing certificates on phi.sys by affix cap, as the structure gate found them
 
     def interval(self):
         """(Karp floor, oracle pressure) of the potential as given, before any recoding or shift."""
@@ -756,10 +775,11 @@ class Preparation:
         # affix cap scan: the partition floor on the bounded core must stay positive
         config = self.config
         pressure_n = self.interval()[1] - self.shift  # the pressure of the normalized potential
+        known = self.certificates if self.recoding is None else {}  # a recoding changes the system
         for cap in AFFIX_CAPS:
             core = affix_bounded(self.dec, cap)
             try:
-                cert = check_gluing(self.phi.sys, core)
+                cert = known.get(cap) or check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
             log_c0, n1 = _measure_partition_floor(self.phi, core, pressure_n, self.gamma_res, config.budget)
@@ -1103,6 +1123,7 @@ def density_experiment(
             f"structure conditions not all passing: {', '.join(bad)}",
             diagnostics=[(c.name, c.status, c.margin) for c in check.conditions],
         )
+    prep.certificates = check.certificates
     margin = eta0 if margin is None else margin
     lo, hi = floor + margin, ceiling - margin
     if lo >= hi:

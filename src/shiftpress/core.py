@@ -149,13 +149,12 @@ def word_matrix(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDG
     return kernels.word_matrix(sys.transitions.astype(np.uint8), n)
 
 
-def word_codes(sys: ShiftSystem, n: int, budget: int | None = DEFAULT_WORD_BUDGET):
-    """The symbol-count codes of the rows of word_matrix(sys, n), joined from
-    the word matrices of their heads and tails without the full matrix
-    (kernels.word_codes); refused like word_matrix before anything is
-    enumerated."""
+def weight_classes(sys: ShiftSystem, n: int, values, budget: int | None = DEFAULT_WORD_BUDGET):
+    """The words of length n ranked by their memory-1 Birkhoff sums under the
+    symbol values `values` (kernels.weight_classes); refused like word_matrix
+    before any head or tail is spelled."""
     _refuse_over_budget(sys, n, budget)
-    return kernels.word_codes(sys.transitions, n)
+    return kernels.weight_classes(sys.transitions, n, values)
 
 
 def _bfs(adj: np.ndarray, first):

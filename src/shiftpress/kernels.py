@@ -1,11 +1,11 @@
-"""Hot numeric kernels: admissible-word enumeration, rows and symbol-count
-codes joined from word halves, the memory-1 Birkhoff sums read from the
-codes, batch Birkhoff sums, Karp DP."""
+"""Hot numeric kernels: admissible-word enumeration, rows and memory-1 weight
+classes joined from word halves, the memory-1 Birkhoff sums read from
+symbol-count codes, batch Birkhoff sums, Karp DP."""
 
 import numpy as np
 
 
-_BLOCK_ROWS = 8192  # rows per Birkhoff or count-code block; it bounds the temporaries
+_BLOCK_ROWS = 8192  # rows per Birkhoff, weight-class or running-sum block; it bounds the temporaries
 _CODE_LIMIT = 2**63  # a count-code column holds values below this
 
 
@@ -92,24 +92,44 @@ def _code_layout(length, A):
     return base, per, placed
 
 
-def word_codes(trans, length):
-    """Count codes (see _code_layout) of all admissible words of the given
-    length, in word_matrix row order, shape (columns, count) int64.
+def _codes(placed, words):
+    """Count codes of the rows of a word matrix: placed summed over each row."""
+    return placed[:, words].sum(axis=2)
 
-    A word's code is the sum of the codes of its head and its tail (see
-    _halves) under the full-length place values. The codes are joined in
-    blocks of _BLOCK_ROWS words, so no temporary is longer than a block.
-    """
+
+def rank_weights(scores, multiplicity=None):
+    """(weights, rank, sizes): the distinct scores in descending order, each
+    score's position among them in the narrowest unsigned dtype that holds
+    it, and how many scores, each counted multiplicity times, share each."""
+    weights, rank = np.unique(-scores, return_inverse=True)
+    sizes = np.bincount(rank, weights=multiplicity, minlength=weights.size).astype(np.int64)
+    return -weights, rank.astype(np.min_scalar_type(weights.size - 1)), sizes
+
+
+def weight_classes(trans, length, values):
+    """(weights, key, sizes): the admissible words of the given length in
+    classes of equal count_sums weight, by descending weight: weights[c] is
+    the weight, bitwise, of each of the sizes[c] words of class c, and key[i]
+    the class of word_matrix row i. A word's code is its head's plus its
+    tail's (see _halves), so each joined pair of head and tail ids is scored
+    once, for all its words; the keys are filled in blocks of _BLOCK_ROWS."""
     _, _, placed = _code_layout(length, trans.shape[0])
     if length == 1:
-        return placed
+        return rank_weights(count_sums(placed, 1, values))
     heads, tails, locate = _halves(trans, length)
-    head, tail = placed[:, heads].sum(axis=2), placed[:, tails].sum(axis=2)
-    out = np.empty((placed.shape[0], int(_tails(trans, length)[-1].sum())), dtype=np.int64)
-    for start in range(0, out.shape[1], _BLOCK_ROWS):
-        left, right = locate(np.arange(start, min(start + _BLOCK_ROWS, out.shape[1])))
-        np.add(head[:, left], tail[:, right], out=out[:, start : start + left.size])
-    return out
+    # ids of distinct (code, last symbol) heads and (code, first symbol) tails
+    ids = {"axis": 1, "return_inverse": True, "return_counts": True}
+    head, hid, n_head = np.unique(np.vstack((_codes(placed, heads), heads[:, -1])), **ids)
+    tail, tid, n_tail = np.unique(np.vstack((_codes(placed, tails), tails[:, 0])), **ids)
+    i, j = np.nonzero(trans[head[-1][:, None], tail[-1]])  # the pairs some word joins
+    weights, rank, sizes = rank_weights(count_sums(head[:-1, i] + tail[:-1, j], length, values), n_head[i] * n_tail[j])
+    table = np.zeros((head.shape[1], tail.shape[1]), dtype=rank.dtype)
+    table[i, j] = rank
+    key = np.empty(int(sizes.sum()), dtype=rank.dtype)
+    for start in range(0, key.size, _BLOCK_ROWS):
+        left, right = locate(np.arange(start, min(start + _BLOCK_ROWS, key.size)))
+        key[start : start + left.size] = table[hid[left], tid[right]]
+    return weights, key, sizes
 
 
 def count_sums(codes, length, values):
@@ -138,8 +158,7 @@ def count_birkhoff(words, n, values):
     out = np.empty(words.shape[0])
     for start in range(0, words.shape[0], _BLOCK_ROWS):
         block = words[start : start + _BLOCK_ROWS, :n]
-        codes = placed[:, block].sum(axis=2)
-        out[start : start + _BLOCK_ROWS] = count_sums(codes, n, values)
+        out[start : start + _BLOCK_ROWS] = count_sums(_codes(placed, block), n, values)
     return out
 
 

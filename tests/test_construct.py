@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +91,36 @@ class TestSelectWords:
 
 
 def reference_ranking(sys, phi, core, N):
-    """The ranking select_words made before ranking by a stable sort: a
-    lexsort on descending weight, then the word's symbols."""
+    """The ranking select_words made before weight classes: the class rows of
+    word_matrix by a lexsort on descending weight, then the word's symbols,
+    with their Birkhoff sums and np.cumsum of their weights."""
     words = word_matrix(sys, N)
-    words = words[core.batch(words, N)]
+    rows = np.flatnonzero(core.batch(words, N))
+    words = words[rows]
     phis = birkhoff_batch(phi, words, N)
     order = np.lexsort(tuple(words[:, j] for j in range(N - 1, -1, -1)) + (-phis,))
-    return order, words, phis[order], np.cumsum(np.exp(phis[order]))
+    return rows[order], phis[order], np.cumsum(np.exp(phis[order]))
+
+
+def check_every_cutoff(sys, phi, core, N):
+    """CoreWords.greedy against the lexsort greedy at limits just below, at
+    and just above the running sum at the end of each weight class (at most
+    40 classes, spread evenly), at 0, below the first word and above the
+    total: the rows, the Birkhoff sums, the count and the total, bitwise."""
+    rows, phis, cum = reference_ranking(sys, phi, core, N)
+    ends = np.append(np.flatnonzero(phis[1:] != phis[:-1]), phis.size - 1)  # last word of each class
+    core_words = construct_module.CoreWords(phi, core, None)
+    assert core_words.ranked(N)[2].dtype == np.min_scalar_type(ends.size - 1)
+    limits = [0.0, cum[0] / 2, 2 * cum[-1]]
+    for end in ends[np.unique(np.linspace(0, ends.size - 1, 40).astype(int))]:
+        limits += [np.nextafter(cum[end], -np.inf), cum[end], np.nextafter(cum[end], np.inf)]
+    for limit in limits:
+        k = min(int(np.searchsorted(cum, limit, side="right")) + 1, cum.size)
+        got_rows, got_phis, got_total = core_words.greedy(N, limit)
+        assert np.array_equal(got_rows, rows[:k])
+        assert got_phis.tobytes() == phis[:k].tobytes()
+        assert np.float64(got_total).tobytes() == cum[k - 1].tobytes()
+    return ends.size
 
 
 class TestRanking:
@@ -105,6 +129,8 @@ class TestRanking:
         [("full2-zero", 18), ("golden-weighted", 21), ("golden-weighted", 24), ("golden-mem2-recoded", 20)],
     )
     def test_stable_sort_matches_lexsort(self, case, N):
+        """The greedy over weight classes selects what the lexsort greedy
+        selects at every cutoff; full2 zero is one class of 262,144 ties."""
         full2, golden = ShiftSystem.full_shift(2), ShiftSystem.golden_mean()
         if case == "full2-zero":  # every weight ties
             sys_, phi = full2, Potential.zero(full2)
@@ -115,43 +141,50 @@ class TestRanking:
             phi_c, _, _ = construct_module._recode_memory_one(mem2, trivial_decomposition())
             sys_ = phi_c.sys
             phi = phi_c.shifted(-phi_c.min_value)
-        core = all_segments()
-        order, members, phis, cum = reference_ranking(sys_, phi, core, N)
-        got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
-        # the members are distinct, so equal rows mean the same permutation
-        assert np.array_equal(kernels.word_rows(sys_.transitions, N, got_index), members[order])
-        assert got_phis.tobytes() == phis.tobytes()
-        assert got_cum.tobytes() == cum.tobytes()
+        classes = check_every_cutoff(sys_, phi, all_segments(), N)
+        assert (classes == 1) == (case == "full2-zero")
 
     def test_code_over_two_columns_matches_lexsort(self):
         """full2 memory 4 recoded has 16 symbols; at N = 15 a count code needs
-        two int64 columns, and the ranking is still birkhoff_batch plus lexsort."""
+        two int64 columns, and the selection is still the lexsort greedy."""
         full2 = load_system(DATA / "full2.json")
         phi_c, _, _ = construct_module._recode_memory_one(
             load_potential(full2, DATA / "full2_mem4.json"), trivial_decomposition()
         )
         phi = phi_c.shifted(-phi_c.min_value)
-        N, core = 15, all_segments()
         assert phi.sys.alphabet_size == 16
-        assert kernels.word_codes(phi.sys.transitions, N).shape[0] == 2
-        order, members, phis, cum = reference_ranking(phi.sys, phi, core, N)
-        got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(N)
-        assert np.array_equal(kernels.word_rows(phi.sys.transitions, N, got_index), members[order])
-        assert got_phis.tobytes() == phis.tobytes()
-        assert got_cum.tobytes() == cum.tobytes()
+        assert kernels._code_layout(15, 16)[2].shape[0] == 2
+        check_every_cutoff(phi.sys, phi, all_segments(), 15)
 
     def test_prefix_run_class_matches_lexsort(self):
-        """A class other than "all" spells its words for membership and is
-        ranked the same way."""
+        """A class other than "all" spells its words for membership and
+        ranks the rows it admits; the selection is the lexsort greedy."""
         golden = ShiftSystem.golden_mean()
         phi = Potential.from_symbol_values(golden, [0.0, 0.1])
         for cap in (0, 2):
-            core = affix_bounded(prefix_run_decomposition(0, 2), cap)
-            order, members, phis, cum = reference_ranking(golden, phi, core, 16)
-            got_index, got_phis, got_cum = construct_module.CoreWords(phi, core, None).ranked(16)
-            assert np.array_equal(kernels.word_rows(golden.transitions, 16, got_index), members[order])
-            assert got_phis.tobytes() == phis.tobytes()
-            assert got_cum.tobytes() == cum.tobytes()
+            check_every_cutoff(golden, phi, affix_bounded(prefix_run_decomposition(0, 2), cap), 16)
+
+    def test_ranking_memory(self):
+        """full2 zero at N = 18, one class of 2^18 words: the ranking keeps one
+        byte per word and its traced peak stays below 1 MB (per-word codes,
+        weights, a sort order and running sums peaked at 10.1 MB). A greedy
+        selection peaks below its returned arrays plus 1 MB."""
+        phi = Potential.zero(ShiftSystem.full_shift(2))
+        core_words = construct_module.CoreWords(phi, all_segments(), None)
+        tracemalloc.start()
+        try:
+            key = core_words.ranked(18)[2]
+            ranking_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = tracemalloc.get_traced_memory()[0]
+            rows, phis, _ = core_words.greedy(18, 43_630.5)
+            greedy_peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert key.dtype == np.uint8 and key.size == 2**18
+        assert ranking_peak < 2**20
+        assert rows.size == 43_631
+        assert greedy_peak < rows.nbytes + phis.nbytes + 2**20
 
     def test_permuted_rows_get_equal_weights(self):
         """A memory-1 weight reads the symbol counts alone: any permutation
@@ -170,11 +203,12 @@ class TestRanking:
 
     @pytest.mark.parametrize("decomposition", ["trivial", "prefix-run"])
     def test_reversed_columns_select_the_same_words(self, monkeypatch, decomposition):
-        """The kernels fed each word with its columns reversed, summing the
-        symbols from the other end, make the same selection. The cutoff is
-        that of the density snapshots' last row, inside a group of words
-        with equal symbol counts, where sums of the window values in
-        numpy's pairwise order split the group."""
+        """The class scoring fed each word with its columns reversed, the
+        heads and tails of the class of every word and the rows of another
+        class, makes the same selection. The cutoff is that of the density
+        snapshots' last row, inside a group of words with equal symbol
+        counts, where sums of the window values in numpy's pairwise order
+        split the group."""
         golden = ShiftSystem.golden_mean()
         phi = Potential.from_symbol_values(golden, [0.0, 0.1])
         if decomposition == "trivial":
@@ -182,34 +216,30 @@ class TestRanking:
         else:
             core = affix_bounded(prefix_run_decomposition(0, 2), 0)
         want = select_words(phi, core, 0.409295305005, 0.02, 21, None)
+        codes = kernels._codes
+        fed = []
 
-        def reversed_codes(sys_, n, budget):
-            codes = 0
-            placed = kernels._code_layout(n, sys_.alphabet_size)[2]
-            for column in word_matrix(sys_, n, budget)[:, ::-1].T:
-                codes = codes + placed[:, column]
-            return codes
+        def reversed_columns(placed, words):
+            fed.append(words.shape)
+            return codes(placed, np.ascontiguousarray(words[:, ::-1]))
 
-        def reversed_batch(phi_, words, n):
-            return birkhoff_batch(phi_, np.ascontiguousarray(words[:, n - 1 :: -1]), n)
-
-        monkeypatch.setattr(construct_module, "word_codes", reversed_codes)
-        monkeypatch.setattr(construct_module, "birkhoff_batch", reversed_batch)
+        monkeypatch.setattr(kernels, "_codes", reversed_columns)
         got = select_words(phi, core, 0.409295305005, 0.02, 21, None)
+        assert fed  # the scoring read the reversed words
         assert np.array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2] == want[2]
 
     def test_budget_refused_before_enumeration(self, full2, monkeypatch):
         """A class above the word budget gets word_matrix's refusal, before
-        any word of the class is enumerated or coded."""
+        any word of the class, or any head or tail, is spelled."""
         def forbidden(*args, **kwargs):
             raise AssertionError("enumerated past the budget")
 
         with pytest.raises(ResourceBudgetError) as want:
             word_matrix(full2, 18, 1000)
         phi = Potential.zero(full2)
-        monkeypatch.setattr(kernels, "word_codes", forbidden)
+        monkeypatch.setattr(kernels, "_halves", forbidden)
         monkeypatch.setattr(kernels, "word_matrix", forbidden)
         for core in (all_segments(), affix_bounded(prefix_run_decomposition(0, 2), 0)):
             with pytest.raises(ResourceBudgetError) as got:
@@ -1093,6 +1123,29 @@ class TestDensityExperiment:
         phi = load_potential(load_system(DATA / f"{system}.json"), DATA / f"{potential}.json")
         density_experiment(phi, trivial_decomposition(), grid, 0.1)
         assert sorted(calls) == ["pressure_floor", "pressure_oracle"]
+
+    @pytest.mark.parametrize(
+        "system,potential,gluings",
+        [("full2", "zero", 3), ("golden", "golden_weighted", 3), ("golden", "golden_mem2", 4)],
+    )
+    def test_gate_certificates_reused_on_memory_one(self, monkeypatch, system, potential, gluings):
+        """The structure gate certifies gluing on the cap 0-2 cores of the input
+        system. The affix-cap scan of a memory-1 input runs on that system and
+        reuses them; a recoded input has its own system and checks it."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return check_gluing(*args, **kwargs)
+
+        monkeypatch.setattr(construct_module, "check_gluing", counted)
+        monkeypatch.setattr(structure_module, "check_gluing", counted)
+        phi = load_potential(load_system(DATA / f"{system}.json"), DATA / f"{potential}.json")
+        rows = density_experiment(phi, trivial_decomposition(), 3, 0.1).rows
+        assert len(calls) == gluings
+        assert all(sys_ is phi.sys for sys_ in calls[:3])
+        if phi.memory == 1:
+            assert any(r.certified for r in rows)
 
 
 # (system, potential, an alpha the construction reaches, or None when every

@@ -136,8 +136,9 @@ class TestWordRows:
 
     def test_every_row_with_stranded_symbols(self):
         """The TestWordEnumeration draws, rows without successors and systems
-        without long words included: every row spelled and every code joined
-        from the halves equals the enumerated row and its code, lengths 1-8."""
+        without long words included: every row spelled from the halves equals
+        the enumerated row, and every row's weight class the class of its
+        code, lengths 1-8."""
         stranded = 0
         for seed in range(40):
             rng = np.random.default_rng(200 + seed)
@@ -147,8 +148,9 @@ class TestWordRows:
             for length in range(1, 9):
                 words = kernels.word_matrix(trans, length)
                 placed = kernels._code_layout(length, A)[2]
+                values = rng.normal(size=A)
                 assert np.array_equal(kernels.word_rows(trans, length, np.arange(words.shape[0])), words)
-                assert np.array_equal(kernels.word_codes(trans, length), placed[:, words].sum(axis=2))
+                check_classes(trans, length, values, placed[:, words].sum(axis=2))
         assert stranded
 
     def test_traced_peak(self):
@@ -186,6 +188,20 @@ def reference_word_codes(trans, length):
     return codes
 
 
+def check_classes(trans, length, values, codes):
+    """kernels.weight_classes equals the classes of the count_sums of every
+    word's code (codes in word_matrix row order): the distinct sums in
+    descending order, bitwise, each row's position among them, and the
+    number of rows at each. Returns the number of classes."""
+    weights, inverse = np.unique(kernels.count_sums(codes, length, values), return_inverse=True)
+    got_weights, key, sizes = kernels.weight_classes(trans, length, values)
+    assert got_weights.tobytes() == weights[::-1].tobytes()
+    assert np.array_equal(key, weights.size - 1 - inverse)
+    assert np.array_equal(sizes, np.bincount(key, minlength=weights.size)) and sizes.dtype == np.int64
+    assert key.dtype == np.min_scalar_type(weights.size - 1)
+    return weights.size
+
+
 def periodic_sft(rng, alphabet_size):
     """A cycle through every symbol in a random order, with a chord added
     half the time, so that the period is the cycle length or smaller."""
@@ -199,8 +215,9 @@ def periodic_sft(rng, alphabet_size):
 
 class TestCountCodes:
     def test_tree_codes_match_rows(self):
-        """Codes from the word-tree pass are the codes of the word_matrix rows,
-        and both give the per-row reference count sum bit for bit."""
+        """The count sums of the word_matrix rows' codes, from the codes or
+        from the rows, are the per-row reference sums bit for bit, and the
+        weight classes are their classes."""
         for seed in range(8):
             rng = np.random.default_rng(400 + seed)
             sys = random_sft(rng, int(rng.integers(2, 6)), density=0.6)
@@ -208,17 +225,16 @@ class TestCountCodes:
             values = rng.normal(size=sys.alphabet_size)
             for length in (1, 4, 9):
                 words = kernels.word_matrix(trans, length)
-                codes = kernels.word_codes(trans, length)
-                placed = kernels._code_layout(length, sys.alphabet_size)[2]
-                assert np.array_equal(codes, placed[:, words].sum(axis=2))
+                codes = kernels._code_layout(length, sys.alphabet_size)[2][:, words].sum(axis=2)
+                check_classes(trans, length, values, codes)
                 sums = kernels.count_sums(codes, length, values)
                 want = np.array([reference_count_sum(w, values) for w in words.tolist()])
                 assert sums.tobytes() == want.tobytes()
                 assert kernels.count_birkhoff(words, length, values).tobytes() == want.tobytes()
 
     def test_half_codes_match_the_level_reference(self):
-        """Codes joined from halves equal the level-by-level codes bit for
-        bit, and so do their count sums, on seeded SFTs of 2-6 symbols with
+        """Weight classes scored from head and tail codes are the classes of
+        the level-by-level codes, bitwise, on seeded SFTs of 2-6 symbols with
         sparse, dense, full and periodic supports at lengths 1-12 (draws
         past 2e5 words are skipped)."""
         cases = 0
@@ -234,17 +250,14 @@ class TestCountCodes:
             for length in range(1, 13):
                 if int(kernels._tails(trans, length)[-1].sum()) > 200_000:
                     continue
-                want = reference_word_codes(trans, length)
-                got = kernels.word_codes(trans, length)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, length)
-                sums = kernels.count_sums(got, length, values)
-                assert sums.tobytes() == kernels.count_sums(want, length, values).tobytes()
+                check_classes(trans, length, values, reference_word_codes(trans, length))
                 cases += 1
         assert cases > 400
 
     def test_half_codes_two_columns(self):
         """full2 memory 4 recoded to memory 1 has 16 symbols; at N = 15 the
-        codes take two int64 columns, and the halves join in both."""
+        codes take two int64 columns, and the halves join in both: more than
+        256 weight classes, keyed in two bytes."""
         from shiftpress.construct import _recode_memory_one
         from shiftpress.core import load_system
         from shiftpress.potentials import load_potential
@@ -252,25 +265,26 @@ class TestCountCodes:
 
         data = Path(__file__).parent / "data"
         phi = load_potential(load_system(data / "full2.json"), data / "full2_mem4.json")
-        trans = _recode_memory_one(phi, trivial_decomposition())[0].sys.transitions
+        phi_c = _recode_memory_one(phi, trivial_decomposition())[0]
+        trans = phi_c.sys.transitions
         assert trans.shape == (16, 16)
-        got = kernels.word_codes(trans, 15)
-        assert got.shape == (2, 16 * 2**14)
-        assert np.array_equal(got, reference_word_codes(trans, 15))
+        codes = reference_word_codes(trans, 15)
+        assert codes.shape == (2, 16 * 2**14)
+        assert check_classes(trans, 15, phi_c.values_flat, codes) > 256
 
     def test_half_codes_memory(self):
-        """No temporary outgrows a block: the traced peak of the full2 codes at
-        N = 18 (262,144 words, 2 MB) is at most 1.5 times the output. The
-        level-by-level pass peaks at 4 times."""
+        """No temporary outgrows a block: the traced peak of the full2 weight
+        classes at N = 18 (262,144 one-byte keys) stays below 1 MB, half of
+        what the words' int64 codes alone would take."""
         full2 = np.ones((2, 2), dtype=bool)
         tracemalloc.start()
         try:
-            codes = kernels.word_codes(full2, 18)
+            weights, key, sizes = kernels.weight_classes(full2, 18, np.array([0.25, -0.5]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert codes.shape == (1, 2**18)
-        assert peak <= 1.5 * codes.nbytes
+        assert weights.size == 19 and key.shape == (2**18,) and sizes.sum() == 2**18
+        assert peak < 2**20
 
     def test_columns_split_where_int64_overflows(self):
         """(N + 1)^A above 2^63 spreads the code over more int64 columns; the
