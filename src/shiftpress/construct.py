@@ -169,7 +169,7 @@ class CoreWords:
         class by class from position starts[c] (starts[-1] counts them all)
         and lexicographically within one. key[i] is the class of row index[i]
         of word_matrix(phi.sys, N), or of row i when index is None (the class
-        of every word, ranked from count codes without spelling its words)."""
+        of every word, ranked from its halves' symbol counts, no word spelled)."""
         return _remembered(self._memo, ("ranked", N), lambda: self._rank(N))
 
     def _rank(self, N: int):

@@ -1,12 +1,11 @@
 """Hot numeric kernels: admissible-word enumeration, rows and memory-1 weight
-classes joined from word halves, the memory-1 Birkhoff sums read from
-symbol-count codes, batch Birkhoff sums, Karp DP."""
+classes joined from word halves, the memory-1 Birkhoff sums read from rows
+of symbol counts, batch Birkhoff sums, Karp DP."""
 
 import numpy as np
 
 
 _BLOCK_ROWS = 8192  # rows per Birkhoff, weight-class or running-sum block; it bounds the temporaries
-_CODE_LIMIT = 2**63  # a count-code column holds values below this
 
 
 def _tails(trans, length):
@@ -75,26 +74,14 @@ def word_rows(trans, length, index):
     return np.concatenate((heads[left], tails[right]), axis=1)
 
 
-def _code_layout(length, A):
-    """How a count code stores the symbol counts of a length-`length` word over
-    A symbols: count c_a is digit a % per, in base length + 1, of int64 column
-    a // per, with per as large as keeps every column below _CODE_LIMIT.
-    Returns (base, per, placed), placed[col, a] the place value of symbol a in
-    its column and 0 in the others, so a word's code is the sum of placed
-    over its symbols."""
-    base = length + 1
-    per = 1
-    while base ** (per + 1) <= _CODE_LIMIT:
-        per += 1
-    a = np.arange(A)
-    placed = np.zeros((-(-A // per), A), dtype=np.int64)
-    placed[a // per, a] = [base ** int(d) for d in a % per]
-    return base, per, placed
-
-
-def _codes(placed, words):
-    """Count codes of the rows of a word matrix: placed summed over each row."""
-    return placed[:, words].sum(axis=2)
+def _counts(words, A):
+    """The (rows, A) int64 symbol counts of a word matrix's rows, 1 added per
+    column through a flat view: a row has one symbol per column, so no index repeats."""
+    counts = np.zeros((words.shape[0], A), dtype=np.int64)
+    flat, row = counts.reshape(-1), np.arange(0, counts.size, A)
+    for col in words.T:
+        flat[row + col] += 1
+    return counts
 
 
 def rank_weights(scores, multiplicity=None):
@@ -110,20 +97,25 @@ def weight_classes(trans, length, values):
     """(weights, key, sizes): the admissible words of the given length in
     classes of equal count_sums weight, by descending weight: weights[c] is
     the weight, bitwise, of each of the sizes[c] words of class c, and key[i]
-    the class of word_matrix row i. A word's code is its head's plus its
+    the class of word_matrix row i. A word's counts are its head's plus its
     tail's (see _halves), so each joined pair of head and tail ids is scored
-    once, for all its words; the keys are filled in blocks of _BLOCK_ROWS."""
-    _, _, placed = _code_layout(length, trans.shape[0])
+    once, for all its words, in blocks sized as in count_birkhoff; the keys
+    are filled in blocks of _BLOCK_ROWS."""
+    A = trans.shape[0]
     if length == 1:
-        return rank_weights(count_sums(placed, 1, values))
+        return rank_weights(count_sums(np.eye(A, dtype=np.int64), values))
     heads, tails, locate = _halves(trans, length)
-    # ids of distinct (code, last symbol) heads and (code, first symbol) tails
-    ids = {"axis": 1, "return_inverse": True, "return_counts": True}
-    head, hid, n_head = np.unique(np.vstack((_codes(placed, heads), heads[:, -1])), **ids)
-    tail, tid, n_tail = np.unique(np.vstack((_codes(placed, tails), tails[:, 0])), **ids)
-    i, j = np.nonzero(trans[head[-1][:, None], tail[-1]])  # the pairs some word joins
-    weights, rank, sizes = rank_weights(count_sums(head[:-1, i] + tail[:-1, j], length, values), n_head[i] * n_tail[j])
-    table = np.zeros((head.shape[1], tail.shape[1]), dtype=rank.dtype)
+    # ids of distinct (counts, last symbol) heads and (counts, first symbol) tails
+    ids = {"axis": 0, "return_inverse": True, "return_counts": True}
+    head, hid, n_head = np.unique(np.column_stack((_counts(heads, A), heads[:, -1])), **ids)
+    tail, tid, n_tail = np.unique(np.column_stack((_counts(tails, A), tails[:, 0])), **ids)
+    i, j = np.nonzero(trans[head[:, -1:], tail[:, -1]])  # the pairs some word joins
+    scores, step = np.empty(i.size), _BLOCK_ROWS * 16 // max(A, 16)
+    for start in range(0, i.size, step):
+        pair = slice(start, start + step)
+        scores[pair] = count_sums(head[i[pair], :-1] + tail[j[pair], :-1], values)
+    weights, rank, sizes = rank_weights(scores, n_head[i] * n_tail[j])
+    table = np.zeros((head.shape[0], tail.shape[0]), dtype=rank.dtype)
     table[i, j] = rank
     key = np.empty(int(sizes.sum()), dtype=rank.dtype)
     for start in range(0, key.size, _BLOCK_ROWS):
@@ -132,33 +124,28 @@ def weight_classes(trans, length, values):
     return weights, key, sizes
 
 
-def count_sums(codes, length, values):
-    """sum_a c_a * values[a] for each count code, added in symbol order from 0.0.
+def count_sums(counts, values):
+    """counts[:, a] * values[a] added over the symbols a in order, from 0.0.
 
     This is the Birkhoff sum of a memory-1 potential with symbol values
-    `values` over a word with c_a copies of each symbol a, so words with the
-    same symbols in any order get bitwise-equal sums. A symbol that does not
-    occur adds a zero, which leaves the sum unchanged.
+    `values` over a word whose symbol counts are a row of counts, so words
+    with the same symbols in any order get bitwise-equal sums. A symbol that
+    does not occur adds a zero, which leaves the sum unchanged.
     """
-    base, per, _ = _code_layout(length, values.shape[0])
-    out = np.zeros(codes.shape[1])
-    for col, rem in enumerate(codes):
-        *head, last = values[col * per : (col + 1) * per].tolist()
-        for v in head:
-            rem, count = np.divmod(rem, base)
-            out += count * v
-        out += rem * last  # the highest digit of a column is what remains
+    out = np.zeros(counts.shape[0])
+    for a, v in enumerate(values.tolist()):
+        out += counts[:, a] * v
     return out
 
 
 def count_birkhoff(words, n, values):
-    """count_sums over the first n symbols of each row, in blocks of
-    _BLOCK_ROWS rows: the memory-1 Birkhoff sums of a word matrix."""
-    _, _, placed = _code_layout(n, values.shape[0])
-    out = np.empty(words.shape[0])
-    for start in range(0, words.shape[0], _BLOCK_ROWS):
-        block = words[start : start + _BLOCK_ROWS, :n]
-        out[start : start + _BLOCK_ROWS] = count_sums(_codes(placed, block), n, values)
+    """count_sums over the first n symbols of each row: the memory-1 Birkhoff
+    sums of a word matrix, in blocks of _BLOCK_ROWS rows, fewer past 16
+    symbols, so that no block holds more than 16 * _BLOCK_ROWS counts."""
+    A = values.shape[0]
+    out, step = np.empty(words.shape[0]), _BLOCK_ROWS * 16 // max(A, 16)
+    for start in range(0, words.shape[0], step):
+        out[start : start + step] = count_sums(_counts(words[start : start + step, :n], A), values)
     return out
 
 

@@ -9,7 +9,7 @@ that is why the package restricts to them.
 The Birkhoff sum of a memory-1 potential over a word w is defined as
 sum_a count_a(w) * phi(a), the terms added in symbol order: it reads the
 symbol counts alone, so words with the same symbols in any order get
-bitwise-equal sums, and a count code of the word suffices to compute it.
+bitwise-equal sums.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ def birkhoff_batch(phi: Potential, words: np.ndarray, n: int) -> np.ndarray:
     """Birkhoff sums for every row of an admissible-word matrix (hot path).
 
     For memory 1 the sum over a row's first n symbols is defined as
-    sum_a c_a * phi(a), with c_a the number of copies of symbol a, added in
-    symbol order (kernels.count_sums): it does not depend on the order of
-    the symbols, so rows with the same symbols get bitwise-equal sums.
+    sum_a c_a * phi(a), with c_a the row's count of symbol a, added in
+    symbol order (kernels.count_birkhoff): it does not depend on the order
+    of the symbols, so rows with the same symbols get bitwise-equal sums.
     Memory >= 2 sums the n window values of each row.
     """
     assert words.shape[1] >= n + phi.memory - 1

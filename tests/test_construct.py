@@ -144,16 +144,15 @@ class TestRanking:
         classes = check_every_cutoff(sys_, phi, all_segments(), N)
         assert (classes == 1) == (case == "full2-zero")
 
-    def test_code_over_two_columns_matches_lexsort(self):
-        """full2 memory 4 recoded has 16 symbols; at N = 15 a count code needs
-        two int64 columns, and the selection is still the lexsort greedy."""
+    def test_sixteen_symbols_match_lexsort(self):
+        """full2 memory 4 recoded has 16 symbols; at N = 15 the selection is
+        still the lexsort greedy."""
         full2 = load_system(DATA / "full2.json")
         phi_c, _, _ = construct_module._recode_memory_one(
             load_potential(full2, DATA / "full2_mem4.json"), trivial_decomposition()
         )
         phi = phi_c.shifted(-phi_c.min_value)
         assert phi.sys.alphabet_size == 16
-        assert kernels._code_layout(15, 16)[2].shape[0] == 2
         check_every_cutoff(phi.sys, phi, all_segments(), 15)
 
     def test_prefix_run_class_matches_lexsort(self):
@@ -216,14 +215,14 @@ class TestRanking:
         else:
             core = affix_bounded(prefix_run_decomposition(0, 2), 0)
         want = select_words(phi, core, 0.409295305005, 0.02, 21, None)
-        codes = kernels._codes
+        counts = kernels._counts
         fed = []
 
-        def reversed_columns(placed, words):
+        def reversed_columns(words, A):
             fed.append(words.shape)
-            return codes(placed, np.ascontiguousarray(words[:, ::-1]))
+            return counts(np.ascontiguousarray(words[:, ::-1]), A)
 
-        monkeypatch.setattr(kernels, "_codes", reversed_columns)
+        monkeypatch.setattr(kernels, "_counts", reversed_columns)
         got = select_words(phi, core, 0.409295305005, 0.02, 21, None)
         assert fed  # the scoring read the reversed words
         assert np.array_equal(got[0], want[0])
@@ -1072,7 +1071,7 @@ class TestDensityExperiment:
         assert all(abs(r.pressure - r.alpha) < 0.1 for r in res.rows)
 
     def test_one_enumeration_per_word_length(self, full2, golden, monkeypatch):
-        """An "all" core ranks each chosen N from count codes and builds no
+        """An "all" core ranks each chosen N from symbol counts and builds no
         class word matrix; a prefix-run core builds exactly one per chosen N,
         for its membership."""
         lengths = []

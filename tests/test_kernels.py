@@ -138,7 +138,7 @@ class TestWordRows:
         """The TestWordEnumeration draws, rows without successors and systems
         without long words included: every row spelled from the halves equals
         the enumerated row, and every row's weight class the class of its
-        code, lengths 1-8."""
+        symbol counts, lengths 1-8."""
         stranded = 0
         for seed in range(40):
             rng = np.random.default_rng(200 + seed)
@@ -147,10 +147,9 @@ class TestWordRows:
             stranded += int((trans.sum(axis=1) == 0).any())
             for length in range(1, 9):
                 words = kernels.word_matrix(trans, length)
-                placed = kernels._code_layout(length, A)[2]
                 values = rng.normal(size=A)
                 assert np.array_equal(kernels.word_rows(trans, length, np.arange(words.shape[0])), words)
-                check_classes(trans, length, values, placed[:, words].sum(axis=2))
+                check_classes(trans, length, values, reference_counts(words, A))
         assert stranded
 
     def test_traced_peak(self):
@@ -176,24 +175,42 @@ def reference_count_sum(word, values):
     return total
 
 
-def reference_word_codes(trans, length):
-    """Count codes level by level down the whole word tree: every level's
-    codes are its parents' plus the place value of the new last symbol."""
-    _, _, placed = kernels._code_layout(length, trans.shape[0])
+def reference_counts(words, A):
+    """The (rows, A) symbol counts of a word matrix, one comparison per symbol."""
+    return np.stack([(words == a).sum(axis=1) for a in range(A)], axis=1).astype(np.int64)
+
+
+def reference_word_counts(trans, length):
+    """Symbol counts level by level down the whole word tree: every level's
+    counts are its parents' plus one for the new last symbol."""
+    one = np.eye(trans.shape[0], dtype=np.int64)
     last = np.arange(trans.shape[0])
-    codes = placed.copy()
+    counts = one
     for _ in range(length - 1):
         parent, last = np.nonzero(trans[last])
-        codes = codes[:, parent] + placed[:, last]
-    return codes
+        counts = counts[parent] + one[last]
+    return counts
 
 
-def check_classes(trans, length, values, codes):
+def recoded_full2_mem4():
+    """full2 memory 4 recoded to memory 1: (transitions, symbol values) on 16 symbols."""
+    from shiftpress.construct import _recode_memory_one
+    from shiftpress.core import load_system
+    from shiftpress.potentials import load_potential
+    from shiftpress.segments import trivial_decomposition
+
+    data = Path(__file__).parent / "data"
+    phi = load_potential(load_system(data / "full2.json"), data / "full2_mem4.json")
+    phi_c = _recode_memory_one(phi, trivial_decomposition())[0]
+    return phi_c.sys.transitions, phi_c.values_flat
+
+
+def check_classes(trans, length, values, counts):
     """kernels.weight_classes equals the classes of the count_sums of every
-    word's code (codes in word_matrix row order): the distinct sums in
-    descending order, bitwise, each row's position among them, and the
-    number of rows at each. Returns the number of classes."""
-    weights, inverse = np.unique(kernels.count_sums(codes, length, values), return_inverse=True)
+    word's symbol counts (count rows in word_matrix row order): the distinct
+    sums in descending order, bitwise, each row's position among them, and
+    the number of rows at each. Returns the number of classes."""
+    weights, inverse = np.unique(kernels.count_sums(counts, values), return_inverse=True)
     got_weights, key, sizes = kernels.weight_classes(trans, length, values)
     assert got_weights.tobytes() == weights[::-1].tobytes()
     assert np.array_equal(key, weights.size - 1 - inverse)
@@ -215,9 +232,10 @@ def periodic_sft(rng, alphabet_size):
 
 class TestCountCodes:
     def test_tree_codes_match_rows(self):
-        """The count sums of the word_matrix rows' codes, from the codes or
-        from the rows, are the per-row reference sums bit for bit, and the
-        weight classes are their classes."""
+        """The symbol counts of the word_matrix rows are the reference
+        counts, their count sums, from the counts or from the rows, are the
+        per-row reference sums bit for bit, and the weight classes are their
+        classes."""
         for seed in range(8):
             rng = np.random.default_rng(400 + seed)
             sys = random_sft(rng, int(rng.integers(2, 6)), density=0.6)
@@ -225,16 +243,17 @@ class TestCountCodes:
             values = rng.normal(size=sys.alphabet_size)
             for length in (1, 4, 9):
                 words = kernels.word_matrix(trans, length)
-                codes = kernels._code_layout(length, sys.alphabet_size)[2][:, words].sum(axis=2)
-                check_classes(trans, length, values, codes)
-                sums = kernels.count_sums(codes, length, values)
+                counts = kernels._counts(words, sys.alphabet_size)
+                assert np.array_equal(counts, reference_counts(words, sys.alphabet_size))
+                check_classes(trans, length, values, counts)
+                sums = kernels.count_sums(counts, values)
                 want = np.array([reference_count_sum(w, values) for w in words.tolist()])
                 assert sums.tobytes() == want.tobytes()
                 assert kernels.count_birkhoff(words, length, values).tobytes() == want.tobytes()
 
     def test_half_codes_match_the_level_reference(self):
-        """Weight classes scored from head and tail codes are the classes of
-        the level-by-level codes, bitwise, on seeded SFTs of 2-6 symbols with
+        """Weight classes scored from head and tail counts are the classes of
+        the level-by-level counts, bitwise, on seeded SFTs of 2-6 symbols with
         sparse, dense, full and periodic supports at lengths 1-12 (draws
         past 2e5 words are skipped)."""
         cases = 0
@@ -250,27 +269,32 @@ class TestCountCodes:
             for length in range(1, 13):
                 if int(kernels._tails(trans, length)[-1].sum()) > 200_000:
                     continue
-                check_classes(trans, length, values, reference_word_codes(trans, length))
+                check_classes(trans, length, values, reference_word_counts(trans, length))
                 cases += 1
         assert cases > 400
 
-    def test_half_codes_two_columns(self):
+    def test_half_counts_sixteen_symbols(self):
         """full2 memory 4 recoded to memory 1 has 16 symbols; at N = 15 the
-        codes take two int64 columns, and the halves join in both: more than
-        256 weight classes, keyed in two bytes."""
-        from shiftpress.construct import _recode_memory_one
-        from shiftpress.core import load_system
-        from shiftpress.potentials import load_potential
-        from shiftpress.segments import trivial_decomposition
-
-        data = Path(__file__).parent / "data"
-        phi = load_potential(load_system(data / "full2.json"), data / "full2_mem4.json")
-        phi_c = _recode_memory_one(phi, trivial_decomposition())[0]
-        trans = phi_c.sys.transitions
+        halves join into more than 256 weight classes, keyed in two bytes."""
+        trans, values = recoded_full2_mem4()
         assert trans.shape == (16, 16)
-        codes = reference_word_codes(trans, 15)
-        assert codes.shape == (2, 16 * 2**14)
-        assert check_classes(trans, 15, phi_c.values_flat, codes) > 256
+        counts = reference_word_counts(trans, 15)
+        assert counts.shape == (16 * 2**14, 16)
+        assert check_classes(trans, 15, values, counts) > 256
+
+    def test_sixteen_symbol_classes_memory(self):
+        """The recoded 16-symbol classes at N = 15 (211,754 joined pairs) are
+        scored in blocks: the traced peak stays below 18.5 MB. The pairs'
+        counts held whole, pairs x 16 int64, peak at 58 MB."""
+        trans, values = recoded_full2_mem4()
+        tracemalloc.start()
+        try:
+            weights, key, sizes = kernels.weight_classes(trans, 15, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert key.shape == (16 * 2**14,) and sizes.sum() == key.size
+        assert peak < 18.5e6
 
     def test_half_codes_memory(self):
         """No temporary outgrows a block: the traced peak of the full2 weight
@@ -286,22 +310,33 @@ class TestCountCodes:
         assert weights.size == 19 and key.shape == (2**18,) and sizes.sum() == 2**18
         assert peak < 2**20
 
-    def test_columns_split_where_int64_overflows(self):
-        """(N + 1)^A above 2^63 spreads the code over more int64 columns; the
-        sums are unchanged."""
-        assert kernels._code_layout(14, 16)[2].shape[0] == 1
-        assert kernels._code_layout(15, 16)[2].shape[0] == 2
-        assert kernels._code_layout(255, 9)[2].shape[0] == 2
+    def test_sixteen_symbols_forty_long(self):
+        """Rows of 40 symbols over 16: the count sums, from the counts or from
+        the rows, are the per-row reference sums bit for bit."""
         rng = np.random.default_rng(5)
         values = rng.normal(size=16)
         words = rng.integers(0, 16, size=(200, 40), dtype=np.uint8)
-        codes = kernels._code_layout(40, 16)[2][:, words].sum(axis=2)
-        assert codes.shape[0] == 2 and codes.max() < 2**63 - 1
         want = np.array([reference_count_sum(w, values) for w in words.tolist()])
-        assert kernels.count_sums(codes, 40, values).tobytes() == want.tobytes()
+        assert kernels.count_sums(kernels._counts(words, 16), values).tobytes() == want.tobytes()
+        assert kernels.count_birkhoff(words, 40, values).tobytes() == want.tobytes()
+
+    def test_counts_above_one_byte(self):
+        """The 2-cycle at length 600: each word's head and tail hold 150 of
+        each symbol, so each count is 300. The classes and the sums are the
+        per-row reference sums."""
+        cycle = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        values = np.array([0.1, -0.37])
+        words = kernels.word_matrix(cycle, 600)
+        assert words.shape == (2, 600)
+        want = np.array([reference_count_sum(w, values) for w in words.tolist()])
+        assert kernels.count_birkhoff(words, 600, values).tobytes() == want.tobytes()
+        assert check_classes(cycle, 600, values, reference_counts(words, 2)) == 1
+        weights, key, sizes = kernels.weight_classes(cycle, 600, values)
+        assert weights.tobytes() == want[:1].tobytes() and sizes.tolist() == [2]
 
     def test_count_birkhoff_blocks(self, monkeypatch):
-        """Rows across block edges, and the first n columns only."""
+        """Rows across block edges, and the first n columns only; past 16
+        symbols a block holds fewer rows (6 over 40 symbols here)."""
         monkeypatch.setattr(kernels, "_BLOCK_ROWS", 16)
         rng = np.random.default_rng(6)
         values = rng.normal(size=3)
@@ -309,6 +344,37 @@ class TestCountCodes:
             words = rng.integers(0, 3, size=(rows, 12), dtype=np.uint8)
             want = np.array([reference_count_sum(w[:9], values) for w in words.tolist()])
             assert kernels.count_birkhoff(words, 9, values).tobytes() == want.tobytes()
+        values = rng.normal(size=40)
+        words = rng.integers(0, 40, size=(53, 7), dtype=np.uint8)
+        want = np.array([reference_count_sum(w, values) for w in words.tolist()])
+        assert kernels.count_birkhoff(words, 7, values).tobytes() == want.tobytes()
+
+    def test_wide_alphabet_pair_blocks(self, monkeypatch):
+        """Past 16 symbols a block of joined pairs holds fewer rows (12 over
+        20 symbols here): weight classes whose pairs span several such blocks
+        are the classes of the reference counts."""
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=20)
+        trans = random_sft(rng, 20, density=0.3).transitions
+        for length in (1, 2, 3, 4):
+            words = kernels.word_matrix(trans.astype(np.uint8), length)
+            check_classes(trans, length, values, reference_counts(words, 20))
+
+    def test_wide_alphabet_memory(self):
+        """20,000 rows over 256 symbols: a block holds 512 rows, so the traced
+        peak stays below 2 MB. Blocks of _BLOCK_ROWS rows would hold 16.8 MB
+        of counts."""
+        rng = np.random.default_rng(9)
+        words = rng.integers(0, 256, size=(20_000, 12), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            sums = kernels.count_birkhoff(words, 12, rng.normal(size=256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (20_000,)
+        assert peak < 2**21
 
 
 class TestBirkhoffKernel:

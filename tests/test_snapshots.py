@@ -77,9 +77,9 @@ but the wall clock.
 In the other snapshots the header's version and wall clock are not
 compared, and its configuration hash must equal the rerun's: a snapshot
 names the options and input contents of the command above that regenerates
-it. In a spectrum artifact the stats lines and the rows,
-keyed by (kind, parameter), must agree; numbers within 1e-12, compared as
-the printed decimals. Verify-bounds, density and construct artifacts must agree
+it. In a spectrum artifact the stats lines and the rows must agree line for
+line, in file order: kind and parameter exactly, numbers within 1e-12,
+compared as the printed decimals. Verify-bounds, density and construct artifacts must agree
 exactly: the construction is deterministic, so every printed number is
 reproduced to the last digit. Every JSON artifact, snapshot or rerun, must
 be strict JSON: NaN and Infinity are not JSON, and a constant of that kind
@@ -100,15 +100,14 @@ HEADER = ("version", "config_hash", "wallclock")
 
 def _parse(text):
     """(stats, rows): the '# key: value' lines after the header, and the
-    value lists of the CSV rows keyed by (kind, parameter)."""
-    stats, rows = {}, {}
+    CSV lines, column names included, in file order, split at the commas."""
+    stats, rows = {}, []
     for line in text.splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition(": ")
             stats[key] = value
-        elif not line.startswith("kind,"):
-            kind, parameter, *values = line.split(",")
-            rows[(kind, parameter)] = values
+        else:
+            rows.append(line.split(","))
     for key in HEADER:
         del stats[key]
     return stats, rows
@@ -159,12 +158,12 @@ def test_spectrum_snapshot(tmp_path, system, potential, cap, grid, snapshot):
     assert _csv_config_hash(out) == _csv_config_hash(DATA / snapshot)
     stats, rows = _parse(out.read_text())
     want_stats, want_rows = _parse((DATA / snapshot).read_text())
-    assert stats.keys() == want_stats.keys()
+    assert list(stats) == list(want_stats)
     for key, want in want_stats.items():
         assert _close(stats[key], want), (key, stats[key], want)
-    assert rows.keys() == want_rows.keys()
-    for key, want in want_rows.items():
-        assert all(map(_close, rows[key], want)), (key, rows[key], want)
+    assert len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        assert row[:2] == want[:2] and len(row) == len(want) and all(map(_close, row[2:], want[2:])), (row, want)
 
 
 @pytest.mark.parametrize(
