@@ -282,26 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--budget-words", type=int, default=DEFAULT_WORD_BUDGET, dest="budget_words")
 
-    def construct_flags(p, n_cap=True):
+    def construct_flags(p, n_cap=True, alpha=False):
         p.add_argument("--decomposition", default=None, help="decomposition JSON (default: trivial)")
         p.add_argument("--res-gamma", type=int, default=5, dest="res_gamma")
         p.add_argument("--res-delta", type=int, default=7, dest="res_delta")
         if n_cap:
             p.add_argument("--n-cap", type=int, default=None, dest="n_cap")
+        if alpha:
+            p.add_argument("--alpha", type=float, default=None)
+            p.add_argument("--eta0", type=float, default=None)
 
-    p = sub.add_parser("pressure", help="finite-range estimate and eigenvalue oracle")
-    common(p)
-    p.add_argument("--n-min", type=int, default=2, dest="n_min")
-    p.add_argument("--n-max", type=int, default=20, dest="n_max")
-    p.add_argument("--res-delta", type=int, default=1, dest="res_delta_enum")
-    p.set_defaults(func=cmd_pressure)
-
-    p = sub.add_parser("entropy", help="pressure of the zero potential")
-    common(p, potential=False)
-    p.add_argument("--n-min", type=int, default=2, dest="n_min")
-    p.add_argument("--n-max", type=int, default=20, dest="n_max")
-    p.add_argument("--res-delta", type=int, default=1, dest="res_delta_enum")
-    p.set_defaults(func=cmd_pressure)
+    # entropy is pressure on the zero potential, with the same window flags
+    for name, help_ in (("pressure", "finite-range estimate and eigenvalue oracle"),
+                        ("entropy", "pressure of the zero potential")):
+        p = sub.add_parser(name, help=help_)
+        common(p, potential=name == "pressure")
+        p.add_argument("--n-min", type=int, default=2, dest="n_min")
+        p.add_argument("--n-max", type=int, default=20, dest="n_max")
+        p.add_argument("--res-delta", type=int, default=1, dest="res_delta_enum")
+        p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("pstar", help="pressure floor: max mean cycle of the potential")
     common(p)
@@ -322,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a subsystem with pressure near alpha")
     common(p)
-    construct_flags(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eta0", type=float, default=None)
+    construct_flags(p, alpha=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("density", help="alpha sweep of the construction")
@@ -337,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds", help="exhaustive counting-bound verification of a construction")
     common(p)
-    construct_flags(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eta0", type=float, default=None)
+    construct_flags(p, alpha=True)
     p.add_argument("--n-list", default="3,4,5", dest="n_list")
     p.set_defaults(func=cmd_verify_bounds)
     return parser

@@ -10,8 +10,9 @@ both sides of the eta0 band around alpha; extras["basis"] of each report
 says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
 its alpha values, grid and structure gate: one pressure interval, on the
-potential as given, the gate's gluing certificates on a memory-1 input, and
-each N's core words ranked once, as one weight-class key per word.
+potential as given, and each N's core words ranked once, as one weight-class
+key per word. Connectors are found once per system (`ShiftSystem.connectors`),
+so the gate and the cap scan of a memory-1 input share them.
 
 Every stage takes the potential alone, which carries its system. Memory
 >= 2 potentials are recoded to memory 1 on the m-block system, the edge
@@ -688,11 +689,18 @@ def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> 
 
 @dataclass
 class Inequality:
+    """One feasibility inequality: its name prints it with one operator,
+    ` < ` or ` > `, and `ok` compares lhs with rhs by that operator, so a
+    printed row cannot disagree with its verdict."""
+
     name: str
     lhs: float
     rhs: float
-    ok: bool
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs < self.rhs if " < " in self.name else self.lhs > self.rhs
 
     def to_dict(self):
         def f(x):
@@ -759,7 +767,6 @@ class Preparation:
         self.gamma_res, self.delta_res = self.config.resolutions()
         self._inputs = (phi, dec)
         self._memo = {}
-        self.certificates = {}  # gluing certificates on phi.sys by affix cap, as the structure gate found them
 
     def interval(self):
         """(Karp floor, oracle pressure) of the potential as given, before any recoding or shift."""
@@ -775,11 +782,10 @@ class Preparation:
         # affix cap scan: the partition floor on the bounded core must stay positive
         config = self.config
         pressure_n = self.interval()[1] - self.shift  # the pressure of the normalized potential
-        known = self.certificates if self.recoding is None else {}  # a recoding changes the system
         for cap in AFFIX_CAPS:
             core = affix_bounded(self.dec, cap)
             try:
-                cert = known.get(cap) or check_gluing(self.phi.sys, core)
+                cert = check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
             log_c0, n1 = _measure_partition_floor(self.phi, core, pressure_n, self.gamma_res, config.budget)
@@ -820,79 +826,42 @@ class Preparation:
         _remembered(self._memo, "scan_caps", self._scan_caps)
         config, phi_n, cap, cert, log_c0, n1 = self.config, self.phi, self.cap, self.cert, self.log_c0, self.n1
         tau = cert.tau
-        var_phi = phi_n.spread
-        log_sep_gap = self.log_sep_gap
-
+        n_min = max(cert.n0, n1 or 1)
+        tau_note = "vacuous when tau = 0" if tau == 0 else ""
+        gap_note = tau_note or (
+            "deterministic connectors carry one gap choice per junction; "
+            f"the existential-gap form would need N*eta > {self.log_sep_gap:.4f}"
+        )
+        # the range holds the cap even when it is not above n_min, so a refusal
+        # always names the inequality that fails there
         n_log = []
-        chosen_n = None
-        for N in range(max(cert.n0, n1 or 1) + 1, config.n_cap + 1):
-            sup_n = self.core_words.sup(N)
-            checks = [
-                Inequality(
-                    "sup_birkhoff < N(alpha-eta)",
-                    sup_n,
-                    N * (alpha_n - eta),
-                    sup_n < N * (alpha_n - eta),
-                ),
-                Inequality("N > max(N0, N1)", N, max(cert.n0, n1 or 1), N > max(cert.n0, n1 or 1)),
-                Inequality("N*eta > -ln(C0)", N * eta, -log_c0, N * eta > -log_c0),
-                Inequality("exp(2*N*eta) > 2", 2 * N * eta, math.log(2.0), 2 * N * eta > math.log(2.0)),
-                Inequality(
-                    "N > alpha*tau/eta",
-                    N,
-                    alpha_n * tau / eta,
-                    N > alpha_n * tau / eta,
-                    note="vacuous when tau = 0" if tau == 0 else "",
-                ),
-                # core_bowen is 0: the Bowen bound of the recoded potential, of
-                # memory 1, vanishes at every level >= 1, and delta >= 7
-                Inequality(
-                    "N*eta > core_bowen + 2*cap*var(phi)",
-                    N * eta,
-                    2 * cap * var_phi,
-                    N * eta > 2 * cap * var_phi,
-                ),
-                Inequality(
-                    "N*eta > tau*max(phi)",
-                    N * eta,
-                    tau * phi_n.max_value,
-                    N * eta > tau * phi_n.max_value,
-                    note=(
-                        "deterministic connectors carry one gap choice per junction; "
-                        f"the existential-gap form would need N*eta > {log_sep_gap:.4f}"
-                        if tau >= 1
-                        else "vacuous when tau = 0"
-                    ),
-                ),
-            ]
+        for N in range(min(n_min + 1, config.n_cap), config.n_cap + 1):
+            # core_bowen is 0: the Bowen bound of the recoded potential, of
+            # memory 1, vanishes at every level >= 1, and delta >= 7
+            checks = [Inequality(*row) for row in (
+                ("sup_birkhoff < N(alpha-eta)", self.core_words.sup(N), N * (alpha_n - eta)),
+                ("N > max(N0, N1)", N, n_min),
+                ("N*eta > -ln(C0)", N * eta, -log_c0),
+                ("exp(2*N*eta) > 2", 2 * N * eta, math.log(2.0)),
+                ("N > alpha*tau/eta", N, alpha_n * tau / eta, tau_note),
+                ("N*eta > core_bowen + 2*cap*var(phi)", N * eta, 2 * cap * phi_n.spread),
+                ("N*eta > tau*max(phi)", N * eta, tau * phi_n.max_value, gap_note),
+            )]
             # the class weight sum enumerates the class words: take it only at an N
             # where the seven closed-form inequalities hold, since it decides no other
             if all(c.ok for c in checks):
-                total_ok = self.core_words.log_total(N)
                 checks.append(
-                    Inequality(
-                        "ln sum_core > N(alpha+eta)",
-                        total_ok,
-                        N * (alpha_n + eta),
-                        total_ok > N * (alpha_n + eta),
-                    )
+                    Inequality("ln sum_core > N(alpha+eta)", self.core_words.log_total(N), N * (alpha_n + eta))
                 )
             n_log.append((N, checks))
             if all(c.ok for c in checks):
-                chosen_n = N
                 break
-        if chosen_n is None:
-            failures = []
-            for N, checks in n_log:
-                bad = [c for c in checks if not c.ok]
-                failures.append((N, [(c.name, c.lhs, c.rhs) for c in bad]))
+        else:
+            failures = [(N, [(c.name, c.lhs, c.rhs) for c in checks if not c.ok]) for N, checks in n_log]
             raise InfeasibleError(
-                f"no feasible word length below the cap {config.n_cap}; "
-                f"last failures: {failures[-1] if failures else 'none'}",
+                f"no feasible word length below the cap {config.n_cap}; last failures: {failures[-1]}",
                 diagnostics=failures,
             )
-        N = chosen_n
-        inequalities = n_log[-1][1]
 
         words, phis, sel_info = select_words(
             phi_n, self.core, alpha_n, eta, N, config.budget, core_words=self.core_words
@@ -942,7 +911,7 @@ class Preparation:
             upper=upper,
             certified=certified,
             params=params,
-            inequalities=inequalities,
+            inequalities=checks,
             selection=sel_info,
             recoding=self.recoding,
         )
@@ -1123,7 +1092,6 @@ def density_experiment(
             f"structure conditions not all passing: {', '.join(bad)}",
             diagnostics=[(c.name, c.status, c.margin) for c in check.conditions],
         )
-    prep.certificates = check.certificates
     margin = eta0 if margin is None else margin
     lo, hi = floor + margin, ceiling - margin
     if lo >= hi:

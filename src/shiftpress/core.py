@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,12 @@ class ShiftSystem:
                 f"transition digraph is not strongly connected: symbol {missing} "
                 f"{direction} symbol 0"
             )
+
+    @cached_property
+    def connectors(self) -> dict:
+        """shortest_connectors of this system, found once; every gluing
+        certificate on it reads this dict and must not change it."""
+        return shortest_connectors(self)
 
 
 # ---------------------------------------------------------------------------

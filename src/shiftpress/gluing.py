@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ShiftSystem, is_admissible, word_matrix, shortest_connectors, word_str
+from .core import ShiftSystem, is_admissible, word_matrix, word_str
 from .segments import SegmentClass
 from .errors import CertificateError, ConfigError
 
@@ -78,16 +78,14 @@ def glue_words(cert: GluingCertificate, words):
 def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> GluingCertificate:
     """Build the gluing certificate of a segment class.
 
-    Connectors come from BFS shortest paths (lexicographically least among
-    shortest); the certificate checks each of them once, which proves every
-    glued word admissible and exactly traced. It has N0 = 1 and tau = its
-    longest connector. The class must have a segment with length in [1, 5],
-    or the certificate is refused.
+    Connectors are `sys.connectors`, BFS shortest paths found once per system;
+    the certificate checks each of them once, which proves every glued word
+    admissible and exactly traced. It has N0 = 1 and tau = its longest
+    connector. The class must have a segment with length in [1, 5], or the
+    certificate is refused.
     """
-    sys.require_strongly_connected()
-    connectors = shortest_connectors(sys)
-    tau = max(len(c) for c in connectors.values())
-    cert = GluingCertificate(sys=sys, n0=1, tau=tau, connectors=connectors)
+    tau = max(len(c) for c in sys.connectors.values())
+    cert = GluingCertificate(sys=sys, n0=1, tau=tau, connectors=sys.connectors)
     if not any(core_class.batch(word_matrix(sys, n), n).any() for n in range(1, 6)):
         raise CertificateError(
             f"class {core_class.description!r} has no segments with lengths in "

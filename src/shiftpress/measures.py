@@ -59,10 +59,11 @@ def _stationary(Q: np.ndarray) -> np.ndarray:
 
 def _entropy_rate(pi_src: np.ndarray, q: np.ndarray) -> np.ndarray:
     """-sum pi(source) q ln q over the transitions q along the last axis
-    (0 ln 0 = 0)."""
+    (0 ln 0 = 0). 0 minus the sum, not its negation, so that a chain with no
+    entropy reports 0.0 and not -0.0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > 0, q * np.log(q), 0.0)
-    return -np.sum(pi_src * terms, axis=-1)
+    return 0.0 - np.sum(pi_src * terms, axis=-1)
 
 
 # ---------------------------------------------------------------------------

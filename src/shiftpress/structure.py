@@ -58,7 +58,6 @@ class ConditionReport:
 class StructureCheck:
     conditions: list
     all_pass: bool
-    certificates: dict = field(default_factory=dict)  # the gluing certificate of each affix cap that has one
 
     def to_dict(self):
         return {
@@ -109,10 +108,10 @@ def check_structure_conditions(
 
     # (1) gluing on the affix-bounded cores
     glue_ok = True
-    glue_details, certificates = {}, {}
+    glue_details = {}
     for cap in (0, 1, 2):
         try:
-            certificates[cap] = cert = check_gluing(phi.sys, affix_bounded(dec, cap))
+            cert = check_gluing(phi.sys, affix_bounded(dec, cap))
             glue_details[f"cap_{cap}"] = {"tau": cert.tau, "n0": cert.n0}
         except CertificateError as exc:
             glue_ok = False
@@ -161,4 +160,4 @@ def check_structure_conditions(
     )
 
     all_pass = all(c.status == "pass" for c in conditions)
-    return StructureCheck(conditions=conditions, all_pass=all_pass, certificates=certificates)
+    return StructureCheck(conditions=conditions, all_pass=all_pass)

@@ -179,6 +179,17 @@ class TestPstarAndSpectrum:
         assert float(stats["floor"]) == 1000.0
         assert float(stats["max_gap"]) == 0.0
 
+    def test_zero_entropy_prints_zero(self, files):
+        """Every chain on a 2-cycle has entropy 0: its rows print 0, not -0."""
+        cycle, phi = files["tmp"] / "cycle.json", files["tmp"] / "cycle_phi.json"
+        cycle.write_text(json.dumps({"alphabet": 2, "transitions": [[0, 1], [1, 0]]}))
+        phi.write_text(json.dumps({"memory": 1, "table": {"0": 0.5, "1": -0.5}}))
+        code, text = run(files, "spectrum", "--system", str(cycle), "--potential", str(phi))
+        assert code == 0
+        rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
+        assert {r[0] for r in rows} == {"cycle", "gibbs", "interp"}
+        assert all(r[2] == "0" for r in rows)
+
     def test_non_transitive_exit3(self, files):
         code, _ = run(files, "spectrum", "--system", str(files["oneway"]), "--potential", str(files["zero"]))
         assert code == 3

@@ -25,6 +25,8 @@ from shiftpress import (
     ConstructConfig,
 )
 from shiftpress import construct as construct_module
+from shiftpress import core as core_module
+from shiftpress import gluing as gluing_module
 from shiftpress import structure as structure_module
 from shiftpress.construct import RENEWAL_TOL, GluedSubshift
 from shiftpress import kernels
@@ -916,11 +918,16 @@ class TestConstructIntermediate:
             )
 
     def test_n_cap_exhaustion_lists_failures(self, full2):
+        """N0 = 1 and N1 = 9 on full2, so a cap of 3 leaves no N above
+        max(N0, N1): the search still tries the cap, and the refusal names
+        the inequality that fails there with both its sides."""
         cfg = ConstructConfig(n_cap=3)
-        with pytest.raises(InfeasibleError, match="no feasible word length"):
+        with pytest.raises(InfeasibleError, match="no feasible word length") as info:
             construct_intermediate(
                 Potential.zero(full2), trivial_decomposition(), 0.35, 0.1, cfg
             )
+        assert "last failures: (3, [('N > max(N0, N1)', 3, 9)" in str(info.value)
+        assert [N for N, _ in info.value.diagnostics] == [3]
 
     def test_near_pressure_target(self, full2):
         # alpha close to the pressure: selection keeps most words
@@ -1124,25 +1131,26 @@ class TestDensityExperiment:
         assert sorted(calls) == ["pressure_floor", "pressure_oracle"]
 
     @pytest.mark.parametrize(
-        "system,potential,gluings",
-        [("full2", "zero", 3), ("golden", "golden_weighted", 3), ("golden", "golden_mem2", 4)],
+        "system,potential,searches",
+        [("full2", "zero", 1), ("golden", "golden_weighted", 1), ("golden", "golden_mem2", 2)],
     )
-    def test_gate_certificates_reused_on_memory_one(self, monkeypatch, system, potential, gluings):
-        """The structure gate certifies gluing on the cap 0-2 cores of the input
-        system. The affix-cap scan of a memory-1 input runs on that system and
-        reuses them; a recoded input has its own system and checks it."""
+    def test_connectors_found_once_per_system(self, monkeypatch, system, potential, searches):
+        """The structure gate and the affix-cap scan read the connectors a
+        system keeps: one search on a memory-1 input, whose scan runs on the
+        input system, and one on each of the input and its recoding otherwise."""
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return check_gluing(*args, **kwargs)
+        def counted(sys_, _fn=core_module.shortest_connectors):
+            calls.append(sys_)
+            return _fn(sys_)
 
-        monkeypatch.setattr(construct_module, "check_gluing", counted)
-        monkeypatch.setattr(structure_module, "check_gluing", counted)
+        for mod in (core_module, gluing_module):  # wherever the search is bound
+            if hasattr(mod, "shortest_connectors"):
+                monkeypatch.setattr(mod, "shortest_connectors", counted)
         phi = load_potential(load_system(DATA / f"{system}.json"), DATA / f"{potential}.json")
         rows = density_experiment(phi, trivial_decomposition(), 3, 0.1).rows
-        assert len(calls) == gluings
-        assert all(sys_ is phi.sys for sys_ in calls[:3])
+        assert len(calls) == searches
+        assert calls[0] is phi.sys and len(set(map(id, calls))) == searches
         if phi.memory == 1:
             assert any(r.certified for r in rows)
 

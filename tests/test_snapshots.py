@@ -252,6 +252,19 @@ def test_construct_snapshot(tmp_path, system, potential, alpha, decomposition, s
     assert got == want
 
 
+@pytest.mark.parametrize("snapshot", [case[-1] for case in CONSTRUCT_CASES])
+def test_construct_snapshot_verdicts_follow_their_names(snapshot):
+    """Each inequality row prints one operator, ` < ` or ` > `, in its name,
+    and its ok is lhs compared with rhs by that operator."""
+    rows = _strict_json((DATA / snapshot).read_text())["inequalities"]
+    assert rows
+    for row in rows:
+        less, more = (row["name"].count(op) for op in (" < ", " > "))
+        assert less + more == 1, row
+        lhs, rhs = row["lhs"], row["rhs"]
+        assert row["ok"] == (lhs < rhs if less else lhs > rhs), row
+
+
 THERMO_SNAPSHOTS = DATA / "thermo_cli_snapshots.json"
 PAIRS = [
     ("full2.json", "zero.json"),
