@@ -4,18 +4,23 @@ Exit codes: 0 success, 2 config/parse problem, 3 computation or
 infeasibility. Every artifact embeds the tool version, a hash of the
 resolved configuration, and the wall-clock time; rerunning with an
 identical configuration reproduces the output byte for byte except for the
-wall-clock field.
+wall-clock field. The hash is SHA-256 from the interpreter's built-in
+`_sha256` module, so no process loads OpenSSL through `hashlib`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
+
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module _sha2
+    from hashlib import sha256
 
 from . import __version__
 from .core import DEFAULT_WORD_BUDGET, Resolution, load_system
@@ -35,9 +40,9 @@ def _config_hash(ns: argparse.Namespace) -> str:
     payload = {k: v for k, v in sorted(vars(ns).items()) if k not in ("out", "func")}
     for key in ("system", "potential", "decomposition"):
         if payload.get(key):
-            payload[key] = hashlib.sha256(Path(payload[key]).read_bytes()).hexdigest()
+            payload[key] = sha256(Path(payload[key]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _header(args) -> dict:
@@ -92,17 +97,18 @@ def _load_inputs(args, need_potential=True) -> Potential:
 def _construct_config(args):
     from .structure import ConstructConfig
 
-    cfg = ConstructConfig(
+    # `check` has no --n-cap: the structure conditions search no word length
+    n_cap = getattr(args, "n_cap", None)
+    if n_cap is None:
+        n_cap = ConstructConfig.n_cap
+    elif n_cap < 2:
+        raise ConfigError(f"--n-cap must be >= 2, got {n_cap}")
+    return ConstructConfig(
         level_gamma=args.res_gamma,
         level_delta=args.res_delta,
+        n_cap=n_cap,
         budget=args.budget_words,
     )
-    # `check` has no --n-cap: the structure conditions search no word length
-    if getattr(args, "n_cap", None) is not None:
-        if args.n_cap < 2:
-            raise ConfigError(f"--n-cap must be >= 2, got {args.n_cap}")
-        cfg.n_cap = args.n_cap
-    return cfg
 
 
 def _load_decomposition(args):

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -687,8 +687,7 @@ def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> 
 # the driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Inequality:
+class Inequality(NamedTuple):
     """One feasibility inequality: its name prints it with one operator,
     ` < ` or ` > `, and `ok` compares lhs with rhs by that operator, so a
     printed row cannot disagree with its verdict."""
@@ -709,8 +708,7 @@ class Inequality:
         return {"name": self.name, "lhs": f(self.lhs), "rhs": f(self.rhs), "ok": self.ok, "note": self.note}
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     subsystem: GluedSubshift
     lower: PressureReport
     upper: PressureReport
@@ -942,14 +940,13 @@ def construct_intermediate(
 # counting-bound verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CountingBoundResult:
+class CountingBoundResult(NamedTuple):
     ok: bool
     classes_checked: int
     worst_count: int
     bound: float
     theta_checked: bool
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 def _continuation_prefixes(glued: GluedSubshift, last_symbol: int, h: int) -> set:
@@ -1046,8 +1043,7 @@ def verify_counting_bound(
 # density sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityRow:
+class DensityRow(NamedTuple):
     alpha: float
     certified: bool
     pressure: float | None
@@ -1058,8 +1054,7 @@ class DensityRow:
     error: str = ""
 
 
-@dataclass
-class DensityResult:
+class DensityResult(NamedTuple):
     rows: list
     floor: float
     ceiling: float

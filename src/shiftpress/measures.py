@@ -18,7 +18,6 @@ Every entry point takes the potential alone and reads its system from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -279,15 +278,14 @@ def _interpolation_terms(chain: _LiftChain, edges: list, n: int, ts: np.ndarray)
     return entropies, integrals
 
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     entries: list
     values: list
     floor: float
     ceiling: float
     max_gap: float
     partial: bool
-    notes: list = field(default_factory=list)
+    notes: list
 
 
 def spectrum_sample(

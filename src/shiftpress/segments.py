@@ -10,9 +10,8 @@ class. Classes and splits answer for every row of a word matrix at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .core import parse_word
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SegmentClass:
+class SegmentClass(NamedTuple):
     """Decidable collection of orbit segments (word, n).
 
     membership_batch(words, n) is the predicate: a bool array with one entry
@@ -77,8 +75,7 @@ def complement(a: SegmentClass) -> SegmentClass:
     return SegmentClass(lambda words, n: ~a.batch(words, n), f"complement({a.description})")
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     """Splitting of each segment of `base` into prefix/core/suffix pieces.
 
     split(words, n) returns int arrays (p, g, s), one entry per row, with
@@ -119,7 +116,7 @@ def prefix_run_decomposition(symbol: int, cap: int) -> OrbitDecomposition:
     prefix = SegmentClass(lambda words, n: (n <= cap) & (run(words, n) >= n), f"runs of symbol {symbol} up to {cap}")
 
     # any segment may appear as a core piece; the split just strips the run
-    core = replace(all_segments(), description="post-run cores")
+    core = all_segments()._replace(description="post-run cores")
     return OrbitDecomposition(
         base=all_segments(),
         prefix_class=prefix,
@@ -140,7 +137,7 @@ def affix_bounded(dec: OrbitDecomposition, cap: int) -> SegmentClass:
     if cap < 0:
         raise ConfigError(f"affix cap must be >= 0, got {cap}")
     if dec.name == "trivial" and dec.base.kind == "all":
-        return replace(all_segments(), description=f"core(cap={cap})=all")
+        return all_segments()._replace(description=f"core(cap={cap})=all")
 
     def member(words, n):
         inside = np.array(dec.base.batch(words, n), dtype=bool)

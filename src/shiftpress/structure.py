@@ -12,7 +12,8 @@ resolutions and budgets both use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Resolution
 from .potentials import Potential, variation
@@ -34,6 +35,10 @@ class ConstructConfig:
     n_cap: int = 24
     budget: int = 6_000_000
 
+    def __post_init__(self):
+        if self.n_cap < 2:
+            raise ConfigError(f"n_cap must be >= 2, got {self.n_cap}")
+
     def resolutions(self):
         """(gamma, delta), once their ordering holds."""
         if not (self.level_gamma >= 5 and self.level_delta >= self.level_gamma + 2):
@@ -46,16 +51,14 @@ class ConstructConfig:
         return Resolution(self.level_gamma), Resolution(self.level_delta)
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "inconclusive"
     margin: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-@dataclass
-class StructureCheck:
+class StructureCheck(NamedTuple):
     conditions: list
     all_pass: bool
 

@@ -21,7 +21,7 @@ nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ PERRON_MAXITER = 10**4  # iterations before perron_log refuses
 FINITE_MEANS_N = 20  # finite-n means next to the pressure floor in `pstar`
 
 
-@dataclass
-class PressureReport:
+class PressureReport(NamedTuple):
     """A pressure value with its provenance.
 
     error_bound is, for oracle reports, the half-width of the
@@ -58,7 +57,7 @@ class PressureReport:
     method: str
     params: dict
     error_bound: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def to_dict(self):
         return {

@@ -40,7 +40,9 @@ from shiftpress.segments import (
     prefix_run_decomposition,
 )
 from shiftpress.potentials import birkhoff_batch, load_potential
-from shiftpress.thermo import log_sum_exp, pressure_floor, pressure_oracle
+from shiftpress.measures import SpectrumResult
+from shiftpress.structure import ConditionReport
+from shiftpress.thermo import PressureReport, log_sum_exp, pressure_floor, pressure_oracle
 from shiftpress.cli import main
 from shiftpress.errors import InfeasibleError, ConfigError, PreconditionError, ResourceBudgetError
 
@@ -845,6 +847,20 @@ class TestCountingBound:
         assert res.ok and res.theta_checked
 
 
+@pytest.mark.parametrize("record,field", [
+    (PressureReport, "extras"),
+    (ConditionReport, "details"),
+    (SpectrumResult, "notes"),
+    (construct_module.CountingBoundResult, "failures"),
+])
+def test_container_fields_are_never_shared(record, field):
+    """A record's dict or list field has no default, so a record built
+    without one is refused, and two records never share one container."""
+    assert field not in record._field_defaults
+    with pytest.raises(TypeError, match=field):
+        record(**{f: None for f in record._fields if f != field})
+
+
 class TestStructureConditions:
     def test_trivial_everything_passes(self, full2):
         phi = Potential.zero(full2)
@@ -928,6 +944,16 @@ class TestConstructIntermediate:
             )
         assert "last failures: (3, [('N > max(N0, N1)', 3, 9)" in str(info.value)
         assert [N for N, _ in info.value.diagnostics] == [3]
+
+    @pytest.mark.parametrize("n_cap", [0, 1, -3])
+    def test_config_refuses_a_cap_below_two(self, full2, n_cap):
+        """A cap below 2 is refused where it is set, by its own name, not by
+        the word enumeration of the N search."""
+        with pytest.raises(ConfigError, match=f"^n_cap must be >= 2, got {n_cap}$"):
+            construct_intermediate(
+                Potential.zero(full2), trivial_decomposition(), 0.35, 0.1, ConstructConfig(n_cap=n_cap)
+            )
+        assert ConstructConfig(n_cap=2).n_cap == 2
 
     def test_near_pressure_target(self, full2):
         # alpha close to the pressure: selection keeps most words

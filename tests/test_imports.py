@@ -15,14 +15,16 @@ import shiftpress
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
-# numpy.ma is loaded lazily, for example by a plain np.unique; no subcommand
-# needs it, so it is listed too and must stay out
-PROBE = """\
+# numpy.ma is loaded lazily, for example by a plain np.unique, and _hashlib,
+# OpenSSL's hashes, by `import hashlib`; no subcommand needs either, so both
+# are listed too and must stay out
+OUTSIDERS = {"numpy.ma", "_hashlib"}
+PROBE = f"""\
 import json, sys
 import shiftpress.cli
 if sys.argv[1:]:
     assert shiftpress.cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("shiftpress.") or m == "numpy.ma")))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("shiftpress.") or m in {OUTSIDERS!r})))
 """
 
 BASE = {"cli", "core", "errors", "kernels", "potentials"}
@@ -42,16 +44,21 @@ INVOCATIONS = {
 }
 
 
-def loaded(*argv):
+def run(code, *argv):
+    """stdout of a fresh interpreter running code, with src on its path."""
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    modules = {m.removeprefix("shiftpress.") for m in json.loads(proc.stdout.splitlines()[-1])}
-    assert "numpy.ma" not in modules
+    return proc.stdout
+
+
+def loaded(*argv):
+    modules = {m.removeprefix("shiftpress.") for m in json.loads(run(PROBE, *argv).splitlines()[-1])}
+    assert not modules & OUTSIDERS
     return modules
 
 
@@ -66,6 +73,23 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, command):
     argv = [command, "--system", str(DATA / system),
             *(str(DATA / a) if a.endswith(".json") else a for a in flags)]
     assert loaded(*argv, "--out", str(tmp_path / "artifact")) == expected
+
+
+def test_config_hash_without_the_builtin_sha256(tmp_path):
+    """An interpreter without _sha256 hashes through hashlib, to the same digest."""
+    out = tmp_path / "construct.json"
+    code = """\
+import sys
+sys.modules["_sha256"] = None  # a failing import, as where _sha256 does not exist
+import shiftpress.cli
+assert shiftpress.cli.main(sys.argv[1:]) == 0
+print("hashlib" in sys.modules)
+"""
+    argv = ["construct", "--system", str(DATA / "full2.json"), "--potential", str(DATA / "zero.json"),
+            "--alpha", "0.45", "--eta0", "0.1", "--out", str(out)]
+    assert run(code, *argv).split() == ["True"]
+    committed = json.loads((DATA / "construct_full2_zero.json").read_text())
+    assert json.loads(out.read_text())["header"]["config_hash"] == committed["header"]["config_hash"]
 
 
 def test_public_names_resolve_to_their_home_modules():
