@@ -1,8 +1,9 @@
 """shiftpress: thermodynamic formalism on subshifts of finite type.
 
 Pressure estimators and their transfer-operator oracle, ergodic-measure
-spectra, gluing certificates, and the construction of compact invariant
-subsystems with prescribed intermediate pressure.
+spectra, exact gluing through each system's connector words, and the
+construction of compact invariant subsystems with prescribed intermediate
+pressure.
 
 Submodules are imported on first use of one of their names (PEP 562), so a
 process loads only the modules it calls.
@@ -26,7 +27,7 @@ _EXPORTS = {
         "pressure_floor", "birkhoff_sup", "birkhoff_sup_sequence",
     ),
     "measures": ("spectrum_sample",),
-    "gluing": ("GluingCertificate", "check_gluing", "glue_words"),
+    "gluing": ("check_gluing", "glue_words"),
     "structure": ("ConstructConfig", "check_structure_conditions"),
     "construct": (
         "GluedSubshift", "build_glued", "select_words", "construct_intermediate",

@@ -182,6 +182,8 @@ def cmd_check(args) -> int:
     dec = _load_decomposition(args)
     config = _construct_config(args)
     config.resolutions()  # a bad ordering is refused before the oracle runs
+    if args.n_cap_check < 2:
+        raise ConfigError(f"--n-cap-check must be >= 2, got {args.n_cap_check}")
     pressure = pressure_oracle(phi).value
     check = check_structure_conditions(phi, dec, pressure, config, n_cap=args.n_cap_check)
     payload = {"header": _header(args), "pressure": pressure, **check.to_dict()}

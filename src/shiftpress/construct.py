@@ -11,8 +11,9 @@ says why that side holds. The finite-window sums are test oracles only.
 A density sweep shares one Preparation, the alpha-independent work, across
 its alpha values, grid and structure gate: one pressure interval, on the
 potential as given, and each N's core words ranked once, as one weight-class
-key per word. Connectors are found once per system (`ShiftSystem.connectors`),
-so the gate and the cap scan of a memory-1 input share them.
+key per word. Connectors are found and proven once per system
+(`ShiftSystem.connectors`), so the gluing gap tau is the system's and
+N0 = 1: the N search's `N > max(N0, N1)` reads N1 or 1.
 
 Every stage takes the potential alone, which carries its system. Memory
 >= 2 potentials are recoded to memory 1 on the m-block system, the edge
@@ -42,7 +43,7 @@ from .core import (
 from .kernels import _BLOCK_ROWS, rank_weights, word_rows
 from .potentials import Potential, birkhoff_batch, variation
 from .segments import SegmentClass, OrbitDecomposition, affix_bounded
-from .gluing import GluingCertificate, check_gluing, glue_words
+from .gluing import check_gluing, glue_words
 from .thermo import (
     PressureReport,
     partition_function,
@@ -297,8 +298,8 @@ class GluedSubshift:
     linear in the number of words; only the explicit table lists the edges.
     """
 
-    def __init__(self, phi: Potential, words: np.ndarray, cert: GluingCertificate,
-                 params: dict | None = None, phis: np.ndarray | None = None):
+    def __init__(self, phi: Potential, words: np.ndarray, params: dict | None = None,
+                 phis: np.ndarray | None = None):
         """phis: the words' Birkhoff sums, when the caller already has them."""
         if phi.memory != 1:
             raise PreconditionError("GluedSubshift expects a memory-1 potential")
@@ -308,16 +309,12 @@ class GluedSubshift:
         self.sys = sys = phi.sys
         self.phi = phi
         self.words = words
-        self.cert = cert
         self.params = dict(params or {})
         self.K, self.N = words.shape
         self.first = words[:, 0].astype(np.intp)
         self.last = words[:, -1].astype(np.intp)
         self.phis = birkhoff_batch(phi, words, self.N) if phis is None else np.asarray(phis, dtype=float)
-        # the certificate checked its connectors on its own system
-        if not np.array_equal(cert.sys.transitions, sys.transitions):
-            raise ConfigError("the certificate and the potential live on different systems")
-        self.conn = cert.connectors
+        self.conn = sys.connectors
         shape = (sys.alphabet_size,) * 2
         conns = [self.conn[pair] for pair in np.ndindex(shape)]
         self.conn_len = np.array([len(c) for c in conns], dtype=np.intp).reshape(shape)
@@ -550,7 +547,7 @@ class GluedSubshift:
             )
         rows = []
         for seq in itertools.product(range(self.K), repeat=blocks_needed):
-            glued, _times, _gaps = glue_words(self.cert, [self.words[i] for i in seq])
+            glued, _times, _gaps = glue_words(self.sys, [self.words[i] for i in seq])
             limit = len(glued) - length + 1
             for off in range(min(self.N + self.tau, limit)):
                 rows.append(glued[off : off + length])
@@ -670,7 +667,7 @@ class GluedSubshift:
         return {"summary": False, "vertices": vertices, "edges": np.stack([src, dst], 1).tolist()}
 
 
-def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> GluedSubshift:
+def build_glued(phi: Potential, words, params=None) -> GluedSubshift:
     """Materialize the glued subsystem from an explicit word selection."""
     words = list(words)
     if not words:
@@ -680,7 +677,7 @@ def build_glued(phi: Potential, words, cert: GluingCertificate, params=None) -> 
     for w in words:
         if not is_admissible(phi.sys, w):
             raise ConfigError(f"selected word {tuple(int(s) for s in w)} is not admissible in the system")
-    return GluedSubshift(phi, np.asarray(words, dtype=np.uint8), cert, params)
+    return GluedSubshift(phi, np.asarray(words, dtype=np.uint8), params)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +780,7 @@ class Preparation:
         for cap in AFFIX_CAPS:
             core = affix_bounded(self.dec, cap)
             try:
-                cert = check_gluing(self.phi.sys, core)
+                tau = check_gluing(self.phi.sys, core)
             except CertificateError:
                 continue
             log_c0, n1 = _measure_partition_floor(self.phi, core, pressure_n, self.gamma_res, config.budget)
@@ -794,9 +791,8 @@ class Preparation:
                 "no affix cap yields a glued core with positive partition floor",
                 diagnostics=[("affix caps scanned", AFFIX_CAPS, None)],
             )
-        self.cap, self.core, self.cert, self.log_c0, self.n1 = cap, core, cert, log_c0, n1
+        self.cap, self.core, self.tau, self.log_c0, self.n1 = cap, core, tau, log_c0, n1
         self.core_words = CoreWords(self.phi, core, config.budget)
-        tau = cert.tau
         self.log_sep_gap = (
             math.log(tau) + math.log(float(count_words(self.phi.sys, tau + self.delta_res.level - 1)))
             if tau >= 1
@@ -822,9 +818,8 @@ class Preparation:
         eta = min(eta0 / 5.0, alpha_n / 5.0, 0.45 * (pressure - alpha), 0.45 * (alpha - floor))
 
         _remembered(self._memo, "scan_caps", self._scan_caps)
-        config, phi_n, cap, cert, log_c0, n1 = self.config, self.phi, self.cap, self.cert, self.log_c0, self.n1
-        tau = cert.tau
-        n_min = max(cert.n0, n1 or 1)
+        config, phi_n, cap, tau, log_c0, n1 = self.config, self.phi, self.cap, self.tau, self.log_c0, self.n1
+        n_min = n1 or 1  # max(N0, N1), with N0 = 1 for exact gluing
         tau_note = "vacuous when tau = 0" if tau == 0 else ""
         gap_note = tau_note or (
             "deterministic connectors carry one gap choice per junction; "
@@ -879,7 +874,7 @@ class Preparation:
             "N1": n1,
             "level_delta": self.delta_res.level,
         }
-        glued = GluedSubshift(phi_n, words, cert, params, phis)
+        glued = GluedSubshift(phi_n, words, params, phis)
 
         lo, hi, info = glued.log_pressure()
         value = 0.5 * (lo + hi) + shift
@@ -1009,7 +1004,7 @@ def verify_counting_bound(
     if theta_n >= 3:  # theta_n is 0 for n <= 4
         # the width-(n-3)N prefix of a glued word lies inside its first n-3 blocks
         width = (n - 3) * N
-        heads = [glue_words(glued.cert, [glued.words[i] for i in head])[0][:width]
+        heads = [glue_words(glued.sys, [glued.words[i] for i in head])[0][:width]
                  for head in itertools.product(range(K), repeat=n - 3)]
         theta = np.repeat(birkhoff_batch(glued.phi, np.array(heads, dtype=np.uint8), width), K**3)
         log_bound = np.array([
@@ -1078,6 +1073,8 @@ def density_experiment(
     """
     if grid_size < 1:
         raise ConfigError(f"grid size must be >= 1, got {grid_size}")
+    if margin is not None and margin < 0:
+        raise ConfigError(f"--margin must be >= 0, got {margin}")
     prep = Preparation(phi, dec, config)
     floor, ceiling = prep.interval()
     check = check_structure_conditions(phi, dec, ceiling, prep.config)

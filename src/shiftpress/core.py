@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ResourceBudgetError, StructuralError
+from .errors import CertificateError, ConfigError, ResourceBudgetError, StructuralError
 from . import kernels
 
 DEFAULT_WORD_BUDGET = 20_000_000
@@ -104,9 +104,17 @@ class ShiftSystem:
 
     @cached_property
     def connectors(self) -> dict:
-        """shortest_connectors of this system, found once; every gluing
-        certificate on it reads this dict and must not change it."""
-        return shortest_connectors(self)
+        """shortest_connectors of this system, found once and proven once:
+        each a . c . b is checked admissible, which proves every word glued
+        through them admissible. Readers must not change the dict."""
+        conns = shortest_connectors(self)
+        for (a, b), c in conns.items():
+            if not is_admissible(self, (a, *c, b)):
+                raise CertificateError(
+                    f"connector {word_str(c) or 'empty'} does not join {a} to {b} admissibly",
+                    counterexample=(a, c, b),
+                )
+        return conns
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ class InfeasibleError(ShiftPressError):
 
 
 class CertificateError(ShiftPressError):
-    """A gluing certificate failed verification; carries a counterexample."""
+    """Gluing refused: a connector that does not join its pair admissibly
+    (counterexample (a, c, b)) or a class with no segment of length 1 to 5."""
 
     def __init__(self, message, counterexample=None):
         super().__init__(message)

@@ -1,64 +1,32 @@
-"""Gluing certificates: deterministic connector words and exact orbit tracing.
+"""Exact gluing: words concatenated through their system's connector words.
 
-A certificate fixes, for every ordered symbol pair (a, b), one admissible
-connector word of length <= tau joining a word ending in a to a word
-starting with b. Concatenation through these connectors traces each input
-segment exactly (distance zero at every in-segment time), which is the
-strongest possible form of the tracing required at any dyadic resolution:
-`glue_words` returns the start time of each block, and the glued word
-carries the block's word verbatim from there.
-
-Checking the A^2 connectors once proves gluing for every sequence of
-segments: admissibility on a subshift of finite type is a condition on
-adjacent symbols, and every adjacent pair of a glued word lies inside a
-segment (admissible by assumption) or inside a connector joined to its
-neighbours (admissible by the check).
+`ShiftSystem.connectors` fixes one connector word for every ordered symbol
+pair (a, b) and proves each a . c . b admissible, once per system. That
+proves gluing for every sequence of segments: admissibility on a subshift
+of finite type is a condition on adjacent symbols, and every adjacent pair
+of a glued word lies inside a segment (admissible by assumption) or inside
+a connector joined to its neighbours (admissible by the check). Each segment
+is traced exactly (distance zero at every in-segment time, the strongest
+tracing at any dyadic resolution): `glue_words` returns the start time of
+each block, and the glued word carries the block's word verbatim from there.
+So the gap tau, the longest connector, depends on the system alone, and
+N0 = 1 for every class (Climenhaga & Thompson, Adv. Math. 303, 2016).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ShiftSystem, is_admissible, word_matrix, word_str
+from .core import ShiftSystem, word_matrix
 from .segments import SegmentClass
 from .errors import CertificateError, ConfigError
 
 
-@dataclass(frozen=True)
-class GluingCertificate:
-    """Per-pair connectors plus the gluing parameters (N0, tau).
-
-    The gap sequence of a glued word is determined by consecutive segment
-    endpoints: gap(k) = len(connectors[last(w_k), first(w_{k+1})]).
-    """
-
-    sys: ShiftSystem
-    n0: int
-    tau: int
-    connectors: dict
-
-    def __post_init__(self):
-        A = self.sys.alphabet_size
-        if set(self.connectors) != {(a, b) for a in range(A) for b in range(A)}:
-            raise CertificateError(f"a certificate needs one connector for each of the {A * A} symbol pairs")
-        for (a, b), c in self.connectors.items():
-            if len(c) > self.tau:
-                raise CertificateError(
-                    f"connector for ({a},{b}) has length {len(c)} > tau={self.tau}"
-                )
-            if not is_admissible(self.sys, (a,) + tuple(c) + (b,)):
-                raise CertificateError(
-                    f"connector {word_str(c) or 'empty'} does not join {a} to {b} admissibly",
-                    counterexample=(a, c, b),
-                )
-
-
-def glue_words(cert: GluingCertificate, words):
-    """Concatenate words through the certificate connectors.
+def glue_words(sys: ShiftSystem, words):
+    """Concatenate words through the connectors of `sys`.
 
     Returns (glued word, block start times, gap lengths): block k starts at
     t_k, the sum of (length + following gap) over the earlier blocks, and
-    carries its word verbatim there, at distance 0 at every dyadic level."""
+    carries its word verbatim there, at distance 0 at every dyadic level.
+    The gap after block k is len(connectors[last(w_k), first(w_{k+1})])."""
     words = [tuple(int(s) for s in w) for w in words]
     if not words:
         raise ConfigError("nothing to glue")
@@ -67,7 +35,7 @@ def glue_words(cert: GluingCertificate, words):
     out = list(words[0])
     times, gaps = [0], []
     for w in words[1:]:
-        c = cert.connectors[(out[-1], w[0])]
+        c = sys.connectors[(out[-1], w[0])]
         gaps.append(len(c))
         out.extend(c)
         times.append(len(out))
@@ -75,20 +43,17 @@ def glue_words(cert: GluingCertificate, words):
     return tuple(out), times, gaps
 
 
-def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> GluingCertificate:
-    """Build the gluing certificate of a segment class.
+def check_gluing(sys: ShiftSystem, core_class: SegmentClass) -> int:
+    """The gluing gap tau of a segment class: its system's longest connector.
 
-    Connectors are `sys.connectors`, BFS shortest paths found once per system;
-    the certificate checks each of them once, which proves every glued word
-    admissible and exactly traced. It has N0 = 1 and tau = its longest
-    connector. The class must have a segment with length in [1, 5], or the
-    certificate is refused.
+    The connectors are `sys.connectors`, found and proven admissible once per
+    system. The class must have a segment with length in [1, 5], or gluing
+    is refused with a `CertificateError`.
     """
     tau = max(len(c) for c in sys.connectors.values())
-    cert = GluingCertificate(sys=sys, n0=1, tau=tau, connectors=sys.connectors)
     if not any(core_class.batch(word_matrix(sys, n), n).any() for n in range(1, 6)):
         raise CertificateError(
             f"class {core_class.description!r} has no segments with lengths in "
             "[1, 5]; cannot verify gluing"
         )
-    return cert
+    return tau

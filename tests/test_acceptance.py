@@ -165,14 +165,13 @@ def test_criterion_07_counting_bound():
 
 def test_criterion_08_tracing_and_separation():
     golden = ShiftSystem.golden_mean()
-    cert = check_gluing(golden, all_segments())
     pool = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
-    N, tau = 3, cert.tau
+    N, tau = 3, check_gluing(golden, all_segments())
     traced = 0
     separated = 0
     for n in (1, 2, 3):
         for seq in itertools.product(pool, repeat=n):
-            glued, times, _ = glue_words(cert, list(seq))
+            glued, times, _ = glue_words(golden, list(seq))
             for w, t in zip(seq, times):
                 assert glued[t : t + N] == w  # exact prefix tracing, distance 0
             traced += 1
@@ -180,8 +179,8 @@ def test_criterion_08_tracing_and_separation():
             for seq_b in itertools.product(pool, repeat=n):
                 if seq_a[-1] == seq_b[-1]:
                     continue
-                za, ta, _ = glue_words(cert, list(seq_a))
-                zb, tb, _ = glue_words(cert, list(seq_b))
+                za, ta, _ = glue_words(golden, list(seq_a))
+                zb, tb, _ = glue_words(golden, list(seq_b))
                 if ta[-1] != tb[-1]:
                     continue
                 assert za[: n * (N + tau)] != zb[: n * (N + tau)]
@@ -191,13 +190,12 @@ def test_criterion_08_tracing_and_separation():
 
 def test_criterion_09_degenerate_selections():
     full2 = ShiftSystem.full_shift(2)
-    cert = check_gluing(full2, all_segments())
     phi = Potential.from_symbol_values(full2, [0.1, 0.7])
-    single = build_glued(phi, [(0, 1, 1, 0)], cert)
+    single = build_glued(phi, [(0, 1, 1, 0)])
     v1, _, _ = single.log_pressure()
     expected = (0.1 + 0.7 + 0.7 + 0.1) / 4
     assert abs(v1 - expected) < 1e-9
-    everything = build_glued(phi, word_matrix(full2, 4), cert)
+    everything = build_glued(phi, word_matrix(full2, 4))
     v2, _, _ = everything.log_pressure()
     full_pressure = pressure_oracle(phi).value
     assert abs(v2 - full_pressure) < 1e-9

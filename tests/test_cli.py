@@ -239,6 +239,29 @@ class TestConstructAndDensity:
         err = capsys.readouterr().err
         assert err == f"config error: --n-cap must be >= 2, got {n_cap}\n"
 
+    @pytest.mark.parametrize("n_cap", ["0", "1", "-3"])
+    def test_n_cap_check_below_two_exit2(self, files, capsys, monkeypatch, n_cap):
+        # refused by the flag's name before the oracle runs
+        monkeypatch.setattr("shiftpress.thermo.pressure_oracle", lambda *a, **kw: pytest.fail("oracle ran"))
+        code, text = run(
+            files, "check", "--system", str(files["golden"]), "--potential", str(files["weighted"]),
+            "--n-cap-check", n_cap,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: --n-cap-check must be >= 2, got {n_cap}\n"
+
+    @pytest.mark.parametrize("margin", ["-1", "-0.05"])
+    def test_negative_margin_exit2(self, files, capsys, margin):
+        # a negative margin would sweep alphas outside [floor, pressure]
+        code, text = run(
+            files, "density", "--system", str(files["golden"]), "--potential", str(files["weighted"]),
+            "--grid", "3", "--eta0", "0.1", f"--margin={margin}",
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"config error: --margin must be >= 0, got {float(margin)}\n"
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize(
         "command,flags",

@@ -51,16 +51,6 @@ from conftest import random_potential, random_sft
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture
-def cert_full2(full2):
-    return check_gluing(full2, all_segments())
-
-
-@pytest.fixture
-def cert_golden(golden):
-    return check_gluing(golden, all_segments())
-
-
 class TestSelectWords:
     def test_counting_case(self, full2):
         # phi = 0: weights are 1, so the selection is a word count in the window
@@ -282,38 +272,35 @@ class TestClassWeight:
 
 
 class TestGluedSubshift:
-    def test_certificate_from_another_system_refused(self, full2, golden, cycle3, cert_full2):
-        phi = Potential.zero(golden)
-        for cert in (cert_full2, check_gluing(cycle3, all_segments())):
-            with pytest.raises(ConfigError, match="different systems"):
-                build_glued(phi, [(0, 1, 0)], cert)
-            with pytest.raises(ConfigError, match="different systems"):
-                GluedSubshift(phi, np.array([[0, 1, 0]], dtype=np.uint8), cert)
-        # an equal system held in another object is the same system
-        lam = build_glued(Potential.zero(ShiftSystem.full_shift(2)), [(0, 1, 1, 0)], cert_full2)
-        assert lam.conn == cert_full2.connectors
+    def test_connectors_are_the_systems(self, full2):
+        """The glued subshift reads the connectors its potential's system
+        keeps; an equal system held in another object has equal ones."""
+        phi = Potential.zero(ShiftSystem.full_shift(2))
+        lam = build_glued(phi, [(0, 1, 1, 0)])
+        assert lam.conn is phi.sys.connectors
+        assert lam.conn == full2.connectors
 
-    def test_all_words_recovers_full_shift(self, full2, cert_full2):
+    def test_all_words_recovers_full_shift(self, full2):
         phi = Potential.zero(full2)
-        lam = build_glued(phi, word_matrix(full2, 4), cert_full2)
+        lam = build_glued(phi, word_matrix(full2, 4))
         value, _, _ = lam.log_pressure()
         assert value == pytest.approx(math.log(2), abs=1e-9)
 
-    def test_single_word_is_periodic_orbit(self, full2, cert_full2):
+    def test_single_word_is_periodic_orbit(self, full2):
         phi = Potential.from_symbol_values(full2, [0.1, 0.7])
-        lam = build_glued(phi, [(0, 1, 1, 0)], cert_full2)
+        lam = build_glued(phi, [(0, 1, 1, 0)])
         value, _, _ = lam.log_pressure()
         assert value == pytest.approx((0.1 + 0.7 + 0.7 + 0.1) / 4, abs=1e-9)
 
     @pytest.mark.parametrize("values, word", [([0.0, 0.1], None), ([0.0, 10.0], (1,))])
-    def test_each_rate_solved_once(self, golden, cert_golden, monkeypatch, values, word):
+    def test_each_rate_solved_once(self, golden, monkeypatch, values, word):
         """ln rho(B(s)) is evaluated once at every rate tried: the start, each
         lowering of it, each Newton iterate, and the two bracket ends, which
         come last; info counts them. The iterates rise from the last start.
         The word 1 glued through the connector 0 has pressure 5 against a
         start of 10 - 2, so the start is lowered twice."""
         phi = Potential.from_symbol_values(golden, values)
-        lam = build_glued(phi, word_matrix(golden, 6) if word is None else [word], cert_golden)
+        lam = build_glued(phi, word_matrix(golden, 6) if word is None else [word])
         want = lam.log_pressure()
         rates = []
         solve = GluedSubshift._renewal_point
@@ -334,28 +321,28 @@ class TestGluedSubshift:
             assert rates[:3] == [8.0, 6.0, 4.0]
             assert lo <= 5.0 <= hi
 
-    def test_oracle_matches_enumeration_small(self, golden, cert_golden):
+    def test_oracle_matches_enumeration_small(self, golden):
         phi = Potential.zero(golden)
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         value, _, _ = lam.log_pressure()
         rep = lam.finite_pressure_report(1, anchored=False)
         assert rep.extras["exact_words"]
         assert abs(value - rep.value) < 0.05
 
-    def test_monotone_in_word_set(self, full2, cert_full2):
+    def test_monotone_in_word_set(self, full2):
         rng = np.random.default_rng(7)
         phi = Potential.from_symbol_values(full2, [0.2, 0.5])
         pool = [tuple(int(s) for s in r) for r in word_matrix(full2, 4)]
         small = pool[:3]
         for extra in range(1, 5):
             big = pool[: 3 + extra]
-            v_small, _, _ = build_glued(phi, small, cert_full2).log_pressure()
-            v_big, _, _ = build_glued(phi, big, cert_full2).log_pressure()
+            v_small, _, _ = build_glued(phi, small).log_pressure()
+            v_big, _, _ = build_glued(phi, big).log_pressure()
             assert v_small <= v_big + 1e-9
 
-    def test_language_words_are_admissible_factors(self, golden, cert_golden):
+    def test_language_words_are_admissible_factors(self, golden):
         phi = Potential.zero(golden)
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         words = lam.language_words(5)
         from shiftpress.core import is_admissible
 
@@ -363,21 +350,21 @@ class TestGluedSubshift:
         # every factor extends: factor counts are nondecreasing in length
         assert len(lam.language_words(6)) >= len(words)
 
-    def test_presentation_shift_invariant(self, golden, cert_golden):
+    def test_presentation_shift_invariant(self, golden):
         """Every length-(n+1) presentation word has its shifted suffix in the
         language: the spelled subshift is closed under the shift."""
         phi = Potential.zero(golden)
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         longer = {tuple(w) for w in lam.language_words(7)}
         shorter = {tuple(w) for w in lam.language_words(6)}
         for w in longer:
             assert w[1:] in shorter
 
-    def test_path_recursion_matches_exact_words(self, golden, cert_golden):
+    def test_path_recursion_matches_exact_words(self, golden):
         """Dual route on the glued system: anchored path sums at full block
         multiples equal exact anchored word sums when no spelling collides."""
         phi = Potential.from_symbol_values(golden, [0.3, 0.6])
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         # one full block anchored: paths = the two words themselves
         lt = lam.log_theta(3, 1, anchored=True)
         direct = math.log(
@@ -385,9 +372,9 @@ class TestGluedSubshift:
         )
         assert lt == pytest.approx(direct, abs=1e-12)
 
-    def test_explicit_digraph_small(self, golden, cert_golden):
+    def test_explicit_digraph_small(self, golden):
         phi = Potential.zero(golden)
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         dig = lam.explicit_digraph()
         assert not dig["summary"]
         # no word starts with 1, so the connector 0 from 1 to 1 is left out
@@ -396,30 +383,30 @@ class TestGluedSubshift:
         ids = {v["id"] for v in dig["vertices"]}
         assert all(e[0] in ids and e[1] in ids for e in dig["edges"])
 
-    def test_empty_selection_rejected(self, full2, cert_full2):
+    def test_empty_selection_rejected(self, full2):
         with pytest.raises(ConfigError):
-            build_glued(Potential.zero(full2), [], cert_full2)
+            build_glued(Potential.zero(full2), [])
 
     @pytest.mark.parametrize("bad", [(1, 1, 0), (0, 2, 0), (0, 257, 0), (0, -1, 0)])
-    def test_word_outside_the_system_refused(self, golden, cert_golden, bad):
+    def test_word_outside_the_system_refused(self, golden, bad):
         """11 is forbidden on the golden mean shift, and 2, 257 and -1 are no
         symbols of it: each such word is refused by name, never glued."""
         phi = Potential.from_symbol_values(golden, [0.0, 0.1])
         with pytest.raises(ConfigError, match=re.escape(f"selected word {bad} is not admissible")):
-            build_glued(phi, [bad, (0, 1, 0)], cert_golden)
+            build_glued(phi, [bad, (0, 1, 0)])
 
-    def test_empty_word_refused(self, golden, cert_golden):
+    def test_empty_word_refused(self, golden):
         """A word set of empty words is a zero-width matrix: refused, not
         read past its end."""
         with pytest.raises(ConfigError, match="nonempty words"):
-            build_glued(Potential.zero(golden), [()], cert_golden)
+            build_glued(Potential.zero(golden), [()])
 
-    def test_word_theta_matches_materialized_language(self, golden, cert_golden):
+    def test_word_theta_matches_materialized_language(self, golden):
         """The follower-set recursion must equal the sum over the explicitly
         materialized, deduplicated language, and genuinely differ from the
         path recursion when spellings collide across phases."""
         phi = Potential.from_symbol_values(golden, [0.15, 0.4])
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden)
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)])
         for n, level in [(3, 3), (4, 2), (6, 1)]:
             words = lam.language_words(n + level - 1)
             brute = math.log(
@@ -430,7 +417,7 @@ class TestGluedSubshift:
         # path counting exceeds word counting here (phase-ambiguous spellings)
         assert lam.log_theta(6, 1, anchored=False) > lam.word_theta(6, 1) + 1e-9
 
-    def test_renewal_matches_dense_power_iteration(self, golden, cert_golden):
+    def test_renewal_matches_dense_power_iteration(self, golden):
         """Independent eigenvalue route: materialize the presentation digraph,
         weight each edge by the destination symbol, and solve on its edges."""
         from shiftpress.thermo import perron_log
@@ -438,7 +425,7 @@ class TestGluedSubshift:
         rng = np.random.default_rng(31)
         phi = Potential.from_symbol_values(golden, [0.2, 0.65])
         pool = [tuple(int(s) for s in r) for r in word_matrix(golden, 4)]
-        lam = build_glued(phi, pool[:5], cert_golden)
+        lam = build_glued(phi, pool[:5])
         dig = lam.explicit_digraph()
         assert not dig["summary"]
         V = len(dig["vertices"])
@@ -510,11 +497,10 @@ def test_presentation_arrays_match_the_per_pair_reference():
     for seed in range(24):
         rng = np.random.default_rng(seed)
         sys_ = random_sft(rng, int(rng.integers(2, 5)), density=float(rng.choice([0.45, 0.7, 1.0])))
-        cert = check_gluing(sys_, all_segments())
         phi = random_potential(rng, sys_, 1)
         pool = word_matrix(sys_, int(rng.integers(2, 6)))
         words = pool[np.sort(rng.choice(len(pool), size=min(len(pool), int(rng.integers(1, 9))), replace=False))]
-        glued = build_glued(phi, words, cert)
+        glued = build_glued(phi, words)
         taus.add(glued.tau)
         dig = glued.explicit_digraph()
         assert dig == reference_explicit_digraph(glued), seed
@@ -536,7 +522,7 @@ def test_connector_vertex_names_are_distinct():
     T[0, 0] = True
     sys_ = ShiftSystem(T)
     words = [(*range(A), 0), (*range(1, A), 0, 0), (11, 0, 0, *range(1, 11))]
-    glued = build_glued(Potential.zero(sys_), words, check_gluing(sys_, all_segments()))
+    glued = build_glued(Potential.zero(sys_), words)
     dig = glued.explicit_digraph()
     names = [v["name"] for v in dig["vertices"]]
     assert len(names) == len(set(names)) == 226
@@ -615,10 +601,10 @@ class TestRenewalBracket:
 
         monkeypatch.setattr(GluedSubshift, "_renewal_point", shifted)
 
-    def test_unproven_end_refused(self, full2, cert_full2, monkeypatch):
+    def test_unproven_end_refused(self, full2, monkeypatch):
         """An end whose quotients do not clear the slack is refused, with both
         ends and their quotients."""
-        lam = build_glued(Potential.from_symbol_values(full2, [0.2, 0.5]), word_matrix(full2, 4)[:5], cert_full2)
+        lam = build_glued(Potential.from_symbol_values(full2, [0.2, 0.5]), word_matrix(full2, 4)[:5])
         self._quotients_off_by_one(monkeypatch)
         with pytest.raises(PreconditionError, match=r"bracket \[.*, .*\] is not proven: .* at lo is .* at hi .*"):
             lam.log_pressure()
@@ -632,13 +618,13 @@ class TestRenewalBracket:
         assert code == 3
         assert "is not proven" in capsys.readouterr().err
 
-    def test_large_values_widen_the_bracket(self, golden, cert_golden):
+    def test_large_values_widen_the_bracket(self, golden):
         """At a rate near 300 the rounding slack of the quotients is about
         1e-12, above what a bracket RENEWAL_TOL wide can clear: the bracket
         widens to 4 slack / |f'| on each side and is still proven."""
         mpmath = pytest.importorskip("mpmath")
         phi = Potential.from_symbol_values(golden, [0.0, 600.0])
-        lam = build_glued(phi, word_matrix(golden, 6), cert_golden)
+        lam = build_glued(phi, word_matrix(golden, 6))
         lo, hi, info = lam.log_pressure()
         assert 250 < lo and RENEWAL_TOL < hi - lo < 1e-10
         assert info["evaluations"] <= 8
@@ -647,20 +633,20 @@ class TestRenewalBracket:
 
 
 class TestSeparation:
-    def test_distinct_sequences_separate(self, golden, cert_golden):
+    def test_distinct_sequences_separate(self, golden):
         """Traced words from different block sequences with equal start times
         differ inside the covered window (exhaustive, small)."""
         phi = Potential.zero(golden)
         pool = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
         N = 3
-        tau = cert_golden.tau
+        tau = check_gluing(golden, all_segments())
         for n in (1, 2, 3):
             for seq_a in itertools.product(pool, repeat=n):
                 for seq_b in itertools.product(pool, repeat=n):
                     if seq_a[-1] == seq_b[-1]:
                         continue
-                    za, ta, _ = glue_words(cert_golden, list(seq_a))
-                    zb, tb, _ = glue_words(cert_golden, list(seq_b))
+                    za, ta, _ = glue_words(golden, list(seq_a))
+                    zb, tb, _ = glue_words(golden, list(seq_b))
                     if ta[-1] != tb[-1]:
                         continue
                     window = n * (N + tau)
@@ -705,7 +691,7 @@ def reference_counting_bound(glued, n, delta, eta):
     worst = 0
     theta_checked = False
     for seq in itertools.product(range(glued.K), repeat=n):
-        glued_word, times, _gaps = glue_words(glued.cert, [glued.words[i] for i in seq])
+        glued_word, times, _gaps = glue_words(glued.sys, [glued.words[i] for i in seq])
         det = len(glued_word)
         h = max(0, window - det)
         prefixes = reference_continuations(glued, int(glued.last[seq[-1]]), h)
@@ -760,20 +746,16 @@ def counting_sets():
     built_golden = construct_intermediate(
         Potential.from_symbol_values(golden, [0.0, 0.1]), dec, 0.15, 0.1
     )
-    cert_f = check_gluing(full2, all_segments())
-    cert_g = check_gluing(golden, all_segments())
     phi_g = Potential.from_symbol_values(golden, [0.0, 0.1])
     phi_f = Potential.from_symbol_values(full2, [0.2, -0.1])
     return [
         ("full2-construction", built_full2.subsystem, 4),
         ("golden-construction", built_golden.subsystem, 5),
-        ("golden-3", build_glued(phi_g, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_g,
-                                 params={"eta": 0.05}), 8),
-        ("full2-3", build_glued(phi_f, [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], cert_f,
-                                params={"eta": 0.05}), 8),
+        ("golden-3", build_glued(phi_g, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], params={"eta": 0.05}), 8),
+        ("full2-3", build_glued(phi_f, [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], params={"eta": 0.05}), 8),
         # two words of unequal weight, so theta sums and bounds differ by class
-        ("golden-2", build_glued(phi_g, [(0, 0, 0), (1, 0, 1)], cert_g, params={"eta": 0.05}), 8),
-        ("full2-2", build_glued(phi_f, [(0, 0, 0, 0), (1, 1, 0, 1)], cert_f, params={"eta": 0.05}), 8),
+        ("golden-2", build_glued(phi_g, [(0, 0, 0), (1, 0, 1)], params={"eta": 0.05}), 8),
+        ("full2-2", build_glued(phi_f, [(0, 0, 0, 0), (1, 1, 0, 1)], params={"eta": 0.05}), 8),
     ]
 
 
@@ -824,25 +806,23 @@ class TestCountingBound:
                 outcomes.add(got.ok)
             assert outcomes == {True, False}
 
-    def test_small_golden_lambda(self, golden, cert_golden):
+    def test_small_golden_lambda(self, golden):
         phi = Potential.zero(golden)
-        lam = build_glued(
-            phi, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], cert_golden, params={"eta": 0.05}
-        )
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], params={"eta": 0.05})
         for n in (3, 4, 5):
             res = verify_counting_bound(lam, n, Resolution(7))
             assert res.ok
             assert res.classes_checked == 3**n
 
-    def test_full_shift_free_gaps(self, full2, cert_full2):
+    def test_full_shift_free_gaps(self, full2):
         phi = Potential.zero(full2)
-        lam = build_glued(phi, word_matrix(full2, 3), cert_full2, params={"eta": 0.05})
+        lam = build_glued(phi, word_matrix(full2, 3), params={"eta": 0.05})
         for n in (3, 4):
             assert verify_counting_bound(lam, n, Resolution(7)).ok
 
-    def test_theta_bound_engages_at_larger_n(self, golden, cert_golden):
+    def test_theta_bound_engages_at_larger_n(self, golden):
         phi = Potential.zero(golden)
-        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], cert_golden, params={"eta": 0.05})
+        lam = build_glued(phi, [(0, 0, 1), (0, 1, 0)], params={"eta": 0.05})
         res = verify_counting_bound(lam, 8, Resolution(7))
         assert res.ok and res.theta_checked
 

@@ -281,6 +281,8 @@ THERMO_CASES = (
         "--decomposition", "prefix_run.json"]]
     # memory 5 above the 3*gamma level 4: bowen_on_core from the closed form
     + [["check", "--system", "golden.json", "--potential", "golden_mem5.json"]]
+    # the one input with tau = 2: pins the gate's "tau" and "n0" details
+    + [["check", "--system", "tau2.json", "--potential", "tau2_phi.json"]]
 )
 
 
