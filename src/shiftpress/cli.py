@@ -55,8 +55,11 @@ def _header(args) -> dict:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -78,14 +81,11 @@ def _fmt(x) -> str:
     return _fmt_column((x,))[0]
 
 
-def _emit_csv(header: dict, columns, rows, out: str | None, stats: dict | None = None):
-    lines = [f"# {k}: {v}" for k, v in header.items()]
-    for k, v in (stats or {}).items():
-        lines.append(f"# {k}: {_fmt(v)}")
-    lines.append(",".join(columns))
-    # one column at a time, then the fields of each row joined
-    lines += map(",".join, zip(*map(_fmt_column, zip(*rows))))
-    _emit("\n".join(lines) + "\n", out)
+def _emit_csv(header: dict, names, lines, out: str | None, stats: dict):
+    head = [f"# {k}: {v}" for k, v in header.items()]
+    head += [f"# {k}: {_fmt(v)}" for k, v in stats.items()]
+    head.append(",".join(names))
+    _emit("\n".join([*head, *lines]) + "\n", out)
 
 
 def _load_inputs(args, need_potential=True) -> Potential:
@@ -163,14 +163,10 @@ def cmd_spectrum(args) -> int:
     result = spectrum_sample(
         _load_inputs(args), cycle_cap=args.cycle_cap, grid=args.grid, budget=args.budget_words
     )
-    stats = {
-        "floor": result.floor,
-        "ceiling": result.ceiling,
-        "max_gap": result.max_gap,
-        "partial": result.partial,
-    }
-    # each entry is a (kind, parameter, entropy, integral, pressure) row
-    _emit_csv(_header(args), ["kind", "parameter", "entropy", "integral", "pressure"], result.entries, args.out, stats)
+    stats = {k: getattr(result, k) for k in ("floor", "ceiling", "max_gap", "partial")}
+    names = result.entries.dtype.names
+    lines = map("{},{},{:.12g},{:.12g},{:.12g}".format, *(result.entries[k].tolist() for k in names))
+    _emit_csv(_header(args), names, lines, args.out, stats)
     return EXIT_OK
 
 
@@ -212,23 +208,14 @@ def cmd_density(args) -> int:
     if args.eta0 is None:
         raise ConfigError("density requires --eta0")
     result = density_experiment(phi, dec, args.grid, args.eta0, _construct_config(args), margin=args.margin)
-    rows = [
-        (r.alpha, r.certified, r.pressure, r.gap, r.N, r.tau, r.e_size)
-        for r in result.rows
-    ]
+    rows = ((r.alpha, r.certified, r.pressure, r.gap, r.N, r.tau, r.e_size) for r in result.rows)
+    lines = [",".join(_fmt_column(row)) for row in rows]
     for r in result.rows:
         if r.error:
             print(f"alpha={_fmt(r.alpha)}: {r.error}", file=sys.stderr)
-    stats = {
-        "floor": result.floor,
-        "ceiling": result.ceiling,
-        "tail_correction": result.tail_correction,
-    }
-    _emit_csv(
-        _header(args),
-        ["alpha", "certified", "pressure", "gap", "N", "tau", "E_size"],
-        rows, args.out, stats,
-    )
+    stats = {k: getattr(result, k) for k in ("floor", "ceiling", "tail_correction")}
+    names = ["alpha", "certified", "pressure", "gap", "N", "tau", "E_size"]
+    _emit_csv(_header(args), names, lines, args.out, stats)
     return EXIT_OK
 
 

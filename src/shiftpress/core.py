@@ -45,7 +45,8 @@ class ShiftSystem:
     transitions[a][b] is True iff the word "ab" is admissible. Every symbol
     must have at least one successor and one predecessor (no stranded
     symbol); alphabets of size < 2 are rejected because the whole pressure
-    theory degenerates there.
+    theory degenerates there, and those above 256 because word matrices
+    hold symbols as uint8.
     """
 
     def __init__(self, transitions):
@@ -55,6 +56,8 @@ class ShiftSystem:
         A = T.shape[0]
         if A < 2:
             raise ConfigError(f"alphabet size must be >= 2, got {A}")
+        if A > 256:
+            raise ConfigError(f"alphabet size must be <= 256, the symbols a word matrix holds, got {A}")
         for a in range(A):
             if not T[a].any():
                 raise StructuralError(f"symbol {a} has no successor (row {a} all zero)")

@@ -24,13 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ShiftSystem, count_words, word_matrix
+from .kernels import _BLOCK_ROWS
 from .potentials import Potential, _Lift
 from .thermo import PressureReport, pressure_floor, pressure_oracle
 from .errors import ConfigError, StructuralError
 
 MERGE_TOL = 1e-12
 MAX_MEASURES = 50_000  # spectrum entries kept; past it the result is partial
-_BLOCK_ROWS = 8192  # words per rotation comparison in primitive_cycles
 _CHUNK = 1 << 14  # (cycle, grid, edge) elements per interpolation batch; it bounds the batch temporaries
 NOT_UNIQUE = "the stationary vector is not unique: the chain has more than one recurrent class"
 
@@ -241,14 +241,6 @@ def primitive_cycles(sys: ShiftSystem, max_len: int, budget: int = 2_000_000):
     return cycles, None
 
 
-class SpectrumEntry(NamedTuple):
-    kind: str
-    parameter: str
-    entropy: float
-    integral: float
-    pressure: float
-
-
 def _interpolation_terms(chain: _LiftChain, edges: list, n: int, ts: np.ndarray):
     """Entropies and integrals, (n, G), of the interpolations toward the first
     n cycles of the per-length edge arrays `edges`.
@@ -278,9 +270,26 @@ def _interpolation_terms(chain: _LiftChain, edges: list, n: int, ts: np.ndarray)
     return entropies, integrals
 
 
+def _merged(p: np.ndarray) -> np.ndarray:
+    """The increasing values p less each one within MERGE_TOL above the last
+    one kept, as a walk through p would keep them."""
+    # a value more than MERGE_TOL above the one before it is kept; in a run of
+    # closer values so is the first, and the others only if the run is wider
+    step = np.diff(p, prepend=-np.inf, append=np.inf) > MERGE_TOL
+    heads, ends = np.flatnonzero(step[:-1]), np.flatnonzero(step[1:]) + 1
+    kept = [heads]
+    wide = p[ends - 1] - p[heads] > MERGE_TOL
+    for a, b in zip(heads[wide].tolist(), ends[wide].tolist()):
+        last = p[a]
+        for k in range(a + 1, b):
+            if p[k] - last > MERGE_TOL:
+                kept.append([k])
+                last = p[k]
+    return p[np.sort(np.concatenate(kept))]
+
+
 class SpectrumResult(NamedTuple):
-    entries: list
-    values: list
+    entries: np.recarray  # one (kind, parameter, entropy, integral, pressure) record per row
     floor: float
     ceiling: float
     max_gap: float
@@ -298,10 +307,11 @@ def spectrum_sample(
 
     Emits every primitive cycle up to the cap, the Gibbs chain, and the
     row-renormalized interpolation from the Gibbs chain toward each cycle's
-    empirical chain over a `grid`-point parameter grid in [0, 1). Pressures
-    within 1e-12 are merged in the deduplicated value list. Exceeding a
-    budget (the cycle word budget, or MAX_MEASURES entries) flags the result
-    as partial rather than failing.
+    empirical chain over a `grid`-point parameter grid in [0, 1), as one
+    record array sorted by (pressure, kind, parameter). max_gap is the widest
+    gap in [floor, ceiling] between its ends and the pressures, merged within
+    1e-12. Exceeding a budget (the cycle word budget, or MAX_MEASURES
+    entries) flags the result as partial rather than failing.
     """
     sys = phi.sys
     sys.require_strongly_connected()
@@ -367,34 +377,26 @@ def spectrum_sample(
     # sort by (pressure, kind, parameter); kinds are ranked by name
     rank = np.concatenate(([1], np.tile([0] + [2] * len(ts), listed)))
     suffixes = ["", *(f":{t:.6f}" for t in ts)]
-    params = [""] + [name + sfx for name in names for sfx in suffixes]
+    params = np.concatenate(([""], np.strings.add(np.array(names, dtype=str)[:, None], suffixes).ravel()))
     columns = [
         np.concatenate(([x], a.ravel()))[:MAX_MEASURES]
         for x, a in ((entropy, entropies), (integral, integrals), (entropy + integral, pressures))
     ]
     kept = len(columns[0])
-    order = np.lexsort((np.array(params[:kept], dtype=bytes), rank[:kept], columns[2]))
-    kinds = ("cycle", "gibbs", "interp")
-    columns = [c[order].tolist() for c in columns]
-    entries = list(map(SpectrumEntry._make, zip(
-        [kinds[k] for k in rank[order].tolist()], [params[k] for k in order.tolist()], *columns
-    )))
-    values = []
-    for v in columns[2]:
-        if not values or v - values[-1] > MERGE_TOL:
-            values.append(v)
+    order = np.lexsort((params[:kept], rank[:kept], columns[2]))
+    entries = np.rec.fromarrays(
+        [np.array(["cycle", "gibbs", "interp"])[rank[order]], params[order], *(c[order] for c in columns)],
+        names=("kind", "parameter", "entropy", "integral", "pressure"),
+    )
 
     # the oracle's value may lie below the floor, within its error_bound, on
     # a potential whose pressure is its floor; the interval is then one point
     top = max(ceiling, floor)
-    anchors = sorted(set(values) | {floor, top})
-    inside = [v for v in anchors if floor - 1e-12 <= v <= top + 1e-12]
-    max_gap = max(
-        (b - a for a, b in zip(inside, inside[1:])), default=top - floor
-    )
+    anchors = np.sort(np.concatenate((_merged(entries.pressure), [floor, top])))
+    inside = anchors[(floor - 1e-12 <= anchors) & (anchors <= top + 1e-12)]
+    max_gap = float(np.diff(inside).max()) if len(inside) > 1 else top - floor
     return SpectrumResult(
         entries=entries,
-        values=values,
         floor=floor,
         ceiling=ceiling,
         max_gap=max_gap,

@@ -59,6 +59,24 @@ class TestPressure:
         code, _ = run(files, "pressure", "--system", str(files["badjson"]), "--potential", str(files["zero"]))
         assert code == 2
 
+    def test_alphabet_above_256_exit2(self, files, capsys):
+        # symbol 256 would wrap in a uint8 word matrix
+        path = files["tmp"] / "full257.json"
+        path.write_text(json.dumps({"alphabet": 257, "full": True}))
+        code, text = run(files, "entropy", "--system", str(path))
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == "config error: alphabet size must be <= 256, the symbols a word matrix holds, got 257\n"
+
+    def test_alphabet_of_256_is_the_full_shift(self, files):
+        path = files["tmp"] / "full256.json"
+        path.write_text(json.dumps({"alphabet": 256, "full": True}))
+        code, text = run(files, "entropy", "--system", str(path))
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["oracle"]["value"] == pytest.approx(math.log(256), abs=1e-12)
+        assert payload["enumeration"]["value"] == pytest.approx(math.log(256), abs=1e-12)
+
     def test_entropy_alias(self, files):
         code, text = run(files, "entropy", "--system", str(files["golden"]))
         assert code == 0
@@ -155,6 +173,18 @@ class TestPstarAndSpectrum:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where,reason", [("dir", "Is a directory"), ("dir/missing/out.csv", "No such file or directory")])
+    def test_unwritable_out_exit2(self, files, capsys, where, reason):
+        # one config error line once the work is done, not a traceback
+        (files["tmp"] / "dir").mkdir()
+        out = files["tmp"] / where
+        code = main(["spectrum", "--system", str(files["golden"]), "--potential", str(files["weighted"]),
+                     "--cycle-cap", "3", "--grid", "3", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write output file {out}: {reason}\n"
 
     def test_spectrum_wide_spread(self, files):
         phi = files["tmp"] / "wide.json"

@@ -62,6 +62,11 @@ def test_every_hook_finds_its_target(tmp_path, command):
     assert result["count_errors"] == []
     traced = {result["names"][span[0]] for span in result["spans"]}
     assert {"cli.load_inputs", "cli.emit", "thermo.lift", *EXPECTED.get(command, ())} <= traced
+    if command == "spectrum":
+        # one entry per data row of the artifact, not per column
+        lines = (tmp_path / "artifact").read_text().splitlines()
+        rows = lines[lines.index("kind,parameter,entropy,integral,pressure") + 1:]
+        assert result["counts"]["measures.entries"] == len(rows)
     if command in PER_ROW_FREE:
         assert result["counts"]["segments.batch.rows"] > 0
         assert result["counts"]["segments.batch.predicate_rows"] == 0
