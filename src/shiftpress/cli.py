@@ -68,11 +68,14 @@ def _emit_json(payload: dict, out: str | None):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
+_FLOAT = "{:.12g}"  # every float a CSV prints, row or stats line
+
+
 def _fmt_column(values) -> list:
-    """CSV fields: empty for None, true/false for a bool, .12g for a float."""
+    """CSV fields: empty for None, true/false for a bool, _FLOAT for a float."""
     return [
         "" if x is None else ("true" if x else "false") if x.__class__ is bool
-        else f"{x:.12g}" if isinstance(x, float) else str(x)
+        else _FLOAT.format(x) if isinstance(x, float) else str(x)
         for x in values
     ]
 
@@ -165,7 +168,8 @@ def cmd_spectrum(args) -> int:
     )
     stats = {k: getattr(result, k) for k in ("floor", "ceiling", "max_gap", "partial")}
     names = result.entries.dtype.names
-    lines = map("{},{},{:.12g},{:.12g},{:.12g}".format, *(result.entries[k].tolist() for k in names))
+    row = ",".join(["{}", "{}", _FLOAT, _FLOAT, _FLOAT])
+    lines = map(row.format, *(result.entries[k].tolist() for k in names))
     _emit_csv(_header(args), names, lines, args.out, stats)
     return EXIT_OK
 

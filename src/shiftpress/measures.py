@@ -270,24 +270,6 @@ def _interpolation_terms(chain: _LiftChain, edges: list, n: int, ts: np.ndarray)
     return entropies, integrals
 
 
-def _merged(p: np.ndarray) -> np.ndarray:
-    """The increasing values p less each one within MERGE_TOL above the last
-    one kept, as a walk through p would keep them."""
-    # a value more than MERGE_TOL above the one before it is kept; in a run of
-    # closer values so is the first, and the others only if the run is wider
-    step = np.diff(p, prepend=-np.inf, append=np.inf) > MERGE_TOL
-    heads, ends = np.flatnonzero(step[:-1]), np.flatnonzero(step[1:]) + 1
-    kept = [heads]
-    wide = p[ends - 1] - p[heads] > MERGE_TOL
-    for a, b in zip(heads[wide].tolist(), ends[wide].tolist()):
-        last = p[a]
-        for k in range(a + 1, b):
-            if p[k] - last > MERGE_TOL:
-                kept.append([k])
-                last = p[k]
-    return p[np.sort(np.concatenate(kept))]
-
-
 class SpectrumResult(NamedTuple):
     entries: np.recarray  # one (kind, parameter, entropy, integral, pressure) record per row
     floor: float
@@ -377,7 +359,7 @@ def spectrum_sample(
     # sort by (pressure, kind, parameter); kinds are ranked by name
     rank = np.concatenate(([1], np.tile([0] + [2] * len(ts), listed)))
     suffixes = ["", *(f":{t:.6f}" for t in ts)]
-    params = np.concatenate(([""], np.strings.add(np.array(names, dtype=str)[:, None], suffixes).ravel()))
+    params = np.concatenate(([""], np.char.add(np.array(names, dtype=str)[:, None], suffixes).ravel()))
     columns = [
         np.concatenate(([x], a.ravel()))[:MAX_MEASURES]
         for x, a in ((entropy, entropies), (integral, integrals), (entropy + integral, pressures))
@@ -392,7 +374,11 @@ def spectrum_sample(
     # the oracle's value may lie below the floor, within its error_bound, on
     # a potential whose pressure is its floor; the interval is then one point
     top = max(ceiling, floor)
-    anchors = np.sort(np.concatenate((_merged(entries.pressure), [floor, top])))
+    values = []
+    for v in entries.pressure.tolist():
+        if not values or v - values[-1] > MERGE_TOL:
+            values.append(v)
+    anchors = np.sort(np.concatenate((values, [floor, top])))
     inside = anchors[(floor - 1e-12 <= anchors) & (anchors <= top + 1e-12)]
     max_gap = float(np.diff(inside).max()) if len(inside) > 1 else top - floor
     return SpectrumResult(

@@ -305,19 +305,6 @@ class TestSpectrum:
         assert min(cycle_vals) <= floor <= max(cycle_vals) + 1e-12
         assert max(cycle_vals) == pytest.approx(floor, abs=1e-12)
 
-    def test_merge_is_the_sequential_walk(self):
-        """The pressures kept for max_gap are those a walk through the sorted
-        list keeps, including in runs of close values wider than MERGE_TOL."""
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            steps = rng.choice([0.0, 3e-13, 6e-13, 9e-13, 1e-12, 1.1e-12, 1e-3], size=rng.integers(0, 60))
-            p = 0.3 + np.cumsum(steps)
-            want = []
-            for v in p.tolist():
-                if not want or v - want[-1] > measures.MERGE_TOL:
-                    want.append(v)
-            assert measures._merged(p).tolist() == want
-
     def test_density_gap_small(self, full2):
         res = spectrum_sample(Potential.zero(full2), cycle_cap=10, grid=50)
         assert res.max_gap < 0.05
